@@ -57,9 +57,30 @@ class Inconsistency(RuntimeError):
     pass
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _parse_json(raw: bytes, path: str):
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path} is not UTF-8 text") from None
+
+
+def _load_json(path: str):
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read(), path)
+
+
+def _number(what: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"{what} expects a number, got {text!r}") from None
+
+
+def _number_pair(what: str, text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValidationError(f"{what} expects two comma-separated numbers, got {text!r}")
+    return _number(what, parts[0]), _number(what, parts[1])
 
 
 def _emit(obj) -> None:
@@ -72,10 +93,7 @@ def _tol_base(args) -> float:
         return float(args.tol)
     env = os.environ.get("QLIN_TOL")
     if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise ValidationError(f"QLIN_TOL={env!r} is not a number") from None
+        return _number("QLIN_TOL", env)
     return DEFAULT_RESIDUAL_BASE
 
 
@@ -93,7 +111,7 @@ def cmd_scenario(args) -> int:
             raise ValidationError(
                 f"scenario {args.name!r} has no parameter {key!r}; "
                 f"valid: {', '.join(params)}")
-        params[key] = float(val)
+        params[key] = _number(f"--param {key}", val)
     sysq = builder(**params)
     _emit(system_to_dict(sysq))
     return 0
@@ -104,8 +122,9 @@ def _field_output_ports(sysq: QuantumLinearSystem) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
-    raw = open(args.path, "rb").read()
-    sysq = system_from_dict(json.loads(raw.decode("utf-8")))
+    with open(args.path, "rb") as fh:
+        raw = fh.read()
+    sysq = system_from_dict(_parse_json(raw, args.path))
     base = _tol_base(args)
     model = sysq.to_state_space()
     subspaces = {
@@ -174,10 +193,9 @@ def cmd_closedloop(args) -> int:
         split = homodyne_split(plant.m, opts["measure"])
         _emit(model_to_dict(mf_type1(plant, ctrl, split)))
     elif scheme == "mf2":
-        m1 = sum(1 for ch in plant.channels if ch.role == "feedback")
-        m2 = sum(1 for ch in plant.channels if ch.role == "evaluation")
-        fb = homodyne_split(m1, opts["measure_feedback"])
-        ev = homodyne_split(m2, opts["measure_evaluation"])
+        fb_channels, ev_channels = plant.role_partition()
+        fb = homodyne_split(len(fb_channels), opts["measure_feedback"])
+        ev = homodyne_split(len(ev_channels), opts["measure_evaluation"])
         _emit(model_to_dict(mf_type2(plant, ctrl, fb, ev)))
     elif scheme == "cf1":
         _emit(system_to_dict(cf_type1(plant, ctrl)))
@@ -193,7 +211,7 @@ def cmd_spectrum(args) -> int:
     sysq = system_from_dict(_load_json(args.path))
     model = sysq.to_state_space()
     if args.gw_normalize:
-        lam, L = (float(x) for x in args.gw_normalize.split(","))
+        lam, L = _number_pair("--gw-normalize", args.gw_normalize)
         tf = normalized_gw_signal(model, args.output, lam, L)
         model, output = tf.realization, "gw"
     else:
@@ -211,12 +229,12 @@ def cmd_spectrum(args) -> int:
         if not port:
             raise ValidationError(f"--squeeze expects port:r, got {item!r}")
         from .xfer import squeezed_variances
-        variances.update(squeezed_variances(port, float(r)))
+        variances.update(squeezed_variances(port, _number("--squeeze", r)))
     values = [noise_power(model, output, variances, w) for w in omegas]
     curve = SpectrumCurve(omegas, values, metadata={"variances": variances})
     sql = None
     if args.sql:
-        m, L = (float(x) for x in args.sql.split(","))
+        m, L = _number_pair("--sql", args.sql)
         sql = sql_curve(m, L, omegas)
     sys.stdout.write(spectrum_csv(curve, sql))
     return 0

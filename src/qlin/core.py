@@ -113,6 +113,19 @@ class Ports:
         for name, width in entries:
             self.append(name, width)
 
+    @classmethod
+    def from_entries(cls, entries: Iterable[tuple[str, int, int]]) -> "Ports":
+        """Rebuild a registry from (name, start, width) triples in registration
+        order: a range starting where the covered ones end is a primary port,
+        any other is an alias."""
+        ports = cls()
+        for name, start, width in entries:
+            if start == ports.total:
+                ports.append(name, width)
+            else:
+                ports.alias(name, start, width)
+        return ports
+
     def append(self, name: str, width: int) -> None:
         """Register a new primary port occupying the next `width` indices."""
         if name in self._ranges:
@@ -409,8 +422,24 @@ class QuantumLinearSystem:
                 return slice(2 * j, 2 * j + 2)
         raise PortLookupError(f"unknown channel {label!r}")
 
-    def channels_by_role(self, role: str) -> list[Channel]:
-        return [ch for ch in self.channels if ch.role == role]
+    def role_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Indices of the feedback and of the evaluation channels.
+
+        Type-2 loops split the fields into these two groups, so every
+        channel must carry one of the two roles and each group must be
+        nonempty.
+        """
+        groups: dict[str, list[int]] = {"feedback": [], "evaluation": []}
+        for j, ch in enumerate(self.channels):
+            if ch.role == "environment":
+                raise ValidationError(
+                    f"channel {ch.label!r} has role {ch.role!r}; type-2 loops need "
+                    "every channel tagged feedback or evaluation")
+            groups[ch.role].append(j)
+        if not groups["feedback"] or not groups["evaluation"]:
+            raise ValidationError("type-2 loops need at least one feedback and one "
+                                  "evaluation channel")
+        return tuple(groups["feedback"]), tuple(groups["evaluation"])
 
     def to_state_space(self, split: Optional[MeasurementSplit] = None,
                        include_force: bool = True) -> StateSpaceModel:

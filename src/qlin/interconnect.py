@@ -1,8 +1,12 @@
 """Closed-loop realizations for measurement-based and coherent feedback.
 
-All interconnections are assembled from explicit block formulas; the only
-algebraic loop in scope (ideal direct feedback, ``tau = 0``) is eliminated
-in closed form.
+Both measurement-feedback schemes close one classical controller around an
+open-loop realization of the plant whose measured port is ``"y"``; they
+differ only in that realization and in which inputs the controller drives
+(type 1: every field quadrature; type 2: the raw feedback fields and the
+homodyned evaluation fields).  The coherent loops are assembled from
+explicit block formulas, and the only algebraic loop in scope (ideal direct
+feedback, ``tau = 0``) is eliminated in closed form.
 """
 
 from __future__ import annotations
@@ -128,22 +132,38 @@ def _check_scattering(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _role_rows(plant: QuantumLinearSystem):
-    """Coupling rows and input columns of the feedback/evaluation partitions."""
-    fb_idx, ev_idx = [], []
-    for j, ch in enumerate(plant.channels):
-        if ch.role == "feedback":
-            fb_idx.extend((2 * j, 2 * j + 1))
-        elif ch.role == "evaluation":
-            ev_idx.extend((2 * j, 2 * j + 1))
-        else:
-            raise ValidationError(
-                f"channel {ch.label!r} has role {ch.role!r}; type-2 loops need "
-                "every channel tagged feedback or evaluation")
-    if not fb_idx or not ev_idx:
-        raise ValidationError("type-2 loops need at least one feedback and one "
-                              "evaluation channel")
-    return np.asarray(fb_idx), np.asarray(ev_idx)
+def _quadrature_rows(channels) -> np.ndarray:
+    """Coupling rows (input columns) of the given channel indices."""
+    return np.asarray([r for j in channels for r in (2 * j, 2 * j + 1)], dtype=int)
+
+
+def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
+                        C_K: Optional[np.ndarray], E: np.ndarray) -> StateSpaceModel:
+    """Close a classical controller around the measured port ``"y"``.
+
+    With ``y = C_y x + D_y w`` the controller obeys
+    ``dx_K/dt = A_K x_K + B_K y``, and ``E`` maps its output
+    ``u = C_K x_K`` onto the open loop's input columns.  The extended state
+    is ``[x; x_K]``::
+
+        A = [[A, B E C_K], [B_K C_y, A_K + B_K D_y E C_K]]
+        B = [B; B_K D_y],  C = [C, D E C_K],  D = D
+
+    and the ports are those of the open loop.  A controller without states
+    may leave ``B_K`` and ``C_K`` empty.
+    """
+    y = open_loop.outputs.slice("y")
+    k, ny, nu = ctrl.dim, y.stop - y.start, E.shape[1]
+    if k and ctrl.B_K.shape[1] != ny:
+        raise ShapeError(f"B_K must have {ny} columns (one per measured signal)")
+    if k and C_K.shape[0] != nu:
+        raise ShapeError(f"controller output must have {nu} rows, got {C_K.shape[0]}")
+    B_K = ctrl.B_K.reshape(k, ny)
+    EC = E @ (C_K if k else np.zeros((nu, 0)))
+    A, B, C, D = open_loop.A, open_loop.B, open_loop.C, open_loop.D
+    Ae = np.block([[A, B @ EC], [B_K @ C[y], ctrl.A_K + B_K @ D[y] @ EC]])
+    return StateSpaceModel(Ae, np.vstack([B, B_K @ D[y]]), np.hstack([C, D @ EC]), D,
+                           open_loop.inputs, open_loop.outputs)
 
 
 def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -156,55 +176,55 @@ def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
     and the force; outputs are ``y``, the conjugate signal ``ybar`` and the
     full field ``Wout``.
     """
-    m = plant.m
-    if split.m != m:
-        raise ShapeError(f"split covers {split.m} channels, plant has {m}")
-    k = ctrl.dim
-    if k == 0:
-        B_K = np.zeros((0, m))
-        C_K = np.zeros((2 * m, 0))
-    else:
-        if ctrl.C_K is None:
-            raise ValidationError("type-1 controller needs C_K")
-        if ctrl.B_K.shape[1] != m:
-            raise ShapeError(f"B_K must have {m} columns (one per measured signal)")
-        if ctrl.C_K.shape[0] != 2 * m:
-            raise ShapeError(f"C_K must have {2 * m} rows (full-width modulation)")
-        B_K, C_K = ctrl.B_K, ctrl.C_K
+    if ctrl.dim and ctrl.C_K is None:
+        raise ValidationError("type-1 controller needs C_K")
+    open_loop = plant.to_state_space(split)
+    # the field input is W = M1^T Q + M2^T P
+    E = np.zeros((open_loop.inputs.total, 2 * plant.m))
+    E[open_loop.inputs.slice("Q")] = split.M1
+    E[open_loop.inputs.slice("P")] = split.M2
+    return _classical_feedback(open_loop, ctrl, ctrl.C_K, E)
 
-    A, B, C = plant.A, plant.B, plant.C
-    M1, M2 = split.M1, split.M2
-    n2 = 2 * plant.n
-    N = n2 + k
-    Ae = np.zeros((N, N))
-    Ae[:n2, :n2] = A
-    Ae[:n2, n2:] = B @ C_K
-    Ae[n2:, :n2] = B_K @ (M1 @ C)
-    Ae[n2:, n2:] = ctrl.A_K + B_K @ (M1 @ C_K)
 
-    inputs = Ports([("Q", m), ("P", m)])
-    cols = [np.vstack([B @ M1.T, B_K]),
-            np.vstack([B @ M2.T, np.zeros((k, m))])]
+def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
+                       eval_split: MeasurementSplit) -> StateSpaceModel:
+    """The plant of a type-2 loop before the controller is attached.
+
+    Inputs are the raw feedback fields ``W1``, the measured evaluation
+    noise ``Q2``, its conjugate ``P2`` and the force; outputs are the
+    feedback signal ``y = M W1_out`` (fb_split), the evaluation signal
+    ``z = M1 W2_out`` (eval_split) and the fields ``W1out``/``W2out``.
+    """
+    fb, ev = plant.role_partition()
+    m1, m2 = len(fb), len(ev)
+    if fb_split.m != m1 or eval_split.m != m2:
+        raise ShapeError("measurement splits do not match the channel partition")
+    fb_rows, ev_rows = _quadrature_rows(fb), _quadrature_rows(ev)
+    C1, C2 = plant.C[fb_rows, :], plant.C[ev_rows, :]
+    B1, B2 = plant.B[:, fb_rows], plant.B[:, ev_rows]
+    M = fb_split.M1
+    M1e, M2e = eval_split.M1, eval_split.M2
+
+    inputs = Ports([("W1", 2 * m1), ("Q2", m2), ("P2", m2)])
+    outputs = Ports([("y", m1), ("z", m2), ("W1out", 2 * m1), ("W2out", 2 * m2)])
+    for j, ch in enumerate(plant.channels[i] for i in fb):
+        inputs.alias(ch.label + ".Q", 2 * j, 1)
+        inputs.alias(ch.label + ".P", 2 * j + 1, 1)
+    for j, ch in enumerate(plant.channels[i] for i in fb + ev):
+        outputs.alias(ch.label + ".out.Q", m1 + m2 + 2 * j, 1)
+        outputs.alias(ch.label + ".out.P", m1 + m2 + 2 * j + 1, 1)
+    cols = [B1, B2 @ M1e.T, B2 @ M2e.T]
     if plant.force is not None:
         inputs.append("F", 1)
-        cols.append(np.vstack([plant.force.reshape(-1, 1), np.zeros((k, 1))]))
-    Be = np.hstack(cols)
-
-    outputs = Ports([("y", m), ("ybar", m), ("Wout", 2 * m)])
-    for j, ch in enumerate(plant.channels):
-        outputs.alias(ch.label + ".out.Q", 2 * m + 2 * j, 1)
-        outputs.alias(ch.label + ".out.P", 2 * m + 2 * j + 1, 1)
-    Ce = np.vstack([
-        np.hstack([M1 @ C, M1 @ C_K]),
-        np.hstack([M2 @ C, M2 @ C_K]),
-        np.hstack([C, C_K]),
-    ])
-    De = np.zeros((4 * m, Be.shape[1]))
-    De[:m, :m] = np.eye(m)
-    De[m:2 * m, m:2 * m] = np.eye(m)
-    De[2 * m:, :m] = M1.T
-    De[2 * m:, m:2 * m] = M2.T
-    return StateSpaceModel(Ae, Be, Ce, De, inputs, outputs)
+        cols.append(plant.force.reshape(-1, 1))
+    C = np.vstack([M @ C1, M1e @ C2, C1, C2])
+    D = np.zeros((C.shape[0], inputs.total))
+    D[:m1, :2 * m1] = M
+    D[m1:m1 + m2, 2 * m1:2 * m1 + m2] = np.eye(m2)
+    D[m1 + m2:m1 + m2 + 2 * m1, :2 * m1] = np.eye(2 * m1)
+    D[m1 + m2 + 2 * m1:, 2 * m1:2 * m1 + m2] = M1e.T
+    D[m1 + m2 + 2 * m1:, 2 * m1 + m2:2 * m1 + 2 * m2] = M2e.T
+    return StateSpaceModel(plant.A, np.hstack(cols), C, D, inputs, outputs)
 
 
 def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -214,76 +234,24 @@ def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,
     ``y = M W1_out`` (fb_split) drives the controller, which modulates both
     channel groups through ``C_K1``/``C_K2``; the evaluation signal is
     ``z = M1 W2_out`` (eval_split).  A direct feedthrough term from y onto
-    the evaluation modulation is intentionally not modeled; it changes no
-    structural verdict and is left as a config hook.
+    the evaluation modulation is not modeled; it changes no structural
+    verdict.
     """
-    fb_idx, ev_idx = _role_rows(plant)
-    C1 = plant.C[fb_idx, :]
-    C2 = plant.C[ev_idx, :]
-    B1 = plant.B[:, fb_idx]
-    B2 = plant.B[:, ev_idx]
-    m1, m2 = len(fb_idx) // 2, len(ev_idx) // 2
-    if fb_split.m != m1 or eval_split.m != m2:
-        raise ShapeError("measurement splits do not match the channel partition")
-    k = ctrl.dim
-    if k == 0:
-        B_K = np.zeros((0, m1))
-        C_K1 = np.zeros((2 * m1, 0))
-        C_K2 = np.zeros((2 * m2, 0))
-    else:
+    open_loop = mf_type2_open_loop(plant, fb_split, eval_split)
+    m1, m2 = fb_split.m, eval_split.m
+    C_K = None
+    if ctrl.dim:
         if ctrl.C_K1 is None or ctrl.C_K2 is None:
             raise ValidationError("type-2 controller needs C_K1 and C_K2")
-        if ctrl.B_K.shape[1] != m1:
-            raise ShapeError(f"B_K must have {m1} columns")
         if ctrl.C_K1.shape[0] != 2 * m1 or ctrl.C_K2.shape[0] != 2 * m2:
             raise ShapeError("C_K1/C_K2 widths do not match the channel partition")
-        B_K, C_K1, C_K2 = ctrl.B_K, ctrl.C_K1, ctrl.C_K2
-    M = fb_split.M1
-    M1e, M2e = eval_split.M1, eval_split.M2
-
-    A = plant.A
-    n2 = 2 * plant.n
-    N = n2 + k
-    Ae = np.zeros((N, N))
-    Ae[:n2, :n2] = A
-    Ae[:n2, n2:] = B1 @ C_K1 + B2 @ C_K2
-    Ae[n2:, :n2] = B_K @ (M @ C1)
-    Ae[n2:, n2:] = ctrl.A_K + B_K @ (M @ C_K1)
-
-    inputs = Ports([("W1", 2 * m1), ("Q2", m2), ("P2", m2)])
-    fb_channels = [ch for ch in plant.channels if ch.role == "feedback"]
-    ev_channels = [ch for ch in plant.channels if ch.role == "evaluation"]
-    for j, ch in enumerate(fb_channels):
-        inputs.alias(ch.label + ".Q", 2 * j, 1)
-        inputs.alias(ch.label + ".P", 2 * j + 1, 1)
-    cols = [np.vstack([B1, B_K @ M]),
-            np.vstack([B2 @ M1e.T, np.zeros((k, m2))]),
-            np.vstack([B2 @ M2e.T, np.zeros((k, m2))])]
-    if plant.force is not None:
-        inputs.append("F", 1)
-        cols.append(np.vstack([plant.force.reshape(-1, 1), np.zeros((k, 1))]))
-    Be = np.hstack(cols)
-
-    outputs = Ports([("y", m1), ("z", m2), ("W1out", 2 * m1), ("W2out", 2 * m2)])
-    for j, ch in enumerate(fb_channels):
-        outputs.alias(ch.label + ".out.Q", m1 + m2 + 2 * j, 1)
-        outputs.alias(ch.label + ".out.P", m1 + m2 + 2 * j + 1, 1)
-    for j, ch in enumerate(ev_channels):
-        outputs.alias(ch.label + ".out.Q", m1 + m2 + 2 * m1 + 2 * j, 1)
-        outputs.alias(ch.label + ".out.P", m1 + m2 + 2 * m1 + 2 * j + 1, 1)
-    Ce = np.vstack([
-        np.hstack([M @ C1, M @ C_K1]),
-        np.hstack([M1e @ C2, M1e @ C_K2]),
-        np.hstack([C1, C_K1]),
-        np.hstack([C2, C_K2]),
-    ])
-    De = np.zeros((Ce.shape[0], Be.shape[1]))
-    De[:m1, :2 * m1] = M
-    De[m1:m1 + m2, 2 * m1:2 * m1 + m2] = np.eye(m2)
-    De[m1 + m2:m1 + m2 + 2 * m1, :2 * m1] = np.eye(2 * m1)
-    De[m1 + m2 + 2 * m1:, 2 * m1:2 * m1 + m2] = M1e.T
-    De[m1 + m2 + 2 * m1:, 2 * m1 + m2:2 * m1 + 2 * m2] = M2e.T
-    return StateSpaceModel(Ae, Be, Ce, De, inputs, outputs)
+        C_K = np.vstack([ctrl.C_K1, ctrl.C_K2])
+    # C_K1 drives the raw feedback fields; C_K2 drives W2 = M1e^T Q2 + M2e^T P2
+    E = np.zeros((open_loop.inputs.total, 2 * (m1 + m2)))
+    E[open_loop.inputs.slice("W1"), :2 * m1] = np.eye(2 * m1)
+    E[open_loop.inputs.slice("Q2"), 2 * m1:] = eval_split.M1
+    E[open_loop.inputs.slice("P2"), 2 * m1:] = eval_split.M2
+    return _classical_feedback(open_loop, ctrl, C_K, E)
 
 
 def cf_type1(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLinearSystem:
@@ -333,9 +301,9 @@ def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController,
     """
     if qctrl.C_K is None:
         raise ValidationError("type-2 CF controller needs C_K")
-    fb_idx, ev_idx = _role_rows(plant)
-    C1 = plant.C[fb_idx, :]
-    C2 = plant.C[ev_idx, :]
+    fb, ev = plant.role_partition()
+    C1 = plant.C[_quadrature_rows(fb), :]
+    C2 = plant.C[_quadrature_rows(ev), :]
     if C1.shape[0] != C2.shape[0]:
         raise ShapeError("feedback and evaluation partitions must have equal widths")
     if qctrl.C_K.shape[0] != C1.shape[0]:
@@ -358,7 +326,7 @@ def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController,
     Ge[:n2, n2:] = lowleft.T
     Ge[n2:, n2:] = GK
     Ce = np.hstack([S @ C1 + C2, CK])
-    channels = tuple(ch for ch in plant.channels if ch.role == "evaluation")
+    channels = tuple(plant.channels[j] for j in ev)
     force = None
     if plant.force is not None:
         force = np.concatenate([plant.force, np.zeros(k2)])

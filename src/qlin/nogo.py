@@ -21,7 +21,7 @@ from .core import (
     homodyne_split,
 )
 from .goals import GoalVerdict, check_bae, find_dfs, find_qnd
-from .interconnect import ClassicalController, mf_type1, mf_type2
+from .interconnect import ClassicalController, mf_type1, mf_type2, mf_type2_open_loop
 from .structural import Subspace
 
 __all__ = [
@@ -129,8 +129,7 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
             C_K=rng.normal(size=(2 * m, k)) * scale,
         )
     if scheme == "mf2":
-        m1 = sum(1 for ch in plant.channels if ch.role == "feedback")
-        m2 = sum(1 for ch in plant.channels if ch.role == "evaluation")
+        m1, m2 = (len(group) for group in plant.role_partition())
         return ClassicalController(
             A_K=A_K,
             B_K=rng.normal(size=(k, m1)) * scale,
@@ -138,17 +137,6 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
             C_K2=rng.normal(size=(2 * m2, k)) * scale,
         )
     raise ValidationError(f"unknown scheme {scheme!r}; expected 'mf1' or 'mf2'")
-
-
-def _zero_controller(plant: QuantumLinearSystem, scheme: str) -> ClassicalController:
-    m = plant.m
-    if scheme == "mf1":
-        return ClassicalController(np.zeros((0, 0)), np.zeros((0, m)),
-                                   C_K=np.zeros((2 * m, 0)))
-    m1 = sum(1 for ch in plant.channels if ch.role == "feedback")
-    m2 = sum(1 for ch in plant.channels if ch.role == "evaluation")
-    return ClassicalController(np.zeros((0, 0)), np.zeros((0, m1)),
-                               C_K1=np.zeros((2 * m1, 0)), C_K2=np.zeros((2 * m2, 0)))
 
 
 def _combine(v1: GoalVerdict, v2: GoalVerdict) -> GoalVerdict:
@@ -186,30 +174,18 @@ def _goal_verdict(model: StateSpaceModel, goal: str, scheme: str,
     raise ValidationError(f"unknown goal {goal!r}; expected bae, qnd, or dfs")
 
 
-def _loop_and_plant(plant, scheme, ctrl, splits):
+def _splits(plant: QuantumLinearSystem, scheme: str, draw) -> tuple[MeasurementSplit, ...]:
+    """One split per measured channel group, ``draw(width)`` each."""
     if scheme == "mf1":
-        loop = mf_type1(plant, ctrl, splits[0])
-        bare = mf_type1(plant, _zero_controller(plant, scheme), splits[0])
-    else:
-        loop = mf_type2(plant, ctrl, splits[0], splits[1])
-        bare = mf_type2(plant, _zero_controller(plant, scheme), splits[0], splits[1])
-    return loop, bare
+        return (draw(plant.m),)
+    return tuple(draw(len(group)) for group in plant.role_partition())
 
 
-def _default_splits(plant: QuantumLinearSystem, scheme: str):
+def _open_loop(plant: QuantumLinearSystem, scheme: str, splits) -> StateSpaceModel:
+    """The plant under a trial's measurement choice, without a controller."""
     if scheme == "mf1":
-        return (homodyne_split(plant.m, "P"),)
-    m1 = sum(1 for ch in plant.channels if ch.role == "feedback")
-    m2 = sum(1 for ch in plant.channels if ch.role == "evaluation")
-    return homodyne_split(m1, "P"), homodyne_split(m2, "P")
-
-
-def _random_splits(rng, plant: QuantumLinearSystem, scheme: str):
-    if scheme == "mf1":
-        return (random_split(rng, plant.m),)
-    m1 = sum(1 for ch in plant.channels if ch.role == "feedback")
-    m2 = sum(1 for ch in plant.channels if ch.role == "evaluation")
-    return random_split(rng, m1), random_split(rng, m2)
+        return plant.to_state_space(splits[0])
+    return mf_type2_open_loop(plant, *splits)
 
 
 def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
@@ -254,9 +230,8 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         basis[:2 * plant.n, :] = np.eye(2 * plant.n)
         return Subspace(nstates, basis)
 
-    bare0 = _loop_and_plant(plant, scheme, _zero_controller(plant, scheme),
-                            _default_splits(plant, scheme))[1]
-    pre = _goal_verdict(bare0, goal, scheme, None, base)
+    canonical = _splits(plant, scheme, lambda width: homodyne_split(width, "P"))
+    pre = _goal_verdict(_open_loop(plant, scheme, canonical), goal, scheme, None, base)
     if pre.achieved:
         raise ValidationError(
             f"plant already achieves {goal.upper()} standalone; the no-go "
@@ -267,18 +242,20 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     near = 0
     skips = 0
     worst_gap = float("inf")
+    assemble = mf_type1 if scheme == "mf1" else mf_type2
     streams = np.random.SeedSequence(seed).spawn(trials)
     for ss in streams:
         rng = np.random.Generator(np.random.Philox(ss))
-        splits = _random_splits(rng, plant, scheme)
+        splits = _splits(plant, scheme, lambda width: random_split(rng, width))
         ctrl = sample_classical_controller(rng, plant, scheme, controller_dim_range)
-        loop, bare = _loop_and_plant(plant, scheme, ctrl, splits)
+        loop = assemble(plant, ctrl, *splits)
         closed = _goal_verdict(loop, goal, scheme, plant_block(loop.nstates), base)
         if not closed.method_agreement:
             disagreements += 1
         if closed.achieved:
             # the theorem only forbids this when the plant fails under the
             # same measurement choice
+            bare = _open_loop(plant, scheme, splits)
             plant_v = _goal_verdict(bare, goal, scheme, plant_block(bare.nstates), base)
             if plant_v.achieved:
                 skips += 1

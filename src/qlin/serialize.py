@@ -41,6 +41,12 @@ def _matrix(obj: Any, name: str) -> np.ndarray:
     return arr
 
 
+def _required_matrix(d: dict, name: str) -> np.ndarray:
+    if name not in d:
+        raise ValidationError(f"controller description missing field {name!r}")
+    return _matrix(d[name], name)
+
+
 def system_to_dict(sys: QuantumLinearSystem) -> dict:
     out = {
         "modes": sys.n,
@@ -68,6 +74,8 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
             f"G has shape {G.shape}, expected {(2 * modes, 2 * modes)} for modes={modes}")
     channels = None
     if "channels" in d:
+        if not all(isinstance(ch, dict) and "label" in ch for ch in d["channels"]):
+            raise ValidationError("every channel entry needs a 'label' field")
         channels = [Channel(str(ch["label"]), str(ch.get("role", "environment")))
                     for ch in d["channels"]]
     force = None
@@ -79,19 +87,6 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
 
 def _ports_to_list(ports: Ports) -> list[dict]:
     return [{"name": n, "start": s, "width": w} for n, s, w in ports.entries()]
-
-
-def _ports_from_list(entries: list[dict]) -> Ports:
-    ports = Ports()
-    covered = 0
-    for e in entries:
-        name, start, width = str(e["name"]), int(e["start"]), int(e["width"])
-        if start == covered:
-            ports.append(name, width)
-            covered += width
-        else:
-            ports.alias(name, start, width)
-    return ports
 
 
 def model_to_dict(model: StateSpaceModel) -> dict:
@@ -107,10 +102,13 @@ def model_to_dict(model: StateSpaceModel) -> dict:
 
 def model_from_dict(d: dict) -> StateSpaceModel:
     try:
+        inputs, outputs = (
+            Ports.from_entries((str(e["name"]), int(e["start"]), int(e["width"]))
+                               for e in d[key])
+            for key in ("input_ports", "output_ports"))
         return StateSpaceModel(
             _matrix(d["A"], "A"), _matrix(d["B"], "B"),
-            _matrix(d["C"], "C"), _matrix(d["D"], "D"),
-            _ports_from_list(d["input_ports"]), _ports_from_list(d["output_ports"]))
+            _matrix(d["C"], "C"), _matrix(d["D"], "D"), inputs, outputs)
     except KeyError as exc:
         raise ValidationError(f"realization missing field {exc}") from None
 
@@ -140,12 +138,12 @@ def controller_from_dict(d: dict):
         opts["measure_feedback"] = d.get("measure_feedback", "P")
         opts["measure_evaluation"] = d.get("measure_evaluation", "P")
     elif scheme == "cf1":
-        ctrl = QuantumController(_matrix(d["G_K"], "G_K"),
-                                 C1=_matrix(d["C1"], "C1"),
-                                 C2=_matrix(d["C2"], "C2"))
+        ctrl = QuantumController(_required_matrix(d, "G_K"),
+                                 C1=_required_matrix(d, "C1"),
+                                 C2=_required_matrix(d, "C2"))
     elif scheme == "cf2":
-        ctrl = QuantumController(_matrix(d["G_K"], "G_K"),
-                                 C_K=_matrix(d["C_K"], "C_K"),
+        ctrl = QuantumController(_required_matrix(d, "G_K"),
+                                 C_K=_required_matrix(d, "C_K"),
                                  S=_matrix(d["S"], "S") if "S" in d else None)
     elif scheme == "direct":
         ctrl = None

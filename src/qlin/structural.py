@@ -164,28 +164,46 @@ def contains_vector(s: Subspace, v, tol: float = 1e-10) -> bool:
     return bool(np.linalg.norm(v - s.project(v)) <= tol * nv)
 
 
+def _krylov_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    blocks, col = [], B
+    for _ in range(A.shape[0]):
+        blocks.append(col)
+        col = A @ col
+    return np.hstack(blocks) if blocks else np.zeros((A.shape[0], 0))
+
+
+def _krylov_rows(C: np.ndarray, A: np.ndarray) -> np.ndarray:
+    blocks, row = [], C
+    for _ in range(A.shape[0]):
+        blocks.append(row)
+        row = row @ A
+    return np.vstack(blocks) if blocks else np.zeros((0, A.shape[0]))
+
+
 def controllability_matrix(model: StateSpaceModel,
                            input_port: Union[str, Sequence[str]]) -> np.ndarray:
     """[B, AB, ..., A^{N-1}B] restricted to the named input port(s)."""
-    B = model.b(input_port)
-    blocks = []
-    col = B
-    for _ in range(model.nstates):
-        blocks.append(col)
-        col = model.A @ col
-    return np.hstack(blocks) if blocks else np.zeros((model.nstates, 0))
+    return _krylov_columns(model.A, model.b(input_port))
 
 
 def observability_matrix(model: StateSpaceModel,
                          output_port: Union[str, Sequence[str]]) -> np.ndarray:
     """[C; CA; ...; CA^{N-1}] restricted to the named output port(s)."""
-    C = model.c(output_port)
-    blocks = []
-    row = C
-    for _ in range(model.nstates):
-        blocks.append(row)
-        row = row @ model.A
-    return np.vstack(blocks) if blocks else np.zeros((0, model.nstates))
+    return _krylov_rows(model.c(output_port), model.A)
+
+
+def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
+    """Realization (A, B, C) restricted to what B excites and C sees.
+
+    Restricts to the controllable subspace of B, then to the observable
+    subspace of C inside it.  Both are invariant subspaces, so the transfer
+    function is unchanged; modes invisible to the pair (and their poles)
+    are discarded.
+    """
+    Q1 = range_space(_krylov_columns(A, B)).basis
+    A1, B1, C1 = Q1.T @ A @ Q1, Q1.T @ B, C @ Q1
+    Q2 = range_space(_krylov_rows(C1, A1).T).basis
+    return Q2.T @ A1 @ Q2, Q2.T @ B1, C1 @ Q2
 
 
 @dataclass(frozen=True)

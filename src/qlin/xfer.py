@@ -8,6 +8,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .core import Ports, ShapeError, StateSpaceModel, ValidationError
+from .structural import reduce_pair
 
 __all__ = [
     "SingularityError",
@@ -52,37 +53,6 @@ class TransferFunction:
         return evaluate(self, s)
 
 
-def _orth_range(M: np.ndarray) -> np.ndarray:
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0))
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    tol = max(M.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    return U[:, : int(np.sum(s > tol))]
-
-
-def _reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
-    """Exact minimal-ish realization for one port pair.
-
-    Restricts to the controllable subspace of B, then to the observable
-    subspace of C inside it.  Both are invariant subspaces, so the transfer
-    function is unchanged; modes invisible to the pair (and their poles)
-    are discarded.
-    """
-    n = A.shape[0]
-    blocks, col = [], B
-    for _ in range(n):
-        blocks.append(col)
-        col = A @ col
-    Q1 = _orth_range(np.hstack(blocks) if blocks else np.zeros((n, 0)))
-    A1, B1, C1 = Q1.T @ A @ Q1, Q1.T @ B, C @ Q1
-    rows, row = [], C1
-    for _ in range(A1.shape[0]):
-        rows.append(row)
-        row = row @ A1
-    Q2 = _orth_range((np.vstack(rows) if rows else np.zeros((0, A1.shape[0]))).T)
-    return Q2.T @ A1 @ Q2, Q2.T @ B1, C1 @ Q2
-
-
 def _solve_response(A, B, C, D, s) -> np.ndarray:
     """C (sI - A)^{-1} B + D with a fallback to the reduced pair when the
     full resolvent is singular only through invisible states."""
@@ -92,7 +62,7 @@ def _solve_response(A, B, C, D, s) -> np.ndarray:
     cond = np.linalg.cond(M)
     if np.isfinite(cond) and cond <= COND_LIMIT:
         return C @ np.linalg.solve(M, B.astype(complex)) + D
-    Ar, Br, Cr = _reduce_pair(A, B, C)
+    Ar, Br, Cr = reduce_pair(A, B, C)
     if Ar.shape[0]:
         Mr = s * np.eye(Ar.shape[0]) - Ar
         cond_r = np.linalg.cond(Mr)
@@ -218,22 +188,10 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
     scale = 1.0 / (2.0 * np.sqrt(lam) * L)
     C2 = np.vstack([model.C, scale * model.C[rows, :]])
     D2 = np.vstack([model.D, scale * model.D[rows, :]])
-    outputs = _copy_ports(model.outputs)
+    outputs = Ports.from_entries(model.outputs.entries())
     outputs.append("gw", 1)
     model2 = StateSpaceModel(model.A, model.B, C2, D2, model.inputs, outputs)
     return TransferFunction(model2, "F", "gw")
-
-
-def _copy_ports(ports: Ports) -> Ports:
-    out = Ports()
-    seen_end = 0
-    for name, start, width in ports.entries():
-        if start == seen_end:
-            out.append(name, width)
-            seen_end += width
-        else:
-            out.alias(name, start, width)
-    return out
 
 
 def squeezed_variances(port: str, r: float,

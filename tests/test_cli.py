@@ -41,6 +41,10 @@ def test_scenario_unknown_name(capsys):
     assert code == 2
     assert "available" in err
 
+    code, _, err = run_cli(capsys, "scenario", "michelson", "--param", "m=abc")
+    assert code == 2
+    assert "--param m" in err
+
 
 def test_analyze_memory_reports_dfs(tmp_path, capsys):
     path = write_json(tmp_path, "mem.json", system_to_dict(sc.lambda_memory(1.0, 0.5, 1.0)))
@@ -80,6 +84,18 @@ def test_analyze_malformed_json(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 2
     assert "error" in err
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"modes": 1, "note": "\u00e9"}'.encode("latin-1"))
+    unlabeled = system_to_dict(sc.michelson())
+    del unlabeled["channels"][0]["label"]
+    for argv in (["analyze", str(latin1)],
+                 ["spectrum", str(latin1), "--output", "W.out.P",
+                  "--omega-min", "1", "--omega-max", "2"],
+                 ["analyze", write_json(tmp_path, "unlabeled.json", unlabeled)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "error" in err
 
 
 def test_analyze_bae_requires_ports(tmp_path, capsys):
@@ -132,6 +148,19 @@ def test_closedloop_scheme_mismatch(tmp_path, capsys):
     assert code == 2
     assert "contradicts" in err
 
+    ctrl = write_json(tmp_path, "cf1.json", {"scheme": "cf1"})
+    code, _, err = run_cli(capsys, "closedloop", plant, ctrl)
+    assert code == 2
+    assert "G_K" in err
+
+
+def test_closedloop_mf2_needs_role_partition(tmp_path, capsys):
+    plant = write_json(tmp_path, "plant.json", system_to_dict(sc.optomech_reduced()))
+    ctrl = write_json(tmp_path, "ctrl.json", {"scheme": "mf2", "A_K": [], "B_K": []})
+    code, _, err = run_cli(capsys, "closedloop", plant, ctrl)
+    assert code == 2
+    assert "at least one feedback and one evaluation channel" in err
+
 
 def test_closedloop_direct(tmp_path, capsys):
     kappa = 1.0
@@ -170,6 +199,13 @@ def test_spectrum_rejects_zero_omega(tmp_path, capsys):
     code, _, err = run_cli(capsys, "spectrum", path, "--output", "W2.out.P",
                            "--omega-min", "0", "--omega-max", "1")
     assert code == 2
+
+    for extra in (["--gw-normalize", "abc"], ["--gw-normalize", "1"],
+                  ["--squeeze", "W2.P:abc"], ["--sql", "1,x"]):
+        code, _, err = run_cli(capsys, "spectrum", path, "--output", "W2.out.P",
+                               "--omega-min", "1", "--omega-max", "2", *extra)
+        assert code == 2, extra
+        assert extra[0] in err
 
 
 def test_spectrum_squeezed_cf_michelson_below_sql(tmp_path, capsys):

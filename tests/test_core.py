@@ -19,6 +19,32 @@ from qlin import (
 from qlin.serialize import system_from_dict, system_to_dict
 
 
+def test_public_names_are_pinned():
+    import types
+
+    import qlin
+
+    public = sorted(n for n, v in vars(qlin).items()
+                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    assert public == [
+        "Channel", "ClassicalController", "GoalVerdict", "KalmanDecomposition",
+        "MeasurementSplit", "NogoReport", "PortLookupError", "Ports",
+        "QuantumController", "QuantumLinearSystem", "ShapeError", "SingularityError",
+        "SpectrumCurve", "StateSpaceModel", "Subspace", "TransferFunction",
+        "ValidationError", "augment_with_vacuum", "build_system", "cf_type1",
+        "cf_type2", "check_bae", "classical_subsystem", "complement",
+        "complex_to_quadrature", "controllability_matrix", "direct_mf",
+        "direct_mf_controller", "evaluate", "find_dfs", "find_qnd",
+        "frequency_response", "homodyne_split", "intersect", "kalman_decompose",
+        "kernel", "markov_parameters", "mf_type1", "mf_type2", "noise_power",
+        "normalized_gw_signal", "observability_matrix", "principal_angles",
+        "quadrature_to_complex", "range_space", "realizability_defect",
+        "sample_classical_controller", "sigma", "span_of", "spectrum_csv",
+        "sql_curve", "squeezed_variances", "transfer_zero_equivalence", "verify_nogo",
+    ]
+    assert isinstance(qlin.scenarios, types.ModuleType)
+
+
 def test_sigma_identities():
     for n in range(1, 5):
         S = sigma(n)

@@ -85,6 +85,21 @@ def test_verify_nogo_small_runs_clean():
         assert r.near_tolerance == 0  # no near-misses counted as silent passes
 
 
+def test_verify_nogo_assembles_one_loop_per_trial(monkeypatch):
+    import qlin.nogo as nogo
+
+    calls = []
+    for name in ("mf_type1", "mf_type2"):
+        def counted(*args, _assemble=getattr(nogo, name), **kwargs):
+            calls.append(1)
+            return _assemble(*args, **kwargs)
+        monkeypatch.setattr(nogo, name, counted)
+    for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf2")):
+        calls.clear()
+        verify_nogo(plant, "qnd", scheme, trials=7, seed=4)
+        assert len(calls) == 7
+
+
 def test_verify_nogo_rejects_achieving_plant():
     loop = sc.tsang_caves_loop()
     with pytest.raises(ValidationError):
