@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation or usage error, 3 numerical
-inconsistency (a verdict whose geometric and algebraic routes disagree).
-The ``QLIN_TOL`` environment variable overrides the residual threshold
-base factor; ``--tol`` overrides both.
+inconsistency (a verdict whose staircase and probe routes disagree).
+The ``QLIN_TOL`` environment variable overrides the base factor of the
+probe threshold ``base * |left|_F |right|_F / (|A|_F + 1)``; ``--tol``
+overrides both.
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ from .scenarios import SCENARIOS
 from .serialize import (
     controller_from_dict,
     model_to_dict,
+    parse_number,
     system_from_dict,
     system_to_dict,
     verdict_to_dict,
 )
-from .structural import (
-    controllability_matrix,
-    observability_matrix,
-    range_space,
-)
+from .structural import controllable_subspace
 from .xfer import (
     SingularityError,
     SpectrumCurve,
@@ -69,18 +67,11 @@ def _load_json(path: str):
         return _parse_json(fh.read(), path)
 
 
-def _number(what: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"{what} expects a number, got {text!r}") from None
-
-
 def _number_pair(what: str, text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError(f"{what} expects two comma-separated numbers, got {text!r}")
-    return _number(what, parts[0]), _number(what, parts[1])
+    return parse_number(what, parts[0]), parse_number(what, parts[1])
 
 
 def _emit(obj) -> None:
@@ -93,7 +84,7 @@ def _tol_base(args) -> float:
         return float(args.tol)
     env = os.environ.get("QLIN_TOL")
     if env:
-        return _number("QLIN_TOL", env)
+        return parse_number("QLIN_TOL", env)
     return DEFAULT_RESIDUAL_BASE
 
 
@@ -111,7 +102,7 @@ def cmd_scenario(args) -> int:
             raise ValidationError(
                 f"scenario {args.name!r} has no parameter {key!r}; "
                 f"valid: {', '.join(params)}")
-        params[key] = _number(f"--param {key}", val)
+        params[key] = parse_number(f"--param {key}", val)
     sysq = builder(**params)
     _emit(system_to_dict(sysq))
     return 0
@@ -128,11 +119,10 @@ def cmd_analyze(args) -> int:
     base = _tol_base(args)
     model = sysq.to_state_space()
     subspaces = {
-        "controllable": {ch.label: range_space(
-            controllability_matrix(model, ch.label)).dim for ch in sysq.channels},
-        "observable": {ch.label + ".out": range_space(
-            observability_matrix(model, ch.label + ".out").T).dim
-            for ch in sysq.channels},
+        "controllable": {ch.label: controllable_subspace(model.A, model.b(ch.label)).dim
+                         for ch in sysq.channels},
+        "observable": {ch.label + ".out": controllable_subspace(
+            model.A.T, model.c(ch.label + ".out").T).dim for ch in sysq.channels},
     }
     goals = ["bae", "qnd", "dfs"] if args.goal == "all" else [args.goal]
     verdicts = []
@@ -161,12 +151,12 @@ def cmd_analyze(args) -> int:
             "input_sha256": hashlib.sha256(raw).hexdigest(),
             "tool_version": __version__,
             "tolerances": {"residual_base": base,
-                           "rank": "max_dim * eps * sigma_max"},
+                           "rank": "n^2 * eps * max(|A|_F, |B|_F) (orthogonal staircase)"},
         },
     }
     _emit(report)
     if any(not v.method_agreement for v in verdicts):
-        raise Inconsistency("geometric and algebraic routes disagree")
+        raise Inconsistency("staircase and probe routes disagree")
     return 0
 
 
@@ -229,7 +219,7 @@ def cmd_spectrum(args) -> int:
         if not port:
             raise ValidationError(f"--squeeze expects port:r, got {item!r}")
         from .xfer import squeezed_variances
-        variances.update(squeezed_variances(port, _number("--squeeze", r)))
+        variances.update(squeezed_variances(port, parse_number("--squeeze", r)))
     values = [noise_power(model, output, variances, w) for w in omegas]
     curve = SpectrumCurve(omegas, values, metadata={"variances": variances})
     sql = None

@@ -31,6 +31,14 @@ __all__ = [
 ]
 
 
+def parse_number(what: str, value: Any, kind=float):
+    """``kind(value)``, or a ValidationError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} expects a number, got {value!r}") from None
+
+
 def _matrix(obj: Any, name: str) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -64,7 +72,7 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
     if not isinstance(d, dict):
         raise ValidationError("system description must be a JSON object")
     try:
-        modes = int(d["modes"])
+        modes = parse_number("field 'modes'", d["modes"], int)
         G = _matrix(d["G"], "G")
         C = _matrix(d["C"], "C")
     except KeyError as exc:
@@ -103,7 +111,8 @@ def model_to_dict(model: StateSpaceModel) -> dict:
 def model_from_dict(d: dict) -> StateSpaceModel:
     try:
         inputs, outputs = (
-            Ports.from_entries((str(e["name"]), int(e["start"]), int(e["width"]))
+            Ports.from_entries((str(e["name"]), parse_number("port 'start'", e["start"], int),
+                                parse_number("port 'width'", e["width"], int))
                                for e in d[key])
             for key in ("input_ports", "output_ports"))
         return StateSpaceModel(
@@ -147,7 +156,7 @@ def controller_from_dict(d: dict):
                                  S=_matrix(d["S"], "S") if "S" in d else None)
     elif scheme == "direct":
         ctrl = None
-        opts["tau"] = float(d.get("tau", 0.0))
+        opts["tau"] = parse_number("field 'tau'", d.get("tau", 0.0))
     else:
         raise ValidationError(
             f"unknown scheme {scheme!r}; expected mf1, mf2, cf1, cf2, or direct")

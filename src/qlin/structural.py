@@ -1,8 +1,13 @@
 """Controllability/observability machinery and subspace algebra.
 
 Every geometric statement in the analysis is a thresholded numerical
-statement: rank decisions use singular values with threshold
-``max_dim * eps * sigma_max`` unless overridden.
+statement.  Controllable and observable subspaces come from one orthogonal
+staircase (:func:`controllable_subspace`; the observable subspace is the
+same routine on ``(A^T, C^T)``) whose rank cutoff is the backward-error
+bound ``n^2 * eps * max(|A|_F, |B|_F)``.  The other rank decisions use
+singular values with threshold ``max_dim * eps * sigma_max``.  ``rtol``
+arguments replace the ``n^2 * eps`` (never below ``n * eps``) /
+``max_dim * eps`` factor.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ __all__ = [
     "complement",
     "intersect",
     "principal_angles",
-    "contains_vector",
+    "controllable_subspace",
     "controllability_matrix",
     "observability_matrix",
     "kalman_decompose",
@@ -124,10 +129,7 @@ def intersect(a: Subspace, b: Subspace, rtol: Optional[float] = None) -> Subspac
     if a.dim == 0 or b.dim == 0:
         return _empty(a.ambient_dim)
     # x = Qa alpha = Qb beta  <=>  [Qa, -Qb] [alpha; beta] = 0
-    M = np.hstack([a.basis, -b.basis])
-    _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    tol = rank_tolerance(s, M.shape, rtol)
-    null = Vt[int(np.sum(s > tol)):].T
+    null = kernel(np.hstack([a.basis, -b.basis]), rtol=rtol).basis
     if null.shape[1] == 0:
         return _empty(a.ambient_dim)
     return span_of(a.basis @ null[:a.dim, :], ambient_dim=a.ambient_dim, rtol=rtol)
@@ -155,55 +157,95 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return np.sort(angles)
 
 
-def contains_vector(s: Subspace, v, tol: float = 1e-10) -> bool:
-    """True if v lies in the subspace up to a relative projection residual."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return True
-    return bool(np.linalg.norm(v - s.project(v)) <= tol * nv)
-
-
-def _krylov_columns(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    blocks, col = [], B
-    for _ in range(A.shape[0]):
-        blocks.append(col)
-        col = A @ col
-    return np.hstack(blocks) if blocks else np.zeros((A.shape[0], 0))
-
-
-def _krylov_rows(C: np.ndarray, A: np.ndarray) -> np.ndarray:
-    blocks, row = [], C
-    for _ in range(A.shape[0]):
-        blocks.append(row)
+def _krylov_rows(C: np.ndarray, A: np.ndarray, count: int):
+    row = C
+    for _ in range(count):
+        yield row
         row = row @ A
-    return np.vstack(blocks) if blocks else np.zeros((0, A.shape[0]))
 
 
 def controllability_matrix(model: StateSpaceModel,
                            input_port: Union[str, Sequence[str]]) -> np.ndarray:
     """[B, AB, ..., A^{N-1}B] restricted to the named input port(s)."""
-    return _krylov_columns(model.A, model.b(input_port))
+    blocks, col = [], model.b(input_port)
+    for _ in range(model.nstates):
+        blocks.append(col)
+        col = model.A @ col
+    return np.hstack(blocks) if blocks else np.zeros((0, 0))
 
 
 def observability_matrix(model: StateSpaceModel,
                          output_port: Union[str, Sequence[str]]) -> np.ndarray:
     """[C; CA; ...; CA^{N-1}] restricted to the named output port(s)."""
-    return _krylov_rows(model.c(output_port), model.A)
+    blocks = list(_krylov_rows(model.c(output_port), model.A, model.nstates))
+    return np.vstack(blocks) if blocks else np.zeros((0, model.nstates))
+
+
+def _cutoff(A: np.ndarray, B: np.ndarray, rtol: Optional[float]) -> float:
+    step = A.shape[0] * np.finfo(float).eps  # one step's rounding: the least cutoff
+    rtol = A.shape[0] * step if rtol is None else max(rtol, step)
+    return rtol * max(np.linalg.norm(A), np.linalg.norm(B))
+
+
+def controllable_subspace(A: np.ndarray, B: np.ndarray,
+                          rtol: Optional[float] = None) -> Subspace:
+    """Controllable subspace of (A, B) by the orthogonal staircase.
+
+    Each step keeps the part of ``A @ (newest block)`` orthogonal to the
+    basis so far (orthogonalized twice) and cuts its rank with a small SVD
+    at ``n^2 * eps * max(|A|_F, |B|_F)``: ``n * eps`` per step, times ``n``
+    for rounding carried across up to ``n`` steps.  Directions below it are
+    within rounding of a pair that does not reach them (Paige, IEEE TAC
+    26(1) 1981; Van Dooren, ibid.).  ``rtol`` replaces the ``n^2 * eps``
+    factor, but not below one step's ``n * eps``, whose residue is rounding
+    rather than a direction.  The observable subspace of (A, C) is
+    ``controllable_subspace(A.T, C.T)``.
+    """
+    return _staircase(A, B, _cutoff(A, B, rtol))
+
+
+def _staircase(A: np.ndarray, B: np.ndarray, cutoff: float) -> Subspace:
+    n = A.shape[0]
+    Q = np.empty((n, n))
+    lo = hi = 0
+    block = B
+    while block.shape[1] and hi < n:
+        if block.shape[1] == 1:  # the SVD of one column is its norm
+            s = np.linalg.norm(block)
+            r = int(s > cutoff)
+            if r:
+                Q[:, hi] = block[:, 0] / s
+        else:
+            U, s, _ = np.linalg.svd(block, full_matrices=False)
+            r = min(int(np.count_nonzero(s > cutoff)), n - hi)
+            Q[:, hi:hi + r] = U[:, :r]
+        lo, hi = hi, hi + r
+        block = A @ Q[:, lo:hi]
+        for _ in range(2):
+            block -= Q[:, :hi] @ (Q[:, :hi].T @ block)
+    return Subspace(n, Q[:, :hi])
 
 
 def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     """Realization (A, B, C) restricted to what B excites and C sees.
 
-    Restricts to the controllable subspace of B, then to the observable
-    subspace of C inside it.  Both are invariant subspaces, so the transfer
-    function is unchanged; modes invisible to the pair (and their poles)
+    Restricts to the controllable subspace of (A, B), then to the observable
+    subspace of C inside it, cut as the full observable staircase of (A, C)
+    would be.  Both are invariant, so the transfer function and Markov
+    parameters are unchanged; modes invisible to the pair (and their poles)
     are discarded.
     """
-    Q1 = range_space(_krylov_columns(A, B)).basis
+    Q1 = controllable_subspace(A, B).basis
     A1, B1, C1 = Q1.T @ A @ Q1, Q1.T @ B, C @ Q1
-    Q2 = range_space(_krylov_rows(C1, A1).T).basis
+    Q2 = _staircase(A1.T, C1.T, _cutoff(A, C.T, None)).basis
     return Q2.T @ A1 @ Q2, Q2.T @ B1, C1 @ Q2
+
+
+def largest_markov(A: np.ndarray, B: np.ndarray, C: np.ndarray, count: int) -> float:
+    """Largest entry magnitude of ``C A^k B`` over ``k < count`` (0 if empty)."""
+    if not (A.size and B.size and C.size):
+        return 0.0
+    return max(float(np.max(np.abs(row @ B))) for row in _krylov_rows(C, A, count))
 
 
 @dataclass(frozen=True)
@@ -234,17 +276,14 @@ def kalman_decompose(model: StateSpaceModel, port: Union[str, Sequence[str]],
                      rtol: Optional[float] = None) -> KalmanDecomposition:
     """Kalman decomposition w.r.t. one input (controllable) or output (observable) port."""
     if kind == "controllable":
-        primary = range_space(controllability_matrix(model, port), rtol=rtol)
+        primary = controllable_subspace(model.A, model.b(port), rtol)
     elif kind == "observable":
-        primary = range_space(observability_matrix(model, port).T, rtol=rtol)
+        primary = controllable_subspace(model.A.T, model.c(port).T, rtol)
     else:
         raise ValueError(f"kind must be 'controllable' or 'observable', got {kind!r}")
-    comp = complement(primary)
-    T = np.hstack([primary.basis, comp.basis])
-    transformed = model.similar(T)
+    T = np.hstack([primary.basis, complement(primary).basis])
     r = primary.dim
-    n = model.nstates
-    return KalmanDecomposition(kind, T, ((0, r), (r, n)), transformed)
+    return KalmanDecomposition(kind, T, ((0, r), (r, model.nstates)), model.similar(T))
 
 
 def markov_parameters(model: StateSpaceModel, input_port, output_port,
@@ -254,16 +293,10 @@ def markov_parameters(model: StateSpaceModel, input_port, output_port,
     By Cayley-Hamilton the default ``count = N`` terms decide whether the
     whole sequence vanishes; more terms are only useful for display.
     """
-    B = model.b(input_port)
-    C = model.c(output_port)
     if count is None:
         count = model.nstates
-    out = []
-    row = C
-    for _ in range(count):
-        out.append(row @ B)
-        row = row @ model.A
-    return out
+    B = model.b(input_port)
+    return [row @ B for row in _krylov_rows(model.c(output_port), model.A, count)]
 
 
 def classical_subsystem(candidate: Subspace, form: np.ndarray,

@@ -56,24 +56,19 @@ class TransferFunction:
 def _solve_response(A, B, C, D, s) -> np.ndarray:
     """C (sI - A)^{-1} B + D with a fallback to the reduced pair when the
     full resolvent is singular only through invisible states."""
-    if A.shape[0] == 0 or B.shape[1] == 0 or C.shape[0] == 0:
-        return D.astype(complex)
-    M = s * np.eye(A.shape[0]) - A
-    cond = np.linalg.cond(M)
-    if np.isfinite(cond) and cond <= COND_LIMIT:
-        return C @ np.linalg.solve(M, B.astype(complex)) + D
-    Ar, Br, Cr = reduce_pair(A, B, C)
-    if Ar.shape[0]:
-        Mr = s * np.eye(Ar.shape[0]) - Ar
-        cond_r = np.linalg.cond(Mr)
-        if not (np.isfinite(cond_r) and cond_r <= COND_LIMIT):
-            eigs = np.linalg.eigvals(Ar)
-            worst = eigs[int(np.argmin(np.abs(eigs - s)))]
+    for reduced in (False, True):
+        if A.shape[0] == 0 or B.shape[1] == 0 or C.shape[0] == 0:
+            return D.astype(complex)
+        M = s * np.eye(A.shape[0]) - A
+        cond = np.linalg.cond(M)
+        if np.isfinite(cond) and cond <= COND_LIMIT:
+            return C @ np.linalg.solve(M, B.astype(complex)) + D
+        if reduced:
+            eigs = np.linalg.eigvals(A)
             raise SingularityError(
-                f"(sI - A) is ill conditioned at s={s} (cond={cond_r:.3e}); "
-                f"nearest eigenvalue of the signal path: {worst}")
-        return Cr @ np.linalg.solve(Mr, Br.astype(complex)) + D
-    return D.astype(complex)
+                f"(sI - A) is ill conditioned at s={s} (cond={cond:.3e}); nearest "
+                f"eigenvalue of the signal path: {eigs[int(np.argmin(np.abs(eigs - s)))]}")
+        A, B, C = reduce_pair(A, B, C)
 
 
 def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from qlin import ValidationError
 from qlin import scenarios as sc
 from qlin.cli import main
 from qlin.serialize import model_from_dict, model_to_dict, system_from_dict, system_to_dict
@@ -89,10 +91,12 @@ def test_analyze_malformed_json(tmp_path, capsys):
     latin1.write_bytes('{"modes": 1, "note": "\u00e9"}'.encode("latin-1"))
     unlabeled = system_to_dict(sc.michelson())
     del unlabeled["channels"][0]["label"]
+    bad_modes = dict(system_to_dict(sc.michelson()), modes="abc")
     for argv in (["analyze", str(latin1)],
                  ["spectrum", str(latin1), "--output", "W.out.P",
                   "--omega-min", "1", "--omega-max", "2"],
-                 ["analyze", write_json(tmp_path, "unlabeled.json", unlabeled)]):
+                 ["analyze", write_json(tmp_path, "unlabeled.json", unlabeled)],
+                 ["analyze", write_json(tmp_path, "modes.json", bad_modes)]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "error" in err
@@ -152,6 +156,11 @@ def test_closedloop_scheme_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "closedloop", plant, ctrl)
     assert code == 2
     assert "G_K" in err
+
+    ctrl = write_json(tmp_path, "direct.json", {"scheme": "direct", "tau": "abc"})
+    code, _, err = run_cli(capsys, "closedloop", plant, ctrl)
+    assert code == 2
+    assert "tau" in err
 
 
 def test_closedloop_mf2_needs_role_partition(tmp_path, capsys):
@@ -267,3 +276,8 @@ def test_model_json_roundtrip():
     assert np.array_equal(back.D, model.D)
     assert back.inputs.names == model.inputs.names
     assert back.outputs.names == model.outputs.names
+    for field in ("start", "width"):
+        doc = model_to_dict(model)
+        doc["input_ports"][0][field] = "abc"
+        with pytest.raises(ValidationError, match=field):
+            model_from_dict(doc)

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     planted_dfs_system,
@@ -8,6 +11,7 @@ from conftest import (
     random_system,
 )
 from qlin import (
+    Ports,
     StateSpaceModel,
     Subspace,
     build_system,
@@ -20,6 +24,7 @@ from qlin import (
     transfer_zero_equivalence,
 )
 from qlin import scenarios as sc
+from qlin.nogo import random_orthosymplectic
 from qlin.xfer import TransferFunction, evaluate
 
 
@@ -43,6 +48,16 @@ def test_bae_achieved_for_tsang_caves():
     assert v.method_agreement
     assert v.residual < 1e-10
     assert v.witnesses == ()
+
+
+def test_bae_overlap_is_the_controllable_and_observable_part():
+    # ctrl = span(1, 1) meets obs = span(1, 0) only in 0, yet CB = 1
+    model = StateSpaceModel(-np.eye(2), np.ones((2, 1)), np.array([[1.0, 0.0]]),
+                            np.zeros((1, 1)), Ports([("u", 1)]), Ports([("y", 1)]))
+    v = check_bae(model, "u", "y")
+    assert not v.achieved
+    assert v.method_agreement
+    assert v.dims["overlap"] == 1
 
 
 def test_bae_trivial_for_uncoupled_plant():
@@ -77,6 +92,24 @@ def test_qnd_tsang_caves_pair():
     ref = span_of(np.array([[0, -1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0]], float).T)
     got = span_of(np.column_stack(v.witnesses))
     assert np.max(principal_angles(ref, got)) < 1e-8
+
+
+def test_missed_witnesses_are_flagged():
+    # cut far below rounding, the staircase misses the Tsang-Caves QND pair;
+    # the probe finds the least-reached candidate direction undriven
+    model = sc.tsang_caves_loop().to_state_space()
+    v = find_qnd(model, ["W"], "W.out.P", rank_rtol=1e-300)
+    assert not v.achieved
+    assert not v.method_agreement
+
+
+def test_spurious_witnesses_are_flagged():
+    # cut far above rounding, driven directions pass as DFS witnesses; the
+    # probe sees the noise reach them
+    model = sc.lambda_memory(1.0, 0.5, 1.0).to_state_space()
+    v = find_dfs(model, ["A"], ["A.out"], rank_rtol=0.5)
+    assert v.achieved
+    assert not v.method_agreement
 
 
 def test_dfs_memory_spin_wave():
@@ -227,3 +260,57 @@ def test_fuzz_route_agreement():
         ]
         assert all(v.method_agreement for v in verdicts)
         assert transfer_zero_equivalence(model, "P", "y")
+
+
+# Two-channel systems of N states: (BAE achieved, QND witnesses, DFS witnesses).
+SCALING_EXPECTED = {"dense": (False, 0, 0), "dfs": (False, 0, 2), "qnd": (True, 1, 0)}
+
+
+def scaling_system(kind, N, seed):
+    rng = np.random.default_rng([seed, N])
+    if kind == "dense":
+        return random_system(rng, N // 2, 2)
+    if kind == "dfs":
+        return planted_dfs_system(rng, N // 2 - 1, 2)
+    return planted_qnd_system(rng, N // 2 - 1, 2)
+
+
+def scaling_verdict(model, kind, goal):
+    # the planted QND mode is read through W2's Q quadrature, so its momentum
+    # is a QND variable and W2.P -> W2.out.Q evades back-action
+    noise, fields = ["W1", "W2"], ["W1.out", "W2.out"]
+    ch = "W2" if kind == "qnd" else "W1"
+    if goal == "bae":
+        return check_bae(model, ch + ".P", ch + ".out.Q")
+    if goal == "qnd":
+        return find_qnd(model, noise, "W2.out.Q" if kind == "qnd" else fields)
+    return find_dfs(model, noise, fields)
+
+
+@pytest.mark.parametrize("N", [16, 24, 32])
+def test_verdicts_stay_right_as_systems_grow(N):
+    for seed in range(3):
+        for kind, expected in SCALING_EXPECTED.items():
+            model = scaling_system(kind, N, seed).to_state_space()
+            bae, qnd, dfs = (scaling_verdict(model, kind, g) for g in ("bae", "qnd", "dfs"))
+            assert (bae.achieved, len(qnd.witnesses), len(dfs.witnesses)) == expected, \
+                (kind, seed)
+            assert bae.method_agreement and qnd.method_agreement and dfs.method_agreement
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), modes=st.integers(2, 16),
+       kind=st.sampled_from(sorted(SCALING_EXPECTED)))
+def test_verdicts_invariant_under_change_of_coordinates(seed, modes, kind):
+    # BAE and QND are invariant under any similarity, so a symplectic one
+    # serves; the DFS intersection needs an orthogonal (orthosymplectic) one
+    rng = np.random.default_rng(seed)
+    model = scaling_system(kind, 2 * modes, seed).to_state_space()
+    frames = {"bae": random_symplectic(rng, modes), "qnd": random_symplectic(rng, modes),
+              "dfs": random_orthosymplectic(rng, modes)}
+    for goal, T in frames.items():
+        v0 = scaling_verdict(model, kind, goal)
+        v1 = scaling_verdict(model.similar(T), kind, goal)
+        assert v0.method_agreement and v1.method_agreement
+        assert (v1.achieved, len(v1.witnesses), v1.dims.get("overlap")) == \
+            (v0.achieved, len(v0.witnesses), v0.dims.get("overlap")), goal

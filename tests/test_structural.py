@@ -230,6 +230,15 @@ def test_kalman_planted_recovery():
         assert np.max(np.abs(dec.transformed.b("u")[4:, :])) < 1e-10
 
 
+def test_kalman_rtol_below_rounding_keeps_an_orthonormal_basis():
+    # a cutoff under one staircase step's rounding is raised to it, so no
+    # rounding residue becomes a basis direction
+    model = sc.tsang_caves_loop().to_state_space()
+    dec = kalman_decompose(model, "W", "controllable", rtol=1e-300)
+    assert dec.primary_dim == 4
+    assert np.allclose(dec.T.T @ dec.T, np.eye(model.nstates), atol=1e-12)
+
+
 def test_kalman_observable_pattern():
     # the bright-port P quadrature sees only the common mode
     model = sc.michelson(sc.MichelsonParams(m=1.0, omega=0.5, lam=1.0)).to_state_space()
