@@ -81,11 +81,14 @@ def _emit(obj) -> None:
 
 def _tol_base(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get("QLIN_TOL")
-    if env:
-        return parse_number("QLIN_TOL", env)
-    return DEFAULT_RESIDUAL_BASE
+        what, base = "--tol", float(args.tol)
+    elif os.environ.get("QLIN_TOL"):
+        what, base = "QLIN_TOL", parse_number("QLIN_TOL", os.environ["QLIN_TOL"])
+    else:
+        return DEFAULT_RESIDUAL_BASE
+    if not (np.isfinite(base) and base > 0):
+        raise ValidationError(f"{what} must be a finite positive number, got {base!r}")
+    return base
 
 
 def cmd_scenario(args) -> int:

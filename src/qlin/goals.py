@@ -156,8 +156,7 @@ def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
 
 
 def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
-              base: Optional[float] = None, rank_rtol: Optional[float] = None,
-              probes: int = 16) -> GoalVerdict:
+              base: Optional[float] = None, probes: int = 16) -> GoalVerdict:
     """Decide back-action evasion: zero signal flow from the BA noise to the
     measured output.
 
@@ -170,10 +169,6 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         Measured-signal output port(s) (post-selector).
     base : float, optional
         Probe-threshold base factor (default 1e-9).
-    rank_rtol : float, optional
-        Replaces the ``n^2 * eps`` factor of the staircase cutoff for
-        ``dims["controllable"]`` and ``dims["observable"]``; the verdict,
-        ``dims["overlap"]`` and the cross-check use the default cutoff.
 
     Returns
     -------
@@ -184,7 +179,7 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         direct term) of the pair vanish.
     """
     A, B, C = model.A, model.b(ba_port), model.c(shot_output)
-    ctrl = controllable_subspace(A, B, rank_rtol)
+    ctrl = controllable_subspace(A, B)
     Ar, Br, Cr = reduce_pair(A, B, C)
     D = model.d(shot_output, ba_port)
     direct = float(np.max(np.abs(D))) if D.size else 0.0
@@ -197,7 +192,7 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         method_agreement=transfer_zero_equivalence(model, ba_port, shot_output,
                                                    probes=probes, base=base),
         dims={"controllable": ctrl.dim,
-              "observable": controllable_subspace(A.T, C.T, rank_rtol).dim,
+              "observable": controllable_subspace(A.T, C.T).dim,
               "overlap": Ar.shape[0]},
         tolerance=tol,
     )
@@ -205,51 +200,48 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
 
 def find_qnd(model: StateSpaceModel, noise_ports: PortArg, output: PortArg,
              restrict_to: Optional[Subspace] = None,
-             base: Optional[float] = None,
-             rank_rtol: Optional[float] = None) -> GoalVerdict:
+             base: Optional[float] = None) -> GoalVerdict:
     """Find QND variables: uncontrollable from all noise, observable in the output.
 
     The witness subspace is the part of the observable subspace (intersected
     with ``restrict_to`` when given, e.g. the plant block of a hybrid loop)
     that the noise does not reach.
     """
-    return _verdict("QND", model, noise_ports, output, restrict_to, base, rank_rtol)
+    return _verdict("QND", model, noise_ports, output, restrict_to, base)
 
 
 def find_dfs(model: StateSpaceModel, noise_ports: PortArg, output_fields: PortArg,
              restrict_to: Optional[Subspace] = None,
-             base: Optional[float] = None,
-             rank_rtol: Optional[float] = None) -> GoalVerdict:
+             base: Optional[float] = None) -> GoalVerdict:
     """Find a decoherence-free subsystem: uncontrollable from all input fields
     and invisible in all output fields.
 
     ``output_fields`` must name full field outputs (pre-measurement), not a
     homodyne signal.
     """
-    return _verdict("DFS", model, noise_ports, output_fields, restrict_to, base, rank_rtol)
+    return _verdict("DFS", model, noise_ports, output_fields, restrict_to, base)
 
 
-def _verdict(goal, model, noise_ports, output, restrict_to, base, rank_rtol) -> GoalVerdict:
+def _verdict(goal, model, noise_ports, output, restrict_to, base) -> GoalVerdict:
     """QND/DFS verdict on the candidate directions that ``drive`` does not
     reach.
 
     The columns of ``drive`` span what the goal forbids: ``[B, A Q]`` spans
     the controllable subspace ``Q`` of (A, B), and ``[C^T, A^T Q]`` the
     observable one.  The witnesses ``W`` are the null space of
-    ``drive^T @ candidate.basis`` at ``rtol * |drive|_F``.  Probe route:
+    ``drive^T @ candidate.basis`` at ``INTERSECT_RTOL * |drive|_F``.  Probe route:
     ``W^T (sI - A)^{-1} B`` (and for DFS ``C (sI - A)^{-1} W``) must vanish,
     and for QND each ``C (sI - A)^{-1} w`` must not.  Without witnesses the
     gap (smallest singular value) is reported, and the least-reached
     candidate direction must not vanish along all of those legs.
     """
     A, B, C = model.A, model.b(noise_ports), model.c(output)
-    ctrl = controllable_subspace(A, B, rank_rtol)
-    obs = controllable_subspace(A.T, C.T, rank_rtol)
-    rtol = rank_rtol if rank_rtol is not None else INTERSECT_RTOL
+    ctrl = controllable_subspace(A, B)
+    obs = controllable_subspace(A.T, C.T)
     dims = {"uncontrollable": model.nstates - ctrl.dim}
     if goal == "QND":
         drive = np.hstack([B, A @ ctrl.basis])
-        candidate = obs if restrict_to is None else intersect(obs, restrict_to, rtol=rtol)
+        candidate = obs if restrict_to is None else intersect(obs, restrict_to, INTERSECT_RTOL)
         dims["observable"] = obs.dim
     else:
         drive = np.hstack([B, A @ ctrl.basis, C.T, A.T @ obs.basis])
@@ -260,7 +252,7 @@ def _verdict(goal, model, noise_ports, output, restrict_to, base, rank_rtol) -> 
     if candidate.dim == 0:  # nothing to probe
         return GoalVerdict(goal, False, (), float("inf"), True, dims={"witness": 0, **dims})
     _, s, Vt = np.linalg.svd(drive.T @ candidate.basis, full_matrices=True)
-    cutoff = rtol * float(np.linalg.norm(drive))
+    cutoff = INTERSECT_RTOL * float(np.linalg.norm(drive))
     W = candidate.basis @ Vt[int(np.count_nonzero(s > cutoff)):].T
     dims = {"witness": W.shape[1], **dims}
     V = W if W.shape[1] else candidate.basis @ Vt[-1:].T  # else the least-reached direction

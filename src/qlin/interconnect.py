@@ -4,9 +4,10 @@ Both measurement-feedback schemes close one classical controller around an
 open-loop realization of the plant whose measured port is ``"y"``; they
 differ only in that realization and in which inputs the controller drives
 (type 1: every field quadrature; type 2: the raw feedback fields and the
-homodyned evaluation fields).  The coherent loops are assembled from
-explicit block formulas, and the only algebraic loop in scope (ideal direct
-feedback, ``tau = 0``) is eliminated in closed form.
+homodyned evaluation fields).  Both coherent loops are one SLH series
+product of field stages over the joint plant/controller state, and the
+only algebraic loop in scope (ideal direct feedback, ``tau = 0``) is
+eliminated in closed form.
 """
 
 from __future__ import annotations
@@ -254,14 +255,40 @@ def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,
     return _classical_feedback(open_loop, ctrl, C_K, E)
 
 
+def _series(plant: QuantumLinearSystem, qctrl: QuantumController, channels,
+            stages) -> QuantumLinearSystem:
+    """SLH series product of field stages over the joint state ``[x; x_K]``.
+
+    ``stages`` lists ``(S_k, L_k)`` in the order the field passes them:
+    the field leaving the earlier stages, with coupling ``L``, scatters by
+    ``S_k`` and then couples through ``L_k``.  Starting from
+    ``G = diag(G, G_K)`` and ``L = 0``, each stage adds
+    ``sym(L_k^T Sigma S_k L)`` to ``G`` and sets ``L = L_k + S_k L``
+    (Gough & James, IEEE TAC 54(11) 2009).
+    """
+    n2, k2 = 2 * plant.n, qctrl.dim
+    G = np.zeros((n2 + k2, n2 + k2))
+    G[:n2, :n2], G[n2:, n2:] = plant.G, qctrl.G_K
+    L = np.zeros_like(stages[0][1])
+    Sm = sigma(L.shape[0] // 2)
+    for S, Lk in stages:
+        cross = Lk.T @ Sm @ S @ L
+        G += (cross + cross.T) / 2.0
+        L = Lk + S @ L
+    force = None
+    if plant.force is not None:
+        force = np.concatenate([plant.force, np.zeros(k2)])
+    labels = plant.mode_labels + tuple(f"ctrl{i + 1}" for i in range(k2 // 2))
+    return QuantumLinearSystem(G, L, channels, force=force, mode_labels=labels)
+
+
 def cf_type1(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLinearSystem:
     """Type-1 coherent feedback: controller in series with all plant fields.
 
-    The controller's two field groups are chained as ``W2 = W_out`` and
-    ``W = W1_out``, giving the closed loop with coupling
-    ``C_e = [C, C1 + C2]`` and the Hamiltonian matrix assembled from the
-    plant/controller blocks.  ``C1 + C2 = 0`` realizes a pure direct
-    interaction (controller decoupled from the field).
+    The field passes the controller through ``C1``, then the plant, then the
+    controller again through ``C2``: the series product of the stages
+    C1 -> C -> C2, with coupling ``[C, C1 + C2]``.  ``C1 + C2 = 0`` realizes
+    a pure direct interaction (controller decoupled from the field).
     """
     if qctrl.C1 is None or qctrl.C2 is None:
         raise ValidationError("type-1 CF controller needs C1 and C2")
@@ -270,34 +297,20 @@ def cf_type1(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLin
     if qctrl.C1.shape[0] != 2 * plant.m:
         raise ShapeError(
             f"controller couplings must have {2 * plant.m} rows to match the plant fields")
-    C, G = plant.C, plant.G
-    C1, C2, GK = qctrl.C1, qctrl.C2, qctrl.G_K
-    Sm = sigma(plant.m)
-    off = C.T @ Sm @ (C1 - C2) / 2.0
-    lower = GK + (C1.T @ Sm.T @ C2 + C2.T @ Sm @ C1) / 2.0
-    n2, k2 = 2 * plant.n, qctrl.dim
-    Ge = np.zeros((n2 + k2, n2 + k2))
-    Ge[:n2, :n2] = G
-    Ge[:n2, n2:] = off
-    Ge[n2:, :n2] = off.T
-    Ge[n2:, n2:] = lower
-    Ce = np.hstack([C, C1 + C2])
-    force = None
-    if plant.force is not None:
-        force = np.concatenate([plant.force, np.zeros(k2)])
-    labels = plant.mode_labels + tuple(f"ctrl{i + 1}" for i in range(k2 // 2))
-    return QuantumLinearSystem(Ge, Ce, plant.channels, force=force, mode_labels=labels)
+    I, Zx, ZK = np.eye(2 * plant.m), np.zeros_like(plant.C), np.zeros_like(qctrl.C1)
+    return _series(plant, qctrl, plant.channels, [
+        (I, np.hstack([Zx, qctrl.C1])), (I, np.hstack([plant.C, ZK])),
+        (I, np.hstack([Zx, qctrl.C2]))])
 
 
-def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController,
-             S: Optional[np.ndarray] = None) -> QuantumLinearSystem:
+def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLinearSystem:
     """Type-2 coherent feedback through a scattering element.
 
-    The feedback output scatters into the controller, ``W3 = S W1_out``,
-    and the controller output re-enters the evaluation input.  The closed
-    loop is a system with coupling ``C_e = [S C1 + C2, C_K]`` whose input
-    field carries ``S W1``; channel labels are taken from the evaluation
-    partition.
+    The field leaves the plant's feedback rows ``C1``, scatters by the
+    controller's ``S`` (identity when unset) into the controller ``C_K``,
+    and re-enters the plant's evaluation rows ``C2``: the series product of
+    the stages C1 -> S, C_K -> C2, with coupling ``[S C1 + C2, C_K]``.
+    Channel labels are taken from the evaluation partition.
     """
     if qctrl.C_K is None:
         raise ValidationError("type-2 CF controller needs C_K")
@@ -308,30 +321,14 @@ def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController,
         raise ShapeError("feedback and evaluation partitions must have equal widths")
     if qctrl.C_K.shape[0] != C1.shape[0]:
         raise ShapeError("C_K width does not match the plant channel partition")
-    if S is None:
-        S = qctrl.S if qctrl.S is not None else np.eye(C1.shape[0])
-    S = _check_scattering(np.asarray(S, dtype=float))
+    I = np.eye(C1.shape[0])
+    S = I if qctrl.S is None else qctrl.S
     if S.shape[0] != C1.shape[0]:
         raise ShapeError("scattering size does not match the channel width")
-
-    G, GK, CK = plant.G, qctrl.G_K, qctrl.C_K
-    mc = C1.shape[0] // 2
-    Sm = sigma(mc)
-    upper = G + (C2.T @ Sm @ S @ C1 + C1.T @ S.T @ Sm.T @ C2) / 2.0
-    lowleft = CK.T @ Sm @ (S @ C1 - C2) / 2.0
-    n2, k2 = 2 * plant.n, qctrl.dim
-    Ge = np.zeros((n2 + k2, n2 + k2))
-    Ge[:n2, :n2] = upper
-    Ge[n2:, :n2] = lowleft
-    Ge[:n2, n2:] = lowleft.T
-    Ge[n2:, n2:] = GK
-    Ce = np.hstack([S @ C1 + C2, CK])
-    channels = tuple(plant.channels[j] for j in ev)
-    force = None
-    if plant.force is not None:
-        force = np.concatenate([plant.force, np.zeros(k2)])
-    labels = plant.mode_labels + tuple(f"ctrl{i + 1}" for i in range(k2 // 2))
-    return QuantumLinearSystem(Ge, Ce, channels, force=force, mode_labels=labels)
+    Zx, ZK = np.zeros_like(C1), np.zeros_like(qctrl.C_K)
+    return _series(plant, qctrl, tuple(plant.channels[j] for j in ev), [
+        (I, np.hstack([C1, ZK])), (S, np.hstack([Zx, qctrl.C_K])),
+        (I, np.hstack([C2, ZK]))])
 
 
 def direct_mf(kappa: float, tau: float) -> StateSpaceModel:

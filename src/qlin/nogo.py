@@ -203,8 +203,9 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     goal : {"bae", "qnd", "dfs"}
     scheme : {"mf1", "mf2"}
     trials : int
+        Nonnegative.
     seed : int
-        Master seed; per-trial streams are split from it with a
+        Nonnegative master seed; per-trial streams are split from it with a
         counter-based generator, so reports are reproducible and trials
         independent.
     controller_dim_range : sequence of int, optional
@@ -218,6 +219,8 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     scheme = scheme.lower()
     if (scheme, goal) not in THEOREM_INDEX:
         raise ValidationError(f"no theorem covers scheme={scheme!r}, goal={goal!r}")
+    if trials < 0 or seed < 0:
+        raise ValidationError(f"trials and seed must be nonnegative, got {trials} and {seed}")
     if controller_dim_range is None:
         controller_dim_range = tuple(range(0, 2 * plant.n + 3))
     else:

@@ -244,6 +244,12 @@ def test_nogo_cli(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["violations"] == 0
 
+    for flag in ("--trials", "--seed"):
+        code, _, err = run_cli(capsys, "nogo", path, "--goal", "qnd", "--scheme", "mf1",
+                               flag, "-1")
+        assert code == 2
+        assert "qlin: error:" in err
+
 
 def test_nogo_cli_hypothesis_violation(tmp_path, capsys):
     path = write_json(tmp_path, "loop.json", system_to_dict(sc.tsang_caves_loop()))
@@ -267,6 +273,15 @@ def test_qlin_tol_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "analyze", path, "--goal", "dfs")
     assert code == 0
     assert json.loads(out)["provenance"]["tolerances"]["residual_base"] == 1e-7
+
+    for bad in ("nan", "inf", "-1", "0"):
+        code, _, err = run_cli(capsys, "analyze", path, "--goal", "qnd", "--tol", bad)
+        assert code == 2
+        assert "qlin: error: --tol" in err
+        monkeypatch.setenv("QLIN_TOL", bad)
+        code, _, err = run_cli(capsys, "analyze", path, "--goal", "qnd")
+        assert code == 2
+        assert "qlin: error: QLIN_TOL" in err
 
 
 def test_model_json_roundtrip():

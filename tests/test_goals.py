@@ -23,6 +23,7 @@ from qlin import (
     span_of,
     transfer_zero_equivalence,
 )
+from qlin import goals
 from qlin import scenarios as sc
 from qlin.nogo import random_orthosymplectic
 from qlin.xfer import TransferFunction, evaluate
@@ -94,20 +95,22 @@ def test_qnd_tsang_caves_pair():
     assert np.max(principal_angles(ref, got)) < 1e-8
 
 
-def test_missed_witnesses_are_flagged():
-    # cut far below rounding, the staircase misses the Tsang-Caves QND pair;
-    # the probe finds the least-reached candidate direction undriven
+def test_missed_witnesses_are_flagged(monkeypatch):
+    # cut far below rounding, the witness test misses the Tsang-Caves QND
+    # pair; the probe finds the least-reached candidate direction undriven
     model = sc.tsang_caves_loop().to_state_space()
-    v = find_qnd(model, ["W"], "W.out.P", rank_rtol=1e-300)
+    monkeypatch.setattr(goals, "INTERSECT_RTOL", 1e-300)
+    v = find_qnd(model, ["W"], "W.out.P")
     assert not v.achieved
     assert not v.method_agreement
 
 
-def test_spurious_witnesses_are_flagged():
+def test_spurious_witnesses_are_flagged(monkeypatch):
     # cut far above rounding, driven directions pass as DFS witnesses; the
     # probe sees the noise reach them
     model = sc.lambda_memory(1.0, 0.5, 1.0).to_state_space()
-    v = find_dfs(model, ["A"], ["A.out"], rank_rtol=0.5)
+    monkeypatch.setattr(goals, "INTERSECT_RTOL", 0.5)
+    v = find_dfs(model, ["A"], ["A.out"])
     assert v.achieved
     assert not v.method_agreement
 

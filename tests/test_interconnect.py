@@ -20,6 +20,7 @@ from qlin import (
     sigma,
 )
 from qlin import scenarios as sc
+from qlin.nogo import random_orthosymplectic
 from qlin.xfer import TransferFunction, evaluate
 
 
@@ -210,8 +211,8 @@ def test_cf2_reproduces_michelson_reference_matrices():
 
 def test_cf2_controller_decoupled_from_untouched_quadratures():
     plant = sc.michelson()
-    ctrl = QuantumController(G_K=np.diag([0.3, 0.7]), C_K=np.zeros((2, 2)))
-    loop = cf_type2(plant, ctrl, S=np.eye(2))
+    ctrl = QuantumController(G_K=np.diag([0.3, 0.7]), C_K=np.zeros((2, 2)), S=np.eye(2))
+    loop = cf_type2(plant, ctrl)
     # zero coupling: controller invisible in the output field
     assert np.allclose(loop.C[:, 4:], 0.0)
     assert np.allclose(loop.B[4:, :], 0.0)
@@ -221,8 +222,8 @@ def test_cf2_with_identity_scattering_matches_cf1_dfs_form():
     kappa = 0.8
     plant2 = sc.two_port_cavity(kappa, kappa)  # C1 = C2 = C/2
     C_full = 2.0 * np.sqrt(2 * kappa) * np.eye(2)
-    ctrl2 = QuantumController(G_K=plant2.G, C_K=C_full)
-    loop2 = cf_type2(plant2, ctrl2, S=np.eye(2))
+    ctrl2 = QuantumController(G_K=plant2.G, C_K=C_full, S=np.eye(2))
+    loop2 = cf_type2(plant2, ctrl2)
 
     plant1 = build_system(np.zeros((2, 2)), C_full, channels=[Channel("W")])
     ctrl1 = QuantumController(G_K=plant1.G, C1=C_full / 2, C2=C_full / 2)
@@ -249,19 +250,58 @@ def test_cf_loops_always_realizable():
                                        Channel("W2", "evaluation")])
         GK = rng.normal(size=(2, 2))
         GK = (GK + GK.T) / 2
-        from qlin.nogo import random_orthosymplectic
-
         S = random_orthosymplectic(rng, 1)
         loop = cf_type2(plant, QuantumController(
-            G_K=GK, C_K=rng.normal(size=(2, 2))), S=S)
+            G_K=GK, C_K=rng.normal(size=(2, 2)), S=S))
         assert realizability_defect(loop.A, loop.C) < 1e-12
 
 
 def test_cf2_rejects_bad_scattering():
-    plant = sc.michelson()
-    ctrl = QuantumController(G_K=np.zeros((2, 2)), C_K=np.eye(2))
     with pytest.raises(ValidationError):
-        cf_type2(plant, ctrl, S=np.array([[1.0, 0.0], [0.0, 2.0]]))
+        QuantumController(G_K=np.zeros((2, 2)), C_K=np.eye(2),
+                          S=np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_cf_loops_obey_the_cascade_law():
+    # the loop's field transfer is the product of its stages' transfers:
+    # type 1 with C2 = 0 is controller then plant; type 2 with zero
+    # evaluation rows is plant feedback rows, scattering S, then controller
+    rng = np.random.default_rng(48)
+
+    def field_tf(sysq, channels):
+        ports = [ch.label for ch in channels]
+        return TransferFunction(sysq.to_state_space(), ports, [p + ".out" for p in ports])
+
+    worst = 0.0
+    for _ in range(50):
+        n, m, k = rng.integers(1, 4, size=3)
+        GK = rng.normal(size=(2 * k, 2 * k))
+        GK = (GK + GK.T) / 2
+        s = complex(rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0))
+
+        plant = random_system(rng, n, m, force=True)
+        C1 = rng.normal(size=(2 * m, 2 * k))
+        ctrl = build_system(GK, C1, channels=plant.channels)
+        loop = cf_type1(plant, QuantumController(G_K=GK, C1=C1, C2=np.zeros_like(C1)))
+        lhs = evaluate(field_tf(loop, loop.channels), s)
+        rhs = (evaluate(field_tf(plant, plant.channels), s)
+               @ evaluate(field_tf(ctrl, ctrl.channels), s))
+        worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
+
+        fb = [Channel(f"F{j}", "feedback") for j in range(m)]
+        ev = [Channel(f"E{j}", "evaluation") for j in range(m)]
+        plant = random_system(rng, n, m)
+        plant = build_system(plant.G, np.vstack([plant.C, np.zeros_like(plant.C)]),
+                             channels=fb + ev)
+        S = random_orthosymplectic(rng, m)
+        CK = rng.normal(size=(2 * m, 2 * k))
+        ctrl = build_system(GK, CK, channels=ev)
+        loop = cf_type2(plant, QuantumController(G_K=GK, C_K=CK, S=S))
+        lhs = evaluate(field_tf(loop, loop.channels), s) @ S
+        rhs = (evaluate(field_tf(ctrl, ctrl.channels), s) @ S
+               @ evaluate(field_tf(plant, fb), s))
+        worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
+    assert worst < 1e-12
 
 
 def test_direct_mf_ideal_limit_has_position_qnd():
