@@ -25,7 +25,7 @@ from .core import (
     ValidationError,
     homodyne_split,
 )
-from .goals import DEFAULT_RESIDUAL_BASE, check_bae, find_dfs, find_qnd
+from .goals import DEFAULT_RESIDUAL_BASE, check_bae, checked_base, find_dfs, find_qnd
 from .interconnect import cf_type1, cf_type2, direct_mf, mf_type1, mf_type2
 from .nogo import verify_nogo
 from .scenarios import SCENARIOS
@@ -45,6 +45,7 @@ from .xfer import (
     normalized_gw_signal,
     spectrum_csv,
     sql_curve,
+    squeezed_variances,
 )
 
 USER_ERRORS = (ValidationError, ShapeError, PortLookupError, SingularityError,
@@ -81,14 +82,10 @@ def _emit(obj) -> None:
 
 def _tol_base(args) -> float:
     if getattr(args, "tol", None) is not None:
-        what, base = "--tol", float(args.tol)
-    elif os.environ.get("QLIN_TOL"):
-        what, base = "QLIN_TOL", parse_number("QLIN_TOL", os.environ["QLIN_TOL"])
-    else:
-        return DEFAULT_RESIDUAL_BASE
-    if not (np.isfinite(base) and base > 0):
-        raise ValidationError(f"{what} must be a finite positive number, got {base!r}")
-    return base
+        return checked_base(float(args.tol), "--tol")
+    if os.environ.get("QLIN_TOL"):
+        return checked_base(parse_number("QLIN_TOL", os.environ["QLIN_TOL"]), "QLIN_TOL")
+    return DEFAULT_RESIDUAL_BASE
 
 
 def cmd_scenario(args) -> int:
@@ -221,10 +218,9 @@ def cmd_spectrum(args) -> int:
         port, _, r = item.rpartition(":")
         if not port:
             raise ValidationError(f"--squeeze expects port:r, got {item!r}")
-        from .xfer import squeezed_variances
         variances.update(squeezed_variances(port, parse_number("--squeeze", r)))
-    values = [noise_power(model, output, variances, w) for w in omegas]
-    curve = SpectrumCurve(omegas, values, metadata={"variances": variances})
+    curve = SpectrumCurve(omegas, noise_power(model, output, variances, omegas),
+                          metadata={"variances": variances})
     sql = None
     if args.sql:
         m, L = _number_pair("--sql", args.sql)

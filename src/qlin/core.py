@@ -13,7 +13,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -56,11 +58,21 @@ class PortLookupError(KeyError):
     """Unknown input or output port name."""
 
 
+_SIGMA: dict[int, np.ndarray] = {}
+
+
 def sigma(n: int) -> np.ndarray:
-    """Commutation matrix of ``n`` modes: block diagonal of [[0,1],[-1,0]]."""
-    if n < 0:
-        raise ShapeError(f"mode count must be nonnegative, got {n}")
-    return np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    """Commutation matrix of ``n`` modes: block diagonal of [[0,1],[-1,0]].
+
+    Built once per ``n`` and returned read-only.
+    """
+    n = operator.index(n)
+    out = _SIGMA.get(n)
+    if out is None:
+        if n < 0:
+            raise ShapeError(f"mode count must be nonnegative, got {n}")
+        out = _SIGMA[n] = _frozen(np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    return out
 
 
 def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] = None) -> np.ndarray:
@@ -406,15 +418,15 @@ class QuantumLinearSystem:
         """Channel count."""
         return self.C.shape[0] // 2
 
-    @property
+    @cached_property
     def A(self) -> np.ndarray:
-        """Drift matrix Sigma_n (G + C^T Sigma_m C / 2)."""
-        return sigma(self.n) @ (self.G + self.C.T @ sigma(self.m) @ self.C / 2.0)
+        """Drift matrix Sigma_n (G + C^T Sigma_m C / 2), computed once, read-only."""
+        return _frozen(sigma(self.n) @ (self.G + self.C.T @ sigma(self.m) @ self.C / 2.0))
 
-    @property
+    @cached_property
     def B(self) -> np.ndarray:
-        """Noise input matrix Sigma_n C^T Sigma_m."""
-        return sigma(self.n) @ self.C.T @ sigma(self.m)
+        """Noise input matrix Sigma_n C^T Sigma_m, computed once, read-only."""
+        return _frozen(sigma(self.n) @ self.C.T @ sigma(self.m))
 
     def channel_rows(self, label: str) -> slice:
         for j, ch in enumerate(self.channels):

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import StateSpaceModel
+from .core import StateSpaceModel, ValidationError
 from .structural import (
     Subspace,
     controllability_matrix,  # noqa: F401  (the benchmark tracer restores this binding)
@@ -43,6 +43,7 @@ __all__ = [
     "find_qnd",
     "find_dfs",
     "transfer_zero_equivalence",
+    "checked_base",
 ]
 
 #: Base factor of the probe threshold; override per call or via the
@@ -98,15 +99,27 @@ class GoalVerdict:
                                           for k, v in self.dims.items()})
 
 
+def checked_base(base: Optional[float], what: str = "base") -> float:
+    """The probe-threshold base factor (default ``DEFAULT_RESIDUAL_BASE``);
+    anything but a finite positive number is a ``ValidationError`` that
+    names ``what``.  Every public entry point of this module checks its
+    ``base`` here once."""
+    if base is None:
+        return DEFAULT_RESIDUAL_BASE
+    if not (np.isfinite(base) and base > 0):
+        raise ValidationError(f"{what} must be a finite positive number, got {base!r}")
+    return base
+
+
 def residual_tolerance(model: StateSpaceModel, input_port: PortArg,
                        output_port: PortArg, base: Optional[float] = None) -> float:
     """Probe threshold ``base * |B|_F |C|_F / (|A|_F + 1)`` of a port pair."""
-    base = DEFAULT_RESIDUAL_BASE if base is None else base
+    base = checked_base(base)
     return (base * np.linalg.norm(model.b(input_port))
             * np.linalg.norm(model.c(output_port)) / (np.linalg.norm(model.A) + 1.0))
 
 
-def _probe(A: np.ndarray, legs, base: Optional[float], probes: int = 16,
+def _probe(A: np.ndarray, legs, base: float, probes: int = 16,
            seed: int = PROBE_SEED) -> list[tuple[float, float]]:
     """Per (left, right) leg: the largest ``|left (sI - A)^{-1} right|`` and
     its zero threshold ``base * |left|_F |right|_F / (|A|_F + 1)``.
@@ -116,7 +129,6 @@ def _probe(A: np.ndarray, legs, base: Optional[float], probes: int = 16,
     stacked solve serves every point and leg.
     """
     nA = np.linalg.norm(A)
-    base = DEFAULT_RESIDUAL_BASE if base is None else base
     rights = np.hstack([right for _, right in legs])
     s = (2.0 * nA + 1.0) * np.exp(2j * np.pi * np.random.default_rng(seed).random(probes))
     X = np.linalg.solve(s[:, None, None] * np.eye(A.shape[0]) - A,
@@ -150,6 +162,7 @@ def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
     ``probes`` seeded points on ``|s| = 2 |A|_F + 1`` stays below
     ``base * |B|_F |C|_F / (|A|_F + 1)``.
     """
+    base = checked_base(base)
     A, B, C = model.A, model.b(input_port), model.c(output_port)
     (worst, tol), = _probe(A, [(C, B)], base, probes, seed)
     return (reduce_pair(A, B, C)[0].shape[0] == 0) == (worst <= tol)
@@ -207,7 +220,7 @@ def find_qnd(model: StateSpaceModel, noise_ports: PortArg, output: PortArg,
     with ``restrict_to`` when given, e.g. the plant block of a hybrid loop)
     that the noise does not reach.
     """
-    return _verdict("QND", model, noise_ports, output, restrict_to, base)
+    return _verdict("QND", model, noise_ports, output, restrict_to, checked_base(base))
 
 
 def find_dfs(model: StateSpaceModel, noise_ports: PortArg, output_fields: PortArg,
@@ -219,7 +232,8 @@ def find_dfs(model: StateSpaceModel, noise_ports: PortArg, output_fields: PortAr
     ``output_fields`` must name full field outputs (pre-measurement), not a
     homodyne signal.
     """
-    return _verdict("DFS", model, noise_ports, output_fields, restrict_to, base)
+    return _verdict("DFS", model, noise_ports, output_fields, restrict_to,
+                    checked_base(base))
 
 
 def _verdict(goal, model, noise_ports, output, restrict_to, base) -> GoalVerdict:

@@ -29,6 +29,9 @@ VACUUM_VARIANCE = 0.5
 #: Condition-number ceiling for resolvent solves.
 COND_LIMIT = 1e12
 
+#: Points per stacked resolvent solve (bounds the working memory of a grid).
+CHUNK = 128
+
 PortArg = Union[str, Sequence[str]]
 
 
@@ -53,22 +56,54 @@ class TransferFunction:
         return evaluate(self, s)
 
 
-def _solve_response(A, B, C, D, s) -> np.ndarray:
-    """C (sI - A)^{-1} B + D with a fallback to the reduced pair when the
-    full resolvent is singular only through invisible states."""
-    for reduced in (False, True):
-        if A.shape[0] == 0 or B.shape[1] == 0 or C.shape[0] == 0:
-            return D.astype(complex)
-        M = s * np.eye(A.shape[0]) - A
-        cond = np.linalg.cond(M)
-        if np.isfinite(cond) and cond <= COND_LIMIT:
-            return C @ np.linalg.solve(M, B.astype(complex)) + D
-        if reduced:
-            eigs = np.linalg.eigvals(A)
-            raise SingularityError(
-                f"(sI - A) is ill conditioned at s={s} (cond={cond:.3e}); nearest "
-                f"eigenvalue of the signal path: {eigs[int(np.argmin(np.abs(eigs - s)))]}")
-        A, B, C = reduce_pair(A, B, C)
+def _solve_response(A, B, C, D, points) -> np.ndarray:
+    """``C (sI - A)^{-1} B + D`` at each of the 1-D ``points``; shape
+    ``(len(points),) + D.shape``.
+
+    Chunks of ``CHUNK`` points share one stacked inverse and one stacked
+    solve against ``B`` (broadcast over the stack, as every numpy reads it).
+    The inverse screens conditioning: ``cond_2(M) <= |M|_F |M^{-1}|_F``, so a
+    point with ``|M|_F |M^{-1}|_F <= COND_LIMIT / 2`` passes the exact test
+    with room for rounding.  Only the other points (all of them, if the
+    inverse fails) get the exact ``np.linalg.cond``.  Points above
+    ``COND_LIMIT`` are never solved on the full pair; they are solved again
+    on the reduced pair (built once per chunk), so only a pole of the
+    signal path itself raises.
+    """
+    points = np.asarray(points).reshape(-1)
+    out = np.empty((points.size,) + D.shape, dtype=complex)
+    for lo in range(0, points.size, CHUNK):
+        out[lo:lo + CHUNK] = _solve_chunk(A, B, C, D, points[lo:lo + CHUNK], False)
+    return out
+
+
+def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
+    n, p = B.shape
+    if n == 0 or p == 0 or C.shape[0] == 0:
+        return np.broadcast_to(D.astype(complex), (s.size,) + D.shape)
+    M = s[:, None, None] * np.eye(n) - A
+    try:
+        ok = (np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(M), axis=(1, 2))
+              <= COND_LIMIT / 2)
+    except np.linalg.LinAlgError:
+        ok = np.zeros(s.size, dtype=bool)
+    if not ok.all():
+        ok[~ok] = np.linalg.cond(M[~ok]) <= COND_LIMIT
+    ill = np.flatnonzero(~ok)
+    if reduced and ill.size:
+        k = ill[0]
+        eigs = np.linalg.eigvals(A)
+        raise SingularityError(
+            f"(sI - A) is ill conditioned at s={s[k]} (cond={np.linalg.cond(M[k]):.3e}); "
+            f"nearest eigenvalue of the signal path: "
+            f"{eigs[int(np.argmin(np.abs(eigs - s[k])))]}")
+    out = np.empty((s.size,) + D.shape, dtype=complex)
+    good = M[ok]
+    out[ok] = C @ np.linalg.solve(good, np.broadcast_to(B.astype(complex), (len(good), n, p))) + D
+    if ill.size:
+        Ar, Br, Cr = reduce_pair(A, B, C)
+        out[ill] = _solve_chunk(Ar, Br, Cr, D, s[ill], True)
+    return out
 
 
 def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
@@ -76,7 +111,8 @@ def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
 
     States that the port pair can neither excite nor see are stripped
     before conditioning is judged, so only a pole of the actual signal
-    path raises.
+    path raises.  Returns the ``(rows, cols)`` matrix; the same engine as
+    :func:`frequency_response`, with a grid of one point.
 
     Raises
     ------
@@ -84,15 +120,25 @@ def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
         If (sI - A) restricted to the signal path has condition number
         above 1e12; the message names the offending eigenvalue.
     """
-    model = tf.realization
-    return _solve_response(model.A, model.b(tf.input_port),
-                           model.c(tf.output_port),
-                           model.d(tf.output_port, tf.input_port), s)
+    return _response(tf, np.array([s]))[0]
 
 
 def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndarray:
-    """Evaluate Xi(i*omega) across a frequency grid; shape (len, rows, cols)."""
-    return np.array([evaluate(tf, 1j * w) for w in omegas])
+    """Evaluate Xi(i*omega) across a frequency grid; shape ``(len(omegas),
+    rows, cols)``, equal point by point to :func:`evaluate` at ``1j * omega``.
+
+    The grid is solved in stacked chunks; the conditioning test (condition
+    number above 1e12 on the signal path raises ``SingularityError``) is the
+    one of :func:`evaluate`, with the exact SVD kept for points that the
+    Frobenius-norm bound cannot clear.
+    """
+    return _response(tf, 1j * np.asarray(omegas, dtype=float).reshape(-1))
+
+
+def _response(tf: TransferFunction, points: np.ndarray) -> np.ndarray:
+    model = tf.realization
+    return _solve_response(model.A, model.b(tf.input_port), model.c(tf.output_port),
+                           model.d(tf.output_port, tf.input_port), points)
 
 
 @dataclass(frozen=True)
@@ -135,21 +181,27 @@ def _column_variances(model: StateSpaceModel,
 
 def noise_power(model: StateSpaceModel, signal_output: PortArg,
                 variances: Optional[Mapping[str, float]] = None,
-                omega: float = 0.0, exclude: Sequence[str] = ("F",)) -> float:
-    """Single-frequency noise power of a scalar output.
+                omega: Union[float, Sequence[float]] = 0.0,
+                exclude: Sequence[str] = ("F",)) -> Union[float, np.ndarray]:
+    """Noise power of a scalar output at one frequency or across a grid.
 
     ``S(omega) = sum_ports |Xi_{port -> output}(i omega)|^2 * variance``,
     with unlisted noise quadratures at the vacuum value 1/2.  Ports named
     in ``exclude`` (the classical force by default) are signal, not noise.
+    A float ``omega`` gives a float; a 1-D array gives an array of the same
+    length, from one call of the grid engine of :func:`frequency_response`
+    (same values and conditioning test as one call per frequency).
     """
     rows = model.outputs.indices(signal_output)
     if rows.size != 1:
         raise ShapeError("signal_output must be a scalar output port")
     var = _column_variances(model, variances, exclude)
     # evaluate the full row response once, then weight column-wise
+    om = np.asarray(omega, dtype=float)
     row = _solve_response(model.A, model.B, model.C[rows, :], model.D[rows, :],
-                          1j * omega)
-    return float(np.sum(np.abs(row[0]) ** 2 * var))
+                          1j * om.reshape(-1))
+    power = np.sum(np.abs(row[:, 0]) ** 2 * var, axis=-1)
+    return float(power[0]) if om.ndim == 0 else power.reshape(om.shape)
 
 
 def sql_curve(m: float, L: float, omegas: Sequence[float]) -> SpectrumCurve:
@@ -210,10 +262,9 @@ def squeezed_variances(port: str, r: float,
 
 def spectrum_csv(curve: SpectrumCurve, sql: Optional[SpectrumCurve] = None) -> str:
     """Render ``omega,S,S_sql`` rows at 17 significant digits."""
-    lines = ["omega,S,S_sql"]
     if sql is not None and not np.array_equal(sql.omegas, curve.omegas):
         raise ShapeError("SQL grid does not match the spectrum grid")
-    for i, (w, v) in enumerate(zip(curve.omegas, curve.values)):
-        ref = sql.values[i] if sql is not None else float("nan")
-        lines.append(f"{w:.17g},{v:.17g},{ref:.17g}")
-    return "\n".join(lines) + "\n"
+    refs = sql.values.tolist() if sql is not None else [float("nan")] * curve.omegas.size
+    return "\n".join(["omega,S,S_sql"] + [
+        f"{w:.17g},{v:.17g},{ref:.17g}"
+        for w, v, ref in zip(curve.omegas.tolist(), curve.values.tolist(), refs)]) + "\n"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qlin import ValidationError
+from qlin import ValidationError, xfer
 from qlin import scenarios as sc
 from qlin.cli import main
 from qlin.serialize import model_from_dict, model_to_dict, system_from_dict, system_to_dict
@@ -227,6 +227,20 @@ def test_spectrum_squeezed_cf_michelson_below_sql(tmp_path, capsys):
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     for _, s, ref in rows:
         assert float(s) < float(ref)
+
+
+def test_spectrum_request_solves_one_grid(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = xfer._solve_response
+    monkeypatch.setattr(xfer, "_solve_response",
+                        lambda *args: calls.append(args[-1].size) or solve(*args))
+    path = write_json(tmp_path, "cf.json", system_to_dict(sc.michelson_cf_loop()))
+    code, out, _ = run_cli(capsys, "spectrum", path, "--output", "W2.out.P",
+                           "--omega-min", "0.5", "--omega-max", "10", "--points", "300",
+                           "--squeeze", "W2.P:1", "--gw-normalize", "1,1")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 301
+    assert calls == [300]
 
 
 def test_nogo_cli(tmp_path, capsys):

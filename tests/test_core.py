@@ -53,6 +53,18 @@ def test_sigma_identities():
         assert np.array_equal(S @ S, -np.eye(2 * n))
 
 
+def test_sigma_and_drift_are_cached_read_only():
+    S = sigma(3)
+    assert sigma(3) is S
+    assert np.array_equal(sigma(3), np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]))
+    sys = random_system(np.random.default_rng(48), 2, 1)
+    assert sys.A is sys.A and sys.B is sys.B
+    for arr in (S, sys.A, sys.B):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert np.array_equal(sigma(3), np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]))
+
+
 def test_build_system_lossy_cavity_drift():
     # one mode, one channel at kappa=1: the Ito term alone gives A = -I
     sys = build_system(np.zeros((2, 2)), np.sqrt(2.0) * np.eye(2))

@@ -14,6 +14,7 @@ from qlin import (
     Ports,
     StateSpaceModel,
     Subspace,
+    ValidationError,
     build_system,
     check_bae,
     find_dfs,
@@ -113,6 +114,19 @@ def test_spurious_witnesses_are_flagged(monkeypatch):
     v = find_dfs(model, ["A"], ["A.out"])
     assert v.achieved
     assert not v.method_agreement
+
+
+@pytest.mark.parametrize("base", [float("nan"), float("inf"), -1.0, 0.0])
+def test_bad_base_is_rejected(base):
+    loop = sc.tsang_caves_loop().to_state_space()
+    memory = sc.lambda_memory(1.0, 0.5, 1.0).to_state_space()
+    for run in (lambda: check_bae(loop, "W.Q", "W.out.P", base=base),
+                lambda: find_qnd(loop, ["W"], "W.out.P", base=base),
+                lambda: find_dfs(memory, ["A"], ["A.out"], base=base),
+                lambda: goals.residual_tolerance(loop, "W.Q", "W.out.P", base=base),
+                lambda: transfer_zero_equivalence(loop, "W.Q", "W.out.P", base=base)):
+        with pytest.raises(ValidationError, match="base must be a finite positive"):
+            run()
 
 
 def test_dfs_memory_spin_wave():

@@ -3,10 +3,13 @@ import pytest
 
 from conftest import random_system
 from qlin import (
+    Channel,
     SingularityError,
     SpectrumCurve,
     TransferFunction,
     ValidationError,
+    build_system,
+    check_bae,
     evaluate,
     frequency_response,
     markov_parameters,
@@ -17,7 +20,9 @@ from qlin import (
     squeezed_variances,
 )
 from qlin import scenarios as sc
+from qlin import xfer
 from qlin.interconnect import direct_mf_controller
+from qlin.structural import reduce_pair
 
 
 def test_tsang_caves_transfer_values_at_one():
@@ -75,6 +80,95 @@ def test_frequency_response_shape():
     model = sc.two_port_cavity().to_state_space()
     resp = frequency_response(TransferFunction(model, "W1", "W2.out"), [0.1, 1.0, 10.0])
     assert resp.shape == (3, 2, 2)
+
+
+def per_point_response(tf, omegas):
+    """The reference: one np.linalg.solve per point, on the reduced pair
+    where the full resolvent fails the conditioning test."""
+    model = tf.realization
+    A, B = model.A, model.b(tf.input_port)
+    C, D = model.c(tf.output_port), model.d(tf.output_port, tf.input_port)
+    out = []
+    for w in omegas:
+        s = 1j * w
+        Ap, Bp, Cp = A, B, C
+        if not np.linalg.cond(s * np.eye(A.shape[0]) - A) <= xfer.COND_LIMIT:
+            Ap, Bp, Cp = reduce_pair(A, B, C)
+        out.append(Cp @ np.linalg.solve(s * np.eye(Ap.shape[0]) - Ap, Bp.astype(complex)) + D)
+    return np.array(out)
+
+
+def test_grid_crossing_an_invisible_mode_matches_per_point_solves():
+    # a closed, undamped mode at 0.7 beside a random open block: (sI - A) is
+    # singular at s = 0.7i, but the port pair cannot see that mode
+    inner = random_system(np.random.default_rng(33), 2, 1)
+    G = np.zeros((6, 6))
+    G[:4, :4] = inner.G
+    G[4:, 4:] = 0.7 * np.eye(2)
+    C = np.hstack([inner.C, np.zeros((2, 2))])
+    tf = TransferFunction(build_system(G, C, channels=[Channel("W1")]).to_state_space(),
+                          "W1", "W1.out")
+    # twice at the exact mode (the stacked inverse fails) and once next to it
+    # (only the exact conditioning test sees it), in three chunks
+    omegas = np.linspace(0.1, 3.0, 300)
+    omegas[[5, 40]] = 0.7
+    omegas[290] = 0.7 * (1 + 1e-15)
+    resp = frequency_response(tf, omegas)
+    assert resp.shape == (300, 2, 2)
+    assert np.array_equal(resp, per_point_response(tf, omegas))
+    assert np.array_equal(resp[5], resp[40])
+    # the reduced pair is the open block: same values up to rounding
+    open_block = TransferFunction(inner.to_state_space(), "W1", "W1.out")
+    assert np.allclose(resp[[5, 290]], frequency_response(open_block, [0.7, 0.7]), atol=1e-12)
+    # a chunk that the full pair cannot take at any point
+    assert np.array_equal(frequency_response(tf, [0.7, 0.7]), resp[[5, 40]])
+
+
+def test_stacked_solves_pass_a_stack_of_right_hand_sides(monkeypatch):
+    # numpy < 2 reads a right-hand side with one dimension fewer than the
+    # stack as a stack of vectors, so every stacked solve broadcasts it
+    dims = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: dims.append((a.ndim, b.ndim)) or solve(a, b))
+    model = sc.michelson_cf_loop().to_state_space()
+    noise_power(model, "W2.out.P", None, np.geomspace(0.05, 50.0, 20))
+    check_bae(sc.tsang_caves_loop().to_state_space(), "W.Q", "W.out.P")
+    assert dims and all(a == b == 3 for a, b in dims)
+
+
+def test_grid_longer_than_a_chunk_matches_per_point_solves():
+    model = sc.michelson_cf_loop().to_state_space()
+    tf = normalized_gw_signal(model, "W2.out.P", 1.0, 1.0)
+    omegas = np.geomspace(0.05, 50.0, 2 * xfer.CHUNK + 7)
+    resp = frequency_response(tf, omegas)
+    assert np.array_equal(resp, per_point_response(tf, omegas))
+    assert np.array_equal(resp[3], evaluate(tf, 1j * omegas[3]))
+
+
+def test_noise_power_on_a_grid_equals_single_frequencies():
+    model = sc.michelson_cf_loop().to_state_space()
+    gw = normalized_gw_signal(model, "W2.out.P", 1.0, 1.0).realization
+    variances = squeezed_variances("W2.P", 1.0)
+    omegas = np.geomspace(0.05, 50.0, 300)
+    grid = noise_power(gw, "gw", variances, omegas)
+    single = [noise_power(gw, "gw", variances, float(w)) for w in omegas]
+    assert isinstance(grid, np.ndarray) and grid.shape == omegas.shape
+    assert all(type(v) is float for v in single)
+    assert np.array_equal(grid, single)
+
+
+def test_grid_through_a_path_pole_raises_the_point_message():
+    model = sc.optomech_reduced(m=1.0, omega=1.0, lam=1.0).to_state_space()
+    tf = TransferFunction(model, "W.Q", "W.out.P")
+    with pytest.raises(SingularityError) as point:
+        evaluate(tf, 1j)
+    with pytest.raises(SingularityError) as grid:
+        frequency_response(tf, [0.5, 1.0, 2.0])
+    assert str(grid.value) == str(point.value)
+    assert str(point.value).startswith("(sI - A) is ill conditioned at s=1j (cond=")
+    with pytest.raises(SingularityError):
+        noise_power(model, "W.out.P", None, np.array([0.5, 1.0]))
 
 
 def test_noise_power_zero_gain_output():
