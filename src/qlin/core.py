@@ -94,6 +94,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _realify(Z: np.ndarray) -> np.ndarray:
+    """Interleaved real form of a complex matrix: each entry ``z`` becomes
+    the block ``[[Re z, -Im z], [Im z, Re z]]``."""
+    out = np.zeros((2 * Z.shape[0], 2 * Z.shape[1]))
+    out[0::2, 0::2] = Z.real
+    out[0::2, 1::2] = -Z.imag
+    out[1::2, 0::2] = Z.imag
+    out[1::2, 1::2] = Z.real
+    return out
+
+
 @dataclass(frozen=True)
 class Channel:
     """One input-output field channel with a role tag.
@@ -428,12 +439,6 @@ class QuantumLinearSystem:
         """Noise input matrix Sigma_n C^T Sigma_m, computed once, read-only."""
         return _frozen(sigma(self.n) @ self.C.T @ sigma(self.m))
 
-    def channel_rows(self, label: str) -> slice:
-        for j, ch in enumerate(self.channels):
-            if ch.label == label:
-                return slice(2 * j, 2 * j + 2)
-        raise PortLookupError(f"unknown channel {label!r}")
-
     def role_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Indices of the feedback and of the evaluation channels.
 
@@ -453,8 +458,7 @@ class QuantumLinearSystem:
                                   "evaluation channel")
         return tuple(groups["feedback"]), tuple(groups["evaluation"])
 
-    def to_state_space(self, split: Optional[MeasurementSplit] = None,
-                       include_force: bool = True) -> StateSpaceModel:
+    def to_state_space(self, split: Optional[MeasurementSplit] = None) -> StateSpaceModel:
         """Named-port LTI realization of the system.
 
         Without a split the inputs are the raw field quadratures (ports
@@ -471,7 +475,6 @@ class QuantumLinearSystem:
         A = self.A
         B = self.B
         m = self.m
-        has_force = include_force and self.force is not None
         if split is None:
             inputs = Ports()
             for j, ch in enumerate(self.channels):
@@ -479,7 +482,7 @@ class QuantumLinearSystem:
                 inputs.alias(ch.label + ".Q", 2 * j, 1)
                 inputs.alias(ch.label + ".P", 2 * j + 1, 1)
             Bfull = B
-            if has_force:
+            if self.force is not None:
                 inputs.append("F", 1)
                 Bfull = np.hstack([B, self.force.reshape(-1, 1)])
             outputs = Ports()
@@ -496,7 +499,7 @@ class QuantumLinearSystem:
         M1, M2 = split.M1, split.M2
         inputs = Ports([("Q", m), ("P", m)])
         cols = [B @ M1.T, B @ M2.T]
-        if has_force:
+        if self.force is not None:
             inputs.append("F", 1)
             cols.append(self.force.reshape(-1, 1))
         Bfull = np.hstack(cols) if cols else np.zeros((2 * self.n, 0))
@@ -588,29 +591,18 @@ def complex_to_quadrature(complex_drift, complex_couplings,
     if F.shape[0] != F.shape[1]:
         raise ShapeError(f"complex drift must be square, got {F.shape}")
     n = F.shape[0]
-    A = np.zeros((2 * n, 2 * n))
-    A[0::2, 0::2] = F.real
-    A[0::2, 1::2] = -F.imag
-    A[1::2, 0::2] = F.imag
-    A[1::2, 1::2] = F.real
-    rows = []
-    for l in complex_couplings:
-        l = np.asarray(l, dtype=complex).reshape(-1)
+    couplings = [np.asarray(l, dtype=complex).reshape(-1) for l in complex_couplings]
+    for l in couplings:
         if l.shape[0] != n:
             raise ShapeError(f"coupling vector must have length {n}, got {l.shape[0]}")
-        rq = np.zeros(2 * n)
-        rp = np.zeros(2 * n)
-        rq[0::2], rq[1::2] = l.real, -l.imag
-        rp[0::2], rp[1::2] = l.imag, l.real
-        rows.extend([rq, rp])
-    C = np.asarray(rows) if rows else np.zeros((0, 2 * n))
-    m = C.shape[0] // 2
-    G = sigma(n).T @ A - C.T @ sigma(m) @ C / 2.0
-    scale = max(np.linalg.norm(G), 1.0)
-    if np.linalg.norm(G - G.T) > 1e-10 * scale:
+    A = _realify(F)
+    C = _realify(np.array(couplings, dtype=complex).reshape(len(couplings), n))
+    defect = realizability_defect(A, C)
+    if defect > 1e-10:
         raise ValidationError(
             "complex description converts to a non-realizable drift "
-            f"(asymmetry {np.linalg.norm(G - G.T) / scale:.3e})")
+            f"(asymmetry {defect:.3e})")
+    G = sigma(n).T @ A - C.T @ sigma(C.shape[0] // 2) @ C / 2.0
     G = (G + G.T) / 2.0
     return build_system(G, C, channels=channels, force=force, mode_labels=mode_labels)
 

@@ -56,7 +56,8 @@ DEFAULT_RESIDUAL_BASE = 1e-9
 #: counts as undriven (the principal-angle tolerance of witness tests).
 INTERSECT_RTOL = 1e-8
 
-#: Seed of the probe points on the circle |s| = 2 |A|_F + 1.
+#: Count and seed of the probe points on the circle |s| = 2 |A|_F + 1.
+PROBE_COUNT = 16
 PROBE_SEED = 0x5EED
 
 PortArg = Union[str, Sequence[str]]
@@ -119,8 +120,7 @@ def residual_tolerance(model: StateSpaceModel, input_port: PortArg,
             * np.linalg.norm(model.c(output_port)) / (np.linalg.norm(model.A) + 1.0))
 
 
-def _probe(A: np.ndarray, legs, base: float, probes: int = 16,
-           seed: int = PROBE_SEED) -> list[tuple[float, float]]:
+def _probe(A: np.ndarray, legs, base: float) -> list[tuple[float, float]]:
     """Per (left, right) leg: the largest ``|left (sI - A)^{-1} right|`` and
     its zero threshold ``base * |left|_F |right|_F / (|A|_F + 1)``.
 
@@ -130,9 +130,10 @@ def _probe(A: np.ndarray, legs, base: float, probes: int = 16,
     """
     nA = np.linalg.norm(A)
     rights = np.hstack([right for _, right in legs])
-    s = (2.0 * nA + 1.0) * np.exp(2j * np.pi * np.random.default_rng(seed).random(probes))
+    s = (2.0 * nA + 1.0) * np.exp(
+        2j * np.pi * np.random.default_rng(PROBE_SEED).random(PROBE_COUNT))
     X = np.linalg.solve(s[:, None, None] * np.eye(A.shape[0]) - A,
-                        np.broadcast_to(rights, (probes,) + rights.shape))
+                        np.broadcast_to(rights, (PROBE_COUNT,) + rights.shape))
     out, col = [], 0
     for left, right in legs:
         vals = left @ X[:, :, col:col + right.shape[1]]
@@ -151,25 +152,23 @@ def _normalize_witness(v: np.ndarray) -> np.ndarray:
 
 
 def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
-                              output_port: PortArg, probes: int = 16,
-                              base: Optional[float] = None,
-                              seed: int = PROBE_SEED) -> bool:
+                              output_port: PortArg, base: Optional[float] = None) -> bool:
     """Check that the staircase and transfer-function probing agree on
     whether the strictly proper path ``C (sI - A)^{-1} B`` vanishes.
 
     The staircase calls it zero when the reduced pair (controllable, then
     observable) is empty; the probes when ``|C (sI - A)^{-1} B|`` at
-    ``probes`` seeded points on ``|s| = 2 |A|_F + 1`` stays below
+    ``PROBE_COUNT`` seeded points on ``|s| = 2 |A|_F + 1`` stays below
     ``base * |B|_F |C|_F / (|A|_F + 1)``.
     """
     base = checked_base(base)
     A, B, C = model.A, model.b(input_port), model.c(output_port)
-    (worst, tol), = _probe(A, [(C, B)], base, probes, seed)
+    (worst, tol), = _probe(A, [(C, B)], base)
     return (reduce_pair(A, B, C)[0].shape[0] == 0) == (worst <= tol)
 
 
 def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
-              base: Optional[float] = None, probes: int = 16) -> GoalVerdict:
+              base: Optional[float] = None) -> GoalVerdict:
     """Decide back-action evasion: zero signal flow from the BA noise to the
     measured output.
 
@@ -202,8 +201,7 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         achieved=Ar.shape[0] == 0 and direct <= tol,
         witnesses=(),
         residual=max(largest_markov(Ar, Br, Cr, model.nstates), direct),
-        method_agreement=transfer_zero_equivalence(model, ba_port, shot_output,
-                                                   probes=probes, base=base),
+        method_agreement=transfer_zero_equivalence(model, ba_port, shot_output, base=base),
         dims={"controllable": ctrl.dim,
               "observable": controllable_subspace(A.T, C.T).dim,
               "overlap": Ar.shape[0]},

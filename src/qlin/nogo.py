@@ -4,6 +4,11 @@ For a plant that lacks a goal (BAE, QND, or DFS), no sampled classical
 controller may produce a closed loop that achieves it.  The harness samples
 stabilized controllers and random homodyne selectors, rebuilds the loop per
 trial, and counts violations (expected: zero).
+
+One table names the noise ports and judged outputs of the six (scheme, goal)
+combinations.  Type-2 BAE (Theorem 4) is one joint zero transfer to the
+evaluation signal ``z`` from the feedback field ``W1`` and the conjugate
+evaluation noise ``P2`` together.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from .core import (
     QuantumLinearSystem,
     StateSpaceModel,
     ValidationError,
+    _realify,
     homodyne_split,
 )
-from .goals import GoalVerdict, check_bae, find_dfs, find_qnd
+from .goals import GoalVerdict, check_bae, checked_base, find_dfs, find_qnd
 from .interconnect import ClassicalController, mf_type1, mf_type2, mf_type2_open_loop
 from .structural import Subspace
 
@@ -40,6 +46,17 @@ THEOREM_INDEX = {
     ("mf2", "bae"): 4,
     ("mf2", "qnd"): 5,
     ("mf2", "dfs"): 6,
+}
+
+#: (scheme, goal) -> (noise input ports, judged outputs), for the loop and for
+#: the bare plant alike; type 2 counts the feedback field ``W1`` as noise.
+_PORTS = {
+    ("mf1", "bae"): ("P", "y"),
+    ("mf1", "qnd"): (["Q", "P"], "y"),
+    ("mf1", "dfs"): (["Q", "P"], "Wout"),
+    ("mf2", "bae"): (["W1", "P2"], "z"),
+    ("mf2", "qnd"): (["W1", "Q2", "P2"], ["y", "z"]),
+    ("mf2", "dfs"): (["W1", "Q2", "P2"], ["W1out", "W2out"]),
 }
 
 
@@ -91,12 +108,7 @@ def random_orthosymplectic(rng: np.random.Generator, m: int) -> np.ndarray:
     Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     Q, R = np.linalg.qr(Z)
     Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-    O = np.zeros((2 * m, 2 * m))
-    O[0::2, 0::2] = Q.real
-    O[0::2, 1::2] = -Q.imag
-    O[1::2, 0::2] = Q.imag
-    O[1::2, 1::2] = Q.real
-    return O
+    return _realify(Q)
 
 
 def random_split(rng: np.random.Generator, m: int) -> MeasurementSplit:
@@ -139,39 +151,13 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
     raise ValidationError(f"unknown scheme {scheme!r}; expected 'mf1' or 'mf2'")
 
 
-def _combine(v1: GoalVerdict, v2: GoalVerdict) -> GoalVerdict:
-    """Joint zero-transfer verdict for the two type-2 BAE conditions."""
-    return GoalVerdict(
-        goal="BAE",
-        achieved=v1.achieved and v2.achieved,
-        witnesses=(),
-        residual=max(v1.residual, v2.residual),
-        method_agreement=v1.method_agreement and v2.method_agreement,
-        dims={"fb": v1.dims, "ba": v2.dims},
-        tolerance=max(v1.tolerance, v2.tolerance),
-    )
-
-
 def _goal_verdict(model: StateSpaceModel, goal: str, scheme: str,
-                  restrict: Optional[Subspace], base: Optional[float]) -> GoalVerdict:
-    if scheme == "mf1":
-        if goal == "bae":
-            return check_bae(model, "P", "y", base=base)
-        if goal == "qnd":
-            return find_qnd(model, ["Q", "P"], "y", restrict_to=restrict, base=base)
-        if goal == "dfs":
-            return find_dfs(model, ["Q", "P"], "Wout", restrict_to=restrict, base=base)
-    else:
-        if goal == "bae":
-            return _combine(check_bae(model, "W1", "z", base=base),
-                            check_bae(model, "P2", "z", base=base))
-        if goal == "qnd":
-            return find_qnd(model, ["W1", "Q2", "P2"], ["y", "z"],
-                            restrict_to=restrict, base=base)
-        if goal == "dfs":
-            return find_dfs(model, ["W1", "Q2", "P2"], ["W1out", "W2out"],
-                            restrict_to=restrict, base=base)
-    raise ValidationError(f"unknown goal {goal!r}; expected bae, qnd, or dfs")
+                  restrict: Optional[Subspace], base: float) -> GoalVerdict:
+    noise, judged = _PORTS[(scheme, goal)]
+    if goal == "bae":  # a zero transfer: no witnesses to restrict
+        return check_bae(model, noise, judged, base=base)
+    engine = find_qnd if goal == "qnd" else find_dfs
+    return engine(model, noise, judged, restrict_to=restrict, base=base)
 
 
 def _splits(plant: QuantumLinearSystem, scheme: str, draw) -> tuple[MeasurementSplit, ...]:
@@ -201,6 +187,8 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         Must fail the goal standalone (precondition of the no-go results);
         checked first under the canonical all-P homodyne choice.
     goal : {"bae", "qnd", "dfs"}
+        Type-2 BAE (Theorem 4) is checked as one joint zero transfer to
+        ``z`` from ``(W1, P2)``.
     scheme : {"mf1", "mf2"}
     trials : int
         Nonnegative.
@@ -210,11 +198,14 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         independent.
     controller_dim_range : sequence of int, optional
         Controller state dimensions to sample (default 0 .. 2n+2).
+    base : float, optional
+        Probe-threshold base factor (default 1e-9).
 
     Returns
     -------
     NogoReport
     """
+    base = checked_base(base)
     goal = goal.lower()
     scheme = scheme.lower()
     if (scheme, goal) not in THEOREM_INDEX:
@@ -225,13 +216,6 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         controller_dim_range = tuple(range(0, 2 * plant.n + 3))
     else:
         controller_dim_range = tuple(int(d) for d in controller_dim_range)
-
-    # QND/DFS witnesses of the closed loop must be purely quantum: restrict
-    # to the plant block of the extended state.
-    def plant_block(nstates: int) -> Subspace:
-        basis = np.zeros((nstates, 2 * plant.n))
-        basis[:2 * plant.n, :] = np.eye(2 * plant.n)
-        return Subspace(nstates, basis)
 
     canonical = _splits(plant, scheme, lambda width: homodyne_split(width, "P"))
     pre = _goal_verdict(_open_loop(plant, scheme, canonical), goal, scheme, None, base)
@@ -252,14 +236,17 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         splits = _splits(plant, scheme, lambda width: random_split(rng, width))
         ctrl = sample_classical_controller(rng, plant, scheme, controller_dim_range)
         loop = assemble(plant, ctrl, *splits)
-        closed = _goal_verdict(loop, goal, scheme, plant_block(loop.nstates), base)
+        # QND/DFS witnesses must be purely quantum: in the plant block
+        n = loop.nstates
+        closed = _goal_verdict(loop, goal, scheme, Subspace(n, np.eye(n, 2 * plant.n)), base)
         if not closed.method_agreement:
             disagreements += 1
         if closed.achieved:
             # the theorem only forbids this when the plant fails under the
             # same measurement choice
             bare = _open_loop(plant, scheme, splits)
-            plant_v = _goal_verdict(bare, goal, scheme, plant_block(bare.nstates), base)
+            n = bare.nstates
+            plant_v = _goal_verdict(bare, goal, scheme, Subspace(n, np.eye(n, 2 * plant.n)), base)
             if plant_v.achieved:
                 skips += 1
                 continue
@@ -269,8 +256,6 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         if closed.tolerance > 0 and closed.residual < 10.0 * closed.tolerance:
             near += 1
 
-    from .goals import DEFAULT_RESIDUAL_BASE
-
     return NogoReport(
         theorem=THEOREM_INDEX[(scheme, goal)],
         plant_id=plant_id or f"{plant.n}modes/{plant.m}ch",
@@ -278,11 +263,11 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         scheme=scheme,
         trials=trials,
         violations=violations,
-        worst_residual_gap=worst_gap if np.isfinite(worst_gap) else float("inf"),
+        worst_residual_gap=worst_gap,
         seed=seed,
         controller_dim_range=controller_dim_range,
         near_tolerance=near,
         disagreements=disagreements,
         hypothesis_skips=skips,
-        residual_base=base if base is not None else DEFAULT_RESIDUAL_BASE,
+        residual_base=base,
     )

@@ -35,7 +35,7 @@ def parse_number(what: str, value: Any, kind=float):
     """``kind(value)``, or a ValidationError naming ``what``."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} expects a number, got {value!r}") from None
 
 
@@ -47,6 +47,29 @@ def _matrix(obj: Any, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"field {name!r} contains NaN or Inf")
     return arr
+
+
+def _list_field(d: dict, name: str) -> list:
+    """An optional list field; absent or null reads as empty."""
+    value = d.get(name)
+    if value is not None and not isinstance(value, list):
+        raise ValidationError(f"field {name!r} must be a list, got {value!r}")
+    return value or []
+
+
+def _selectors(d: dict, name: str):
+    """A homodyne selector field (default ``"P"``): ``"Q"``, ``"P"`` or a
+    finite angle in radians, or a list of these, one per channel."""
+    value = d.get(name, "P")
+    for sel in value if isinstance(value, list) else [value]:
+        try:
+            ok = sel in ("Q", "P") or np.isfinite(float(sel))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValidationError(
+                f"field {name!r} expects 'Q', 'P' or a finite angle per channel, got {sel!r}")
+    return value
 
 
 def _required_matrix(d: dict, name: str) -> np.ndarray:
@@ -80,16 +103,15 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
     if G.shape != (2 * modes, 2 * modes):
         raise ValidationError(
             f"G has shape {G.shape}, expected {(2 * modes, 2 * modes)} for modes={modes}")
-    channels = None
-    if "channels" in d:
-        if not all(isinstance(ch, dict) and "label" in ch for ch in d["channels"]):
-            raise ValidationError("every channel entry needs a 'label' field")
-        channels = [Channel(str(ch["label"]), str(ch.get("role", "environment")))
-                    for ch in d["channels"]]
+    entries = _list_field(d, "channels")
+    if not all(isinstance(ch, dict) and "label" in ch for ch in entries):
+        raise ValidationError("every channel entry needs a 'label' field")
+    channels = [Channel(str(ch["label"]), str(ch.get("role", "environment")))
+                for ch in entries]
     force = None
     if d.get("force") is not None:
         force = _matrix(d["force"], "force").reshape(-1)
-    labels = tuple(str(s) for s in d.get("mode_labels", ())) or None
+    labels = tuple(str(s) for s in _list_field(d, "mode_labels"))
     return build_system(G, C, channels=channels, force=force, mode_labels=labels)
 
 
@@ -138,14 +160,14 @@ def controller_from_dict(d: dict):
         ctrl = ClassicalController(_matrix(d.get("A_K", []), "A_K"),
                                    _matrix(d.get("B_K", []), "B_K"),
                                    C_K=_matrix(d["C_K"], "C_K") if "C_K" in d else None)
-        opts["measure"] = d.get("measure", "P")
+        opts["measure"] = _selectors(d, "measure")
     elif scheme == "mf2":
         ctrl = ClassicalController(
             _matrix(d.get("A_K", []), "A_K"), _matrix(d.get("B_K", []), "B_K"),
             C_K1=_matrix(d["C_K1"], "C_K1") if "C_K1" in d else None,
             C_K2=_matrix(d["C_K2"], "C_K2") if "C_K2" in d else None)
-        opts["measure_feedback"] = d.get("measure_feedback", "P")
-        opts["measure_evaluation"] = d.get("measure_evaluation", "P")
+        opts["measure_feedback"] = _selectors(d, "measure_feedback")
+        opts["measure_evaluation"] = _selectors(d, "measure_evaluation")
     elif scheme == "cf1":
         ctrl = QuantumController(_required_matrix(d, "G_K"),
                                  C1=_required_matrix(d, "C1"),

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from qlin import ValidationError, xfer
+from qlin import (
+    ClassicalController,
+    QuantumController,
+    ValidationError,
+    cf_type1,
+    goals,
+    homodyne_split,
+    mf_type2,
+    xfer,
+)
 from qlin import scenarios as sc
 from qlin.cli import main
 from qlin.serialize import model_from_dict, model_to_dict, system_from_dict, system_to_dict
@@ -92,11 +101,15 @@ def test_analyze_malformed_json(tmp_path, capsys):
     unlabeled = system_to_dict(sc.michelson())
     del unlabeled["channels"][0]["label"]
     bad_modes = dict(system_to_dict(sc.michelson()), modes="abc")
+    scalar_channels = dict(system_to_dict(sc.michelson()), channels=5)
+    scalar_labels = dict(system_to_dict(sc.michelson()), mode_labels=5)
     for argv in (["analyze", str(latin1)],
                  ["spectrum", str(latin1), "--output", "W.out.P",
                   "--omega-min", "1", "--omega-max", "2"],
                  ["analyze", write_json(tmp_path, "unlabeled.json", unlabeled)],
-                 ["analyze", write_json(tmp_path, "modes.json", bad_modes)]):
+                 ["analyze", write_json(tmp_path, "modes.json", bad_modes)],
+                 ["analyze", write_json(tmp_path, "channels.json", scalar_channels)],
+                 ["analyze", write_json(tmp_path, "labels.json", scalar_labels)]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "error" in err
@@ -161,6 +174,55 @@ def test_closedloop_scheme_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "closedloop", plant, ctrl)
     assert code == 2
     assert "tau" in err
+
+    # a homodyne selector is "Q", "P" or a finite angle, named in the error
+    zero_mf1 = {"scheme": "mf1", "A_K": [], "B_K": [], "C_K": [[], [], [], []]}
+    zero_mf2 = {"scheme": "mf2", "A_K": [], "B_K": []}
+    for i, (ctrl_json, field) in enumerate((
+            (dict(zero_mf1, measure="X"), "measure"),
+            (dict(zero_mf1, measure=None), "measure"),
+            (dict(zero_mf1, measure=["P", float("inf")]), "measure"),
+            (dict(zero_mf1, measure=10 ** 400), "measure"),
+            (dict(zero_mf2, measure_feedback="Z"), "measure_feedback"),
+            ({"scheme": "direct", "tau": 10 ** 400}, "tau"))):
+        ctrl = write_json(tmp_path, f"selector{i}.json", ctrl_json)
+        code, _, err = run_cli(capsys, "closedloop", plant, ctrl)
+        assert code == 2, ctrl_json
+        assert "qlin: error:" in err and field in err, err
+
+
+def test_closedloop_mf2_and_cf1_match_the_library(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    plant_sys = sc.michelson()
+    plant = write_json(tmp_path, "plant.json", system_to_dict(plant_sys))
+    A_K = rng.normal(size=(2, 2)) - 3.0 * np.eye(2)
+    B_K, C_K1, C_K2 = rng.normal(size=(2, 1)), rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+    ctrl = write_json(tmp_path, "mf2.json", {
+        "scheme": "mf2", "A_K": A_K.tolist(), "B_K": B_K.tolist(), "C_K1": C_K1.tolist(),
+        "C_K2": C_K2.tolist(), "measure_feedback": "Q", "measure_evaluation": 0.3})
+    code, out, _ = run_cli(capsys, "closedloop", plant, ctrl)
+    assert code == 0
+    got = model_from_dict(json.loads(out))
+    ref = mf_type2(plant_sys, ClassicalController(A_K, B_K, C_K1=C_K1, C_K2=C_K2),
+                   homodyne_split(1, "Q"), homodyne_split(1, 0.3))
+    for name in "ABCD":
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.inputs.entries() == ref.inputs.entries()
+    assert got.outputs.entries() == ref.outputs.entries()
+
+    G_K = rng.normal(size=(2, 2))
+    G_K = G_K + G_K.T
+    C1, C2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    ctrl = write_json(tmp_path, "cf1.json", {
+        "scheme": "cf1", "G_K": G_K.tolist(), "C1": C1.tolist(), "C2": C2.tolist()})
+    code, out, _ = run_cli(capsys, "closedloop", plant, ctrl, "--scheme", "cf1")
+    assert code == 0
+    got = system_from_dict(json.loads(out))
+    ref = cf_type1(plant_sys, QuantumController(G_K=G_K, C1=C1, C2=C2))
+    assert np.array_equal(got.G, ref.G)
+    assert np.array_equal(got.C, ref.C)
+    assert np.array_equal(got.force, ref.force)
+    assert got.channels == ref.channels
 
 
 def test_closedloop_mf2_needs_role_partition(tmp_path, capsys):
@@ -271,6 +333,23 @@ def test_nogo_cli_hypothesis_violation(tmp_path, capsys):
                            "--trials", "5", "--seed", "1")
     assert code == 2
     assert "hypothesis" in err
+
+
+def test_route_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(goals, "transfer_zero_equivalence", lambda *args, **kwargs: False)
+    path = write_json(tmp_path, "m.json", system_to_dict(sc.michelson()))
+    code, out, err = run_cli(capsys, "analyze", path, "--goal", "bae",
+                             "--ba-port", "W2.Q", "--output-port", "W2.out.P")
+    assert code == 3
+    assert json.loads(out)["verdicts"][0]["method_agreement"] is False
+    assert "qlin: inconsistency:" in err
+
+    path = write_json(tmp_path, "plant.json", system_to_dict(sc.optomech_reduced()))
+    code, out, err = run_cli(capsys, "nogo", path, "--goal", "bae", "--scheme", "mf1",
+                             "--trials", "3", "--seed", "1")
+    assert code == 3
+    assert json.loads(out)["disagreements"] == 3
+    assert "qlin: inconsistency: 3 trial(s)" in err
 
 
 def test_emitted_systems_reingest(capsys):

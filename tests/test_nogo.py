@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,49 @@ def test_verify_nogo_assembles_one_loop_per_trial(monkeypatch):
         calls.clear()
         verify_nogo(plant, "qnd", scheme, trials=7, seed=4)
         assert len(calls) == 7
+
+
+def test_verify_nogo_counts_violations_skips_and_near_misses(monkeypatch):
+    import qlin.nogo as nogo
+
+    plant = sc.optomech_reduced()
+    # the pre-check, then the bare plant of each trial whose loop achieves
+    bare = iter([False, True, False, True, False])
+
+    def loops_achieve(model, *args, **kwargs):
+        v = check_bae(model, *args, **kwargs)
+        closed = model.nstates > 2 * plant.n
+        return dataclasses.replace(v, achieved=closed or next(bare))
+
+    monkeypatch.setattr(nogo, "check_bae", loops_achieve)
+    r = verify_nogo(plant, "bae", "mf1", trials=4, seed=0, controller_dim_range=[1])
+    assert (r.violations, r.hypothesis_skips, r.near_tolerance) == (2, 2, 0)
+    assert r.worst_residual_gap == np.inf
+    assert r.to_dict()["worst_residual_gap"] is None
+
+    def near_misses(model, *args, **kwargs):
+        v = check_bae(model, *args, **kwargs)
+        return dataclasses.replace(v, residual=5.0 * v.tolerance)
+
+    monkeypatch.setattr(nogo, "check_bae", near_misses)
+    r = verify_nogo(plant, "bae", "mf1", trials=4, seed=0, controller_dim_range=[1])
+    assert (r.violations, r.hypothesis_skips, r.near_tolerance) == (0, 0, 4)
+    assert 0 < r.worst_residual_gap < np.inf
+
+
+def test_type2_bae_is_one_joint_zero_transfer():
+    # Theorem 4's condition Xi_{z <- (W1, P2)} = 0 checked once equals the
+    # two column blocks checked apart
+    plant = sc.michelson()
+    rng = np.random.default_rng(20240811)
+    for _ in range(60):
+        ctrl = sample_classical_controller(rng, plant, "mf2", range(0, 11))
+        loop = mf_type2(plant, ctrl, random_split(rng, 1), random_split(rng, 1))
+        joint = check_bae(loop, ["W1", "P2"], "z")
+        fb, ba = check_bae(loop, "W1", "z"), check_bae(loop, "P2", "z")
+        assert joint.achieved == (fb.achieved and ba.achieved)
+        assert joint.method_agreement == (fb.method_agreement and ba.method_agreement)
+        assert joint.residual == pytest.approx(max(fb.residual, ba.residual), rel=1e-12)
 
 
 def test_verify_nogo_rejects_achieving_plant():
