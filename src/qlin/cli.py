@@ -10,6 +10,7 @@ overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -37,7 +38,7 @@ from .serialize import (
     system_to_dict,
     verdict_to_dict,
 )
-from .structural import controllable_subspace
+from .structural import _subspace
 from .xfer import (
     SingularityError,
     SpectrumCurve,
@@ -76,8 +77,7 @@ def _number_pair(what: str, text: str) -> tuple[float, float]:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _tol_base(args) -> float:
@@ -119,10 +119,10 @@ def cmd_analyze(args) -> int:
     base = _tol_base(args)
     model = sysq.to_state_space()
     subspaces = {
-        "controllable": {ch.label: controllable_subspace(model.A, model.b(ch.label)).dim
+        "controllable": {ch.label: _subspace(model, "in", ch.label).dim
                          for ch in sysq.channels},
-        "observable": {ch.label + ".out": controllable_subspace(
-            model.A.T, model.c(ch.label + ".out").T).dim for ch in sysq.channels},
+        "observable": {ch.label + ".out": _subspace(model, "out", ch.label + ".out").dim
+                       for ch in sysq.channels},
     }
     goals = ["bae", "qnd", "dfs"] if args.goal == "all" else [args.goal]
     verdicts = []
@@ -288,9 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first :func:`main` call; each
+    ``parse_args`` returns a fresh namespace, so calls share no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except USER_ERRORS as exc:

@@ -244,6 +244,14 @@ class StateSpaceModel:
     def nstates(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def _staircases(self) -> dict:
+        """Memo of the staircase results of :mod:`qlin.structural`, keyed by
+        side and resolved port indices.  The model is immutable, so each is
+        computed once; only ``structural._subspace`` and
+        ``structural._reduced_pair`` read or fill it."""
+        return {}
+
     def b(self, port: Union[str, Sequence[str]]) -> np.ndarray:
         """Input-matrix columns of one or more input ports."""
         return self.B[:, self.inputs.indices(port)]
@@ -302,6 +310,22 @@ class MeasurementSplit:
         object.__setattr__(self, "M2", _frozen(M2))
 
 
+def _selector_angle(sel, what: str) -> float:
+    """Homodyne angle of one selector: ``"Q"`` is 0, ``"P"`` is pi/2, and
+    anything else must be a finite angle in radians; otherwise a
+    ValidationError that names ``what``."""
+    if isinstance(sel, str) and sel in ("Q", "P"):
+        return 0.0 if sel == "Q" else np.pi / 2
+    try:
+        theta = float(sel)
+    except (TypeError, ValueError, OverflowError):
+        theta = np.nan
+    if not np.isfinite(theta):
+        raise ValidationError(
+            f"{what} expects 'Q', 'P' or a finite angle per channel, got {sel!r}")
+    return theta
+
+
 def homodyne_split(m: int, measured) -> MeasurementSplit:
     """Build the (M1, M2) selector pair for per-channel homodyne detection.
 
@@ -321,19 +345,16 @@ def homodyne_split(m: int, measured) -> MeasurementSplit:
     """
     if m < 1:
         raise ShapeError("channel count must be >= 1")
-    if isinstance(measured, (str, int, float)):
+    if isinstance(measured, np.ndarray):
+        measured = measured.tolist()
+    if not isinstance(measured, (list, tuple)):
         measured = [measured] * m
     if len(measured) != m:
-        raise ShapeError(f"need one selector per channel, got {len(measured)} for m={m}")
+        raise ValidationError(f"need one selector per channel, got {len(measured)} for m={m}")
     M1 = np.zeros((m, 2 * m))
     M2 = np.zeros((m, 2 * m))
     for j, sel in enumerate(measured):
-        if sel == "Q":
-            theta = 0.0
-        elif sel == "P":
-            theta = np.pi / 2
-        else:
-            theta = float(sel)
+        theta = _selector_angle(sel, "homodyne_split")
         c, s = np.cos(theta), np.sin(theta)
         M1[j, 2 * j:2 * j + 2] = (c, s)
         M2[j, 2 * j:2 * j + 2] = (-s, c)

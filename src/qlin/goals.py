@@ -17,6 +17,12 @@ Each goal is decided by two independent routes and cross-checked:
 
 A verdict whose routes disagree is flagged through ``method_agreement``
 rather than silently resolved.
+
+The staircase route reads the model's memo (``structural._subspace`` and
+``structural._reduced_pair``), so verdicts on one model share each
+controllable subspace, observable subspace and reduced pair: ``check_bae``
+runs 3 staircases, and ``transfer_zero_equivalence`` inside it none of its
+own.  The probes are never shared: ``_probe`` runs once per verdict.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ import numpy as np
 from .core import StateSpaceModel, ValidationError
 from .structural import (
     Subspace,
+    _reduced_pair,
+    _subspace,
     controllability_matrix,  # noqa: F401  (the benchmark tracer restores this binding)
-    controllable_subspace,
     intersect,
     largest_markov,
-    reduce_pair,
 )
 
 __all__ = [
@@ -162,9 +168,8 @@ def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
     ``base * |B|_F |C|_F / (|A|_F + 1)``.
     """
     base = checked_base(base)
-    A, B, C = model.A, model.b(input_port), model.c(output_port)
-    (worst, tol), = _probe(A, [(C, B)], base)
-    return (reduce_pair(A, B, C)[0].shape[0] == 0) == (worst <= tol)
+    (worst, tol), = _probe(model.A, [(model.c(output_port), model.b(input_port))], base)
+    return (_reduced_pair(model, input_port, output_port)[0].shape[0] == 0) == (worst <= tol)
 
 
 def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
@@ -190,9 +195,8 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         within tolerance, equivalently iff all Markov parameters (and the
         direct term) of the pair vanish.
     """
-    A, B, C = model.A, model.b(ba_port), model.c(shot_output)
-    ctrl = controllable_subspace(A, B)
-    Ar, Br, Cr = reduce_pair(A, B, C)
+    ctrl = _subspace(model, "in", ba_port)
+    Ar, Br, Cr = _reduced_pair(model, ba_port, shot_output)
     D = model.d(shot_output, ba_port)
     direct = float(np.max(np.abs(D))) if D.size else 0.0
     tol = residual_tolerance(model, ba_port, shot_output, base)
@@ -203,7 +207,7 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         residual=max(largest_markov(Ar, Br, Cr, model.nstates), direct),
         method_agreement=transfer_zero_equivalence(model, ba_port, shot_output, base=base),
         dims={"controllable": ctrl.dim,
-              "observable": controllable_subspace(A.T, C.T).dim,
+              "observable": _subspace(model, "out", shot_output).dim,
               "overlap": Ar.shape[0]},
         tolerance=tol,
     )
@@ -248,8 +252,8 @@ def _verdict(goal, model, noise_ports, output, restrict_to, base) -> GoalVerdict
     candidate direction must not vanish along all of those legs.
     """
     A, B, C = model.A, model.b(noise_ports), model.c(output)
-    ctrl = controllable_subspace(A, B)
-    obs = controllable_subspace(A.T, C.T)
+    ctrl = _subspace(model, "in", noise_ports)
+    obs = _subspace(model, "out", output)
     dims = {"uncontrollable": model.nstates - ctrl.dim}
     if goal == "QND":
         drive = np.hstack([B, A @ ctrl.basis])

@@ -16,6 +16,7 @@ from .core import (
     QuantumLinearSystem,
     StateSpaceModel,
     ValidationError,
+    _selector_angle,
     build_system,
 )
 from .goals import GoalVerdict
@@ -62,13 +63,7 @@ def _selectors(d: dict, name: str):
     finite angle in radians, or a list of these, one per channel."""
     value = d.get(name, "P")
     for sel in value if isinstance(value, list) else [value]:
-        try:
-            ok = sel in ("Q", "P") or np.isfinite(float(sel))
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValidationError(
-                f"field {name!r} expects 'Q', 'P' or a finite angle per channel, got {sel!r}")
+        _selector_angle(sel, f"field {name!r}")
     return value
 
 

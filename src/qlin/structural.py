@@ -8,6 +8,13 @@ bound ``n^2 * eps * max(|A|_F, |B|_F)``.  The other rank decisions use
 singular values with threshold ``max_dim * eps * sigma_max``.  ``rtol``
 arguments replace the ``n^2 * eps`` (never below ``n * eps``) /
 ``max_dim * eps`` factor.
+
+A :class:`~qlin.core.StateSpaceModel` is immutable, so the goal engines and
+the CLI read its subspaces through a per-model memo (``_subspace`` and
+``_reduced_pair``): each controllable subspace, observable subspace and
+reduced pair is one staircase per model, keyed by side and the resolved
+column/row indices rather than port names.  The memo holds staircase
+results only; no resolvent probe is ever cached.
 """
 
 from __future__ import annotations
@@ -235,10 +242,42 @@ def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     parameters are unchanged; modes invisible to the pair (and their poles)
     are discarded.
     """
-    Q1 = controllable_subspace(A, B).basis
+    return _restrict(A, B, C, controllable_subspace(A, B).basis)
+
+
+def _restrict(A, B, C, Q1):
+    """The observable step of :func:`reduce_pair` inside the controllable basis Q1."""
     A1, B1, C1 = Q1.T @ A @ Q1, Q1.T @ B, C @ Q1
     Q2 = _staircase(A1.T, C1.T, _cutoff(A, C.T, None)).basis
     return Q2.T @ A1 @ Q2, Q2.T @ B1, C1 @ Q2
+
+
+def _subspace(model: StateSpaceModel, side: str, ports) -> Subspace:
+    """Controllable (``side="in"``: input columns) or observable
+    (``side="out"``: output rows) subspace of ``model``'s ports, at the
+    default cutoff.  One staircase per model and resolved index set, so
+    ``"W1"`` and ``["W1.Q", "W1.P"]`` share it."""
+    idx = (model.inputs if side == "in" else model.outputs).indices(ports)
+    key = (side, tuple(idx.tolist()))
+    memo = model._staircases
+    if key not in memo:
+        memo[key] = (controllable_subspace(model.A, model.B[:, idx]) if side == "in"
+                     else controllable_subspace(model.A.T, model.C[idx].T))
+    return memo[key]
+
+
+def _reduced_pair(model: StateSpaceModel, inputs, outputs):
+    """:func:`reduce_pair` of a port pair of ``model``, computed once per
+    model; it starts from the memoised controllable basis of ``inputs``."""
+    cols, rows = model.inputs.indices(inputs), model.outputs.indices(outputs)
+    key = ("pair", tuple(cols.tolist()), tuple(rows.tolist()))
+    memo = model._staircases
+    if key not in memo:
+        memo[key] = _restrict(model.A, model.B[:, cols], model.C[rows],
+                              _subspace(model, "in", inputs).basis)
+        for arr in memo[key]:
+            arr.setflags(write=False)
+    return memo[key]
 
 
 def largest_markov(A: np.ndarray, B: np.ndarray, C: np.ndarray, count: int) -> float:

@@ -1,16 +1,22 @@
+import argparse
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import random_system
 from qlin import (
     ClassicalController,
     QuantumController,
     ValidationError,
     cf_type1,
+    check_bae,
+    cli,
     goals,
     homodyne_split,
     mf_type2,
+    structural,
     xfer,
 )
 from qlin import scenarios as sc
@@ -389,3 +395,60 @@ def test_model_json_roundtrip():
         doc["input_ports"][0][field] = "abc"
         with pytest.raises(ValidationError, match=field):
             model_from_dict(doc)
+
+
+def test_each_staircase_runs_once_per_request(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs))
+
+    count(structural, "_staircase")
+    count(goals, "_probe")
+    count(goals, "transfer_zero_equivalence")
+    # 1 channel: the subspace table's W and W.out, check_bae's W.Q, W.out.P
+    # and reduced pair; find_qnd and find_dfs reuse all of them
+    path = write_json(tmp_path, "tc.json", system_to_dict(sc.tsang_caves_loop()))
+    code, _, _ = run_cli(capsys, "analyze", path, "--goal", "all",
+                         "--ba-port", "W.Q", "--output-port", "W.out.P")
+    assert code == 0
+    assert calls == {"_staircase": 5, "_probe": 3, "transfer_zero_equivalence": 1}
+    # 2 channels: W1, W2, W1.out, W2.out, W1.P, W1.out.Q, the pair, all
+    # noise and all outputs
+    calls.clear()
+    path = write_json(tmp_path, "dense.json",
+                      system_to_dict(random_system(np.random.default_rng(8), 4, 2)))
+    code, _, _ = run_cli(capsys, "analyze", path, "--goal", "all",
+                         "--ba-port", "W1.P", "--output-port", "W1.out.Q")
+    assert code == 0
+    assert calls == {"_staircase": 9, "_probe": 3, "transfer_zero_equivalence": 1}
+    calls.clear()
+    check_bae(sc.tsang_caves_loop().to_state_space(), "W.Q", "W.out.P")
+    assert calls == {"_staircase": 3, "_probe": 1, "transfer_zero_equivalence": 1}
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys, monkeypatch):
+    cf = write_json(tmp_path, "cf.json", system_to_dict(sc.michelson_cf_loop()))
+    spectrum = ["spectrum", cf, "--output", "W2.out.P", "--omega-min", "0.5",
+                "--omega-max", "10", "--points", "5"]
+    requests = [
+        [*spectrum, "--squeeze", "W2.P:1"],
+        spectrum,  # an append option must not carry the squeeze over
+        ["analyze", cf, "--goal", "bae", "--ba-port", "W2.Q", "--tol", "1e-7"],
+        ["analyze", cf, "--goal", "dfs"],  # nor an option the last call set
+    ]
+    main(["scenario", "michelson"])
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    reused = [run_cli(capsys, *argv) for argv in requests]
+    assert built == []
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+    assert reused[0][1] != reused[1][1]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run_cli(capsys, *argv) for argv in requests] == reused
+    assert built

@@ -162,6 +162,21 @@ def test_homodyne_split_conditions_random_angles(m, data):
     assert seven_condition_defect(split.M1, split.M2, m) <= 1e-12 * m
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("measured,message", [
+    ("X", "homodyne_split expects 'Q', 'P' or a finite angle per channel, got 'X'"),
+    (None, "homodyne_split expects 'Q', 'P' or a finite angle per channel, got None"),
+    (float("inf"), "homodyne_split expects 'Q', 'P' or a finite angle per channel, got inf"),
+    (["P", float("nan")], "homodyne_split expects 'Q', 'P' or a finite angle per channel, "
+                          "got nan"),
+    (["P", "Q", "P"], "need one selector per channel, got 3 for m=2"),
+])
+def test_homodyne_split_rejects_bad_selectors(measured, message):
+    with pytest.raises(ValidationError) as err:
+        homodyne_split(2, measured)
+    assert str(err.value) == message
+
+
 def test_measurement_split_rejects_invalid():
     with pytest.raises(ValidationError):
         MeasurementSplit(1, [[0.0, 1.0]], [[1.0, 0.0]])  # M1 Sigma M2^T = -1

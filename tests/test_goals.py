@@ -24,7 +24,7 @@ from qlin import (
     span_of,
     transfer_zero_equivalence,
 )
-from qlin import goals
+from qlin import goals, structural
 from qlin import scenarios as sc
 from qlin.nogo import random_orthosymplectic
 from qlin.xfer import TransferFunction, evaluate
@@ -331,3 +331,71 @@ def test_verdicts_invariant_under_change_of_coordinates(seed, modes, kind):
         assert v0.method_agreement and v1.method_agreement
         assert (v1.achieved, len(v1.witnesses), v1.dims.get("overlap")) == \
             (v0.achieved, len(v0.witnesses), v0.dims.get("overlap")), goal
+
+
+def same_verdict(a, b):
+    return ((a.goal, a.achieved, a.residual, a.tolerance, a.dims, a.method_agreement)
+            == (b.goal, b.achieved, b.residual, b.tolerance, b.dims, b.method_agreement)
+            and len(a.witnesses) == len(b.witnesses)
+            and all(np.array_equal(x, y) for x, y in zip(a.witnesses, b.witnesses)))
+
+
+def memo_cases():
+    """(fresh-model factory, verdicts): the scenario suite, then 20 seeded
+    dense and planted 2-channel systems of N = 4..32."""
+    m1 = lambda: split_model(sc.optomech_reduced())  # noqa: E731
+    yield m1, [(check_bae, "P", "y"), (find_qnd, ["Q", "P"], "y"),
+               (find_dfs, ["Q", "P"], "Wout"), (find_dfs, ["Q", "P"], ["y", "ybar"])]
+    m2 = sc.tsang_caves_loop().to_state_space
+    yield m2, [(check_bae, "W.Q", "W.out.P"), (find_qnd, ["W"], "W.out.P"),
+               (check_bae, "W.P", "W.out.P"), (find_dfs, ["W"], "W.out"),
+               (check_bae, "W", "W.out"),
+               (find_qnd, ["W.Q", "W.P"], ["W.out.Q", "W.out.P"])]
+    m3 = sc.lambda_memory(1.0, 0.5, 1.0).to_state_space
+    yield m3, [(find_dfs, ["A"], ["A.out"]), (find_qnd, ["A"], "A.out.Q"),
+               (check_bae, "A.P", "A.out.Q")]
+    m4 = lambda: split_model(sc.michelson())  # noqa: E731
+    yield m4, [(check_bae, "P", "y"), (find_qnd, ["Q", "P"], "y"),
+               (find_dfs, ["Q", "P"], "Wout")]
+    for seed in range(20):
+        kind = sorted(SCALING_EXPECTED)[seed % 3]
+        N = 4 * (1 + seed % 8)
+        system = scaling_system(kind, N, seed)
+        # an output row and an input column with the same index: the
+        # observable subspace of W1.out.P is memoised before the
+        # controllable subspace of W1.P
+        yield system.to_state_space, [
+            (find_qnd, ["W1", "W2"], "W1.out.P"), (check_bae, "W1.P", "W1.out.P"),
+            (check_bae, "W1.P", "W1.out.Q"), (check_bae, "W2.P", "W2.out.Q"),
+            (check_bae, "W1", "W2.out"), (find_qnd, ["W1", "W2"], "W2.out.Q"),
+            (find_qnd, ["W1", "W2"], ["W1.out", "W2.out"]),
+            (find_dfs, ["W1", "W2"], ["W1.out", "W2.out"]), (find_dfs, "W1", "W1.out")]
+
+
+def test_memo_changes_no_verdict():
+    for fresh, verdicts in memo_cases():
+        shared = fresh()
+        for engine, *ports in verdicts + verdicts[::-1]:
+            assert same_verdict(engine(shared, *ports), engine(fresh(), *ports)), \
+                (engine.__name__, ports)
+        for engine, *ports in verdicts:
+            if engine is check_bae:
+                assert transfer_zero_equivalence(shared, *ports) == \
+                    transfer_zero_equivalence(fresh(), *ports)
+
+
+def test_memo_keys_resolved_indices():
+    model = scaling_system("dense", 8, 1).to_state_space()
+    memo = model._staircases
+    whole = check_bae(model, "W1", "W2.out")
+    assert len(memo) == 3  # W1, W2.out and their reduced pair
+    split = check_bae(model, ["W1.Q", "W1.P"], ["W2.out.Q", "W2.out.P"])
+    assert len(memo) == 3
+    assert same_verdict(whole, split)
+    assert structural._subspace(model, "in", "W1") is \
+        structural._subspace(model, "in", ["W1.Q", "W1.P"])
+    # another column order is another staircase
+    structural._subspace(model, "in", ["W1.P", "W1.Q"])
+    assert len(memo) == 4
+    with pytest.raises(ValueError):
+        structural._reduced_pair(model, "W1", "W2.out")[0][0, 0] = 1.0
