@@ -83,7 +83,7 @@ def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] =
         raise ShapeError(f"{name} must have {rows} rows, got {out.shape[0]}")
     if cols is not None and out.shape[1] != cols:
         raise ShapeError(f"{name} must have {cols} columns, got {out.shape[1]}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return out
 
@@ -92,6 +92,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _sealed(name: str, arr: np.ndarray) -> np.ndarray:
+    """Freeze a float array this package has just computed, in place (it
+    aliases no caller's data, so it needs no copy), after the finiteness
+    check of :func:`_as_matrix`.  A read-only array is one of the package's
+    frozen, already validated arrays and is returned as it is."""
+    if arr.flags.writeable:
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} contains non-finite entries")
+        arr.setflags(write=False)
+    return arr
 
 
 def _realify(Z: np.ndarray) -> np.ndarray:
@@ -188,6 +200,11 @@ class Ports:
             idx.extend(range(s.start, s.stop))
         return np.asarray(idx, dtype=int)
 
+    def _select(self, names: Union[str, Sequence[str]]) -> Union[slice, np.ndarray]:
+        """Index of one or more ports: the slice of a single name, else
+        :meth:`indices`.  Indexing with a slice gives a view."""
+        return self.slice(names) if isinstance(names, str) else self.indices(names)
+
     def width(self, name: str) -> int:
         s = self.slice(name)
         return s.stop - s.start
@@ -240,6 +257,32 @@ class StateSpaceModel:
         object.__setattr__(self, "C", _frozen(C))
         object.__setattr__(self, "D", _frozen(D))
 
+    @classmethod
+    def _derive(cls, parent, **fields) -> "StateSpaceModel":
+        """The validate-once constructor of the package's own realizations.
+
+        Each of ``A``, ``B``, ``C``, ``D``, ``inputs`` and ``outputs`` not in
+        ``fields`` is taken from ``parent`` (a validated model or system),
+        so its frozen arrays are shared, not checked or copied again.  A new
+        array must be one the package has just computed, never a caller's:
+        it is checked for finiteness and frozen in place (:func:`_sealed`).
+        """
+        def pick(name):
+            return fields[name] if name in fields else getattr(parent, name)
+
+        A, B, C, D = (_sealed(name, pick(name)) for name in "ABCD")
+        inputs, outputs = pick("inputs"), pick("outputs")
+        n = A.shape[0]
+        if (A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n
+                or D.shape != (C.shape[0], B.shape[1])
+                or inputs.total != B.shape[1] or outputs.total != C.shape[0]):
+            raise ShapeError(f"inconsistent realization: A {A.shape}, B {B.shape}, "
+                             f"C {C.shape}, D {D.shape}, ports {inputs.total} in, "
+                             f"{outputs.total} out")
+        model = object.__new__(cls)
+        model.__dict__.update(A=A, B=B, C=C, D=D, inputs=inputs, outputs=outputs)
+        return model
+
     @property
     def nstates(self) -> int:
         return self.A.shape[0]
@@ -253,24 +296,24 @@ class StateSpaceModel:
         return {}
 
     def b(self, port: Union[str, Sequence[str]]) -> np.ndarray:
-        """Input-matrix columns of one or more input ports."""
-        return self.B[:, self.inputs.indices(port)]
+        """Input-matrix columns of one or more input ports (a fresh array, in
+        the column-major layout that indexing with a list gives)."""
+        return np.array(self.B[:, self.inputs._select(port)], order="F")
 
     def c(self, port: Union[str, Sequence[str]]) -> np.ndarray:
-        """Output-matrix rows of one or more output ports."""
-        return self.C[self.outputs.indices(port), :]
+        """Output-matrix rows of one or more output ports (a fresh array)."""
+        return np.array(self.C[self.outputs._select(port)])
 
     def d(self, output_port, input_port) -> np.ndarray:
-        rows = self.outputs.indices(output_port)
-        cols = self.inputs.indices(input_port)
-        return self.D[np.ix_(rows, cols)]
+        """Feedthrough block of an output/input port pair (a fresh array)."""
+        rows = self.D[self.outputs._select(output_port)]
+        return np.array(rows[:, self.inputs._select(input_port)])
 
     def similar(self, T: np.ndarray) -> "StateSpaceModel":
         """Realization in the coordinates x' = T^{-1} x (ports unchanged)."""
         T = _as_matrix("T", T, rows=self.nstates, cols=self.nstates)
         Tinv = np.linalg.inv(T)
-        return StateSpaceModel(Tinv @ self.A @ T, Tinv @ self.B,
-                               self.C @ T, self.D, self.inputs, self.outputs)
+        return self._derive(self, A=Tinv @ self.A @ T, B=Tinv @ self.B, C=self.C @ T)
 
 
 @dataclass(frozen=True)
@@ -317,7 +360,8 @@ def _selector_angle(sel, what: str) -> float:
     if isinstance(sel, str) and sel in ("Q", "P"):
         return 0.0 if sel == "Q" else np.pi / 2
     try:
-        theta = float(sel)
+        # a boolean is a mistaken flag, not 0 or 1 rad
+        theta = np.nan if isinstance(sel, (bool, np.bool_)) else float(sel)
     except (TypeError, ValueError, OverflowError):
         theta = np.nan
     if not np.isfinite(theta):
@@ -406,12 +450,13 @@ class QuantumLinearSystem:
         if G.shape[0] != G.shape[1] or G.shape[0] % 2:
             raise ShapeError(f"G must be square with even size, got {G.shape}")
         n2 = G.shape[0]
-        scale = max(np.linalg.norm(G), 1.0)
-        if np.linalg.norm(G - G.T) > SYMMETRY_RTOL * scale:
+        if (not (G == G.T).all()
+                and np.linalg.norm(G - G.T) > SYMMETRY_RTOL * max(np.linalg.norm(G), 1.0)):
             raise ValidationError(
                 "G is not symmetric within tolerance; refusing to symmetrise "
                 "an asymmetric Hamiltonian matrix")
         G = (G + G.T) / 2.0
+        G.setflags(write=False)  # a fresh array: frozen without a copy
         C = _as_matrix("C", self.C, cols=n2) if np.size(self.C) else np.zeros((0, n2))
         if C.shape[0] % 2:
             raise ShapeError(f"C must have an even row count, got {C.shape[0]}")
@@ -427,14 +472,14 @@ class QuantumLinearSystem:
             force = np.asarray(force, dtype=float).reshape(-1)
             if force.shape[0] != n2:
                 raise ShapeError(f"force must have length {n2}, got {force.shape[0]}")
-            if not np.all(np.isfinite(force)):
+            if not np.isfinite(force).all():
                 raise ValidationError("force contains non-finite entries")
             force = _frozen(force)
         labels = tuple(self.mode_labels) if self.mode_labels else tuple(
             f"mode{i + 1}" for i in range(n2 // 2))
         if len(labels) != n2 // 2:
             raise ShapeError(f"{len(labels)} mode labels for {n2 // 2} modes")
-        object.__setattr__(self, "G", _frozen(G))
+        object.__setattr__(self, "G", G)
         object.__setattr__(self, "C", _frozen(C))
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "force", force)
@@ -452,13 +497,15 @@ class QuantumLinearSystem:
 
     @cached_property
     def A(self) -> np.ndarray:
-        """Drift matrix Sigma_n (G + C^T Sigma_m C / 2), computed once, read-only."""
-        return _frozen(sigma(self.n) @ (self.G + self.C.T @ sigma(self.m) @ self.C / 2.0))
+        """Drift matrix Sigma_n (G + C^T Sigma_m C / 2), computed and checked
+        finite once, read-only."""
+        return _sealed("A", sigma(self.n) @ (self.G + self.C.T @ sigma(self.m) @ self.C / 2.0))
 
     @cached_property
     def B(self) -> np.ndarray:
-        """Noise input matrix Sigma_n C^T Sigma_m, computed once, read-only."""
-        return _frozen(sigma(self.n) @ self.C.T @ sigma(self.m))
+        """Noise input matrix Sigma_n C^T Sigma_m, computed and checked finite
+        once, read-only."""
+        return _sealed("B", sigma(self.n) @ self.C.T @ sigma(self.m))
 
     def role_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Indices of the feedback and of the evaluation channels.
@@ -493,7 +540,6 @@ class QuantumLinearSystem:
 
         The classical force enters through port ``"F"`` when present.
         """
-        A = self.A
         B = self.B
         m = self.m
         if split is None:
@@ -505,7 +551,7 @@ class QuantumLinearSystem:
             Bfull = B
             if self.force is not None:
                 inputs.append("F", 1)
-                Bfull = np.hstack([B, self.force.reshape(-1, 1)])
+                Bfull = np.concatenate((B, self.force[:, None]), axis=1)
             outputs = Ports()
             for j, ch in enumerate(self.channels):
                 outputs.append(ch.label + ".out", 2)
@@ -513,7 +559,7 @@ class QuantumLinearSystem:
                 outputs.alias(ch.label + ".out.P", 2 * j + 1, 1)
             D = np.zeros((2 * m, Bfull.shape[1]))
             D[:, :2 * m] = np.eye(2 * m)
-            return StateSpaceModel(A, Bfull, self.C, D, inputs, outputs)
+            return StateSpaceModel._derive(self, B=Bfull, D=D, inputs=inputs, outputs=outputs)
 
         if split.m != m:
             raise ShapeError(f"split has {split.m} channels, system has {m}")
@@ -534,7 +580,8 @@ class QuantumLinearSystem:
         D[m:2 * m, m:2 * m] = np.eye(m)            # ybar carries the conjugate
         D[2 * m:, :m] = M1.T
         D[2 * m:, m:2 * m] = M2.T
-        return StateSpaceModel(A, Bfull, Cfull, D, inputs, outputs)
+        return StateSpaceModel._derive(self, B=Bfull, C=Cfull, D=D, inputs=inputs,
+                                       outputs=outputs)
 
 
 def build_system(G, C, channels=None, force=None, mode_labels=None) -> QuantumLinearSystem:

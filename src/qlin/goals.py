@@ -121,9 +121,14 @@ def checked_base(base: Optional[float], what: str = "base") -> float:
 def residual_tolerance(model: StateSpaceModel, input_port: PortArg,
                        output_port: PortArg, base: Optional[float] = None) -> float:
     """Probe threshold ``base * |B|_F |C|_F / (|A|_F + 1)`` of a port pair."""
-    base = checked_base(base)
-    return (base * np.linalg.norm(model.b(input_port))
-            * np.linalg.norm(model.c(output_port)) / (np.linalg.norm(model.A) + 1.0))
+    return _threshold(checked_base(base), model.b(input_port), model.c(output_port),
+                      np.linalg.norm(model.A))
+
+
+def _threshold(base: float, first: np.ndarray, second: np.ndarray, norm_A: float) -> float:
+    """The probe zero threshold ``base * |first|_F |second|_F / (|A|_F + 1)``,
+    multiplied in that order."""
+    return base * np.linalg.norm(first) * np.linalg.norm(second) / (norm_A + 1.0)
 
 
 def _probe(A: np.ndarray, legs, base: float) -> list[tuple[float, float]]:
@@ -145,7 +150,7 @@ def _probe(A: np.ndarray, legs, base: float) -> list[tuple[float, float]]:
         vals = left @ X[:, :, col:col + right.shape[1]]
         col += right.shape[1]
         out.append((float(np.max(np.abs(vals))) if vals.size else 0.0,
-                    base * np.linalg.norm(left) * np.linalg.norm(right) / (nA + 1.0)))
+                    _threshold(base, left, right, nA)))
     return out
 
 

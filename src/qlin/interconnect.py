@@ -163,8 +163,8 @@ def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
     EC = E @ (C_K if k else np.zeros((nu, 0)))
     A, B, C, D = open_loop.A, open_loop.B, open_loop.C, open_loop.D
     Ae = np.block([[A, B @ EC], [B_K @ C[y], ctrl.A_K + B_K @ D[y] @ EC]])
-    return StateSpaceModel(Ae, np.vstack([B, B_K @ D[y]]), np.hstack([C, D @ EC]), D,
-                           open_loop.inputs, open_loop.outputs)
+    return StateSpaceModel._derive(open_loop, A=Ae, B=np.vstack([B, B_K @ D[y]]),
+                                   C=np.hstack([C, D @ EC]))
 
 
 def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -225,7 +225,8 @@ def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
     D[m1 + m2:m1 + m2 + 2 * m1, :2 * m1] = np.eye(2 * m1)
     D[m1 + m2 + 2 * m1:, 2 * m1:2 * m1 + m2] = M1e.T
     D[m1 + m2 + 2 * m1:, 2 * m1 + m2:2 * m1 + 2 * m2] = M2e.T
-    return StateSpaceModel(plant.A, np.hstack(cols), C, D, inputs, outputs)
+    return StateSpaceModel._derive(plant, B=np.hstack(cols), C=C, D=D, inputs=inputs,
+                                   outputs=outputs)
 
 
 def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,

@@ -60,17 +60,23 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     """``C (sI - A)^{-1} B + D`` at each of the 1-D ``points``; shape
     ``(len(points),) + D.shape``.
 
-    Chunks of ``CHUNK`` points share one stacked inverse and one stacked
-    solve against ``B`` (broadcast over the stack, as every numpy reads it).
-    The inverse screens conditioning: ``cond_2(M) <= |M|_F |M^{-1}|_F``, so a
+    Each chunk of ``CHUNK`` points makes one stacked solve against the
+    joint right-hand side ``[B | I]`` (3-D, broadcast over the stack, as
+    every numpy reads it), which gives both ``M^{-1} B`` and ``M^{-1}`` from one
+    LU factorisation per point, bit for bit the values of separate solves.
+    ``M^{-1}`` screens conditioning: ``cond_2(M) <= |M|_F |M^{-1}|_F``, so a
     point with ``|M|_F |M^{-1}|_F <= COND_LIMIT / 2`` passes the exact test
-    with room for rounding.  Only the other points (all of them, if the
-    inverse fails) get the exact ``np.linalg.cond``.  Points above
-    ``COND_LIMIT`` are never solved on the full pair; they are solved again
-    on the reduced pair (built once per chunk), so only a pole of the
-    signal path itself raises.
+    with room for rounding.  A chunk whose points all pass returns
+    ``C M^{-1} B + D`` at once.  Otherwise only the points the screen cannot
+    clear (all of them, if the solve fails) get the exact
+    ``np.linalg.cond``, and the accepted points are solved again against
+    ``B``.  Points above ``COND_LIMIT`` are never solved on the full pair;
+    they are solved again on the reduced pair (built once per chunk), so
+    only a pole of the signal path itself raises.
     """
     points = np.asarray(points).reshape(-1)
+    if points.size <= CHUNK:
+        return _solve_chunk(A, B, C, D, points, False)
     out = np.empty((points.size,) + D.shape, dtype=complex)
     for lo in range(0, points.size, CHUNK):
         out[lo:lo + CHUNK] = _solve_chunk(A, B, C, D, points[lo:lo + CHUNK], False)
@@ -80,15 +86,20 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
 def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
     n, p = B.shape
     if n == 0 or p == 0 or C.shape[0] == 0:
-        return np.broadcast_to(D.astype(complex), (s.size,) + D.shape)
-    M = s[:, None, None] * np.eye(n) - A
+        return np.repeat(D.astype(complex)[None], s.size, axis=0)
+    eye = np.eye(n)
+    M = s[:, None, None] * eye - A
     try:
-        ok = (np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(M), axis=(1, 2))
-              <= COND_LIMIT / 2)
+        X = np.linalg.solve(M, np.concatenate((B, eye), axis=1, dtype=complex)[None])
+        # the screen, squared: |M|_F^2 |M^{-1}|_F^2 <= (COND_LIMIT / 2)^2
+        sq = [np.add.reduce((Z.conj() * Z).real, axis=(1, 2)) for Z in (M, X[:, :, p:])]
+        ok = sq[0] * sq[1] <= (COND_LIMIT / 2) ** 2
     except np.linalg.LinAlgError:
         ok = np.zeros(s.size, dtype=bool)
-    if not ok.all():
-        ok[~ok] = np.linalg.cond(M[~ok]) <= COND_LIMIT
+    if ok.all():
+        # a contiguous copy: matmul rounds a strided operand differently
+        return C @ np.ascontiguousarray(X[:, :, :p]) + D
+    ok[~ok] = np.linalg.cond(M[~ok]) <= COND_LIMIT
     ill = np.flatnonzero(~ok)
     if reduced and ill.size:
         k = ill[0]
@@ -170,12 +181,10 @@ def _column_variances(model: StateSpaceModel,
         for port, v in variances.items():
             if v < 0:
                 raise ValidationError(f"variance of {port!r} must be nonnegative")
-            var[model.inputs.indices(port)] = v
-    mask = np.ones(model.B.shape[1], dtype=bool)
+            var[model.inputs._select(port)] = v
     for port in exclude:
         if port in model.inputs:
-            mask[model.inputs.indices(port)] = False
-    var[~mask] = 0.0
+            var[model.inputs.slice(port)] = 0.0
     return var
 
 
@@ -192,15 +201,15 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
     length, from one call of the grid engine of :func:`frequency_response`
     (same values and conditioning test as one call per frequency).
     """
-    rows = model.outputs.indices(signal_output)
-    if rows.size != 1:
+    rows = model.outputs._select(signal_output)
+    C, D = model.C[rows], model.D[rows]
+    if C.shape[0] != 1:
         raise ShapeError("signal_output must be a scalar output port")
     var = _column_variances(model, variances, exclude)
     # evaluate the full row response once, then weight column-wise
     om = np.asarray(omega, dtype=float)
-    row = _solve_response(model.A, model.B, model.C[rows, :], model.D[rows, :],
-                          1j * om.reshape(-1))
-    power = np.sum(np.abs(row[:, 0]) ** 2 * var, axis=-1)
+    row = _solve_response(model.A, model.B, C, D, 1j * om.reshape(-1))
+    power = (np.abs(row[:, 0]) ** 2 * var).sum(axis=-1)
     return float(power[0]) if om.ndim == 0 else power.reshape(om.shape)
 
 
@@ -229,15 +238,15 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
         raise ShapeError("model has no force port 'F'")
     if lam <= 0 or L <= 0:
         raise ValidationError("coupling and path length must be positive")
-    rows = model.outputs.indices(output)
-    if rows.size != 1:
+    rows = model.outputs._select(output)
+    if model.C[rows].shape[0] != 1:
         raise ShapeError("output must be a scalar port")
     scale = 1.0 / (2.0 * np.sqrt(lam) * L)
-    C2 = np.vstack([model.C, scale * model.C[rows, :]])
-    D2 = np.vstack([model.D, scale * model.D[rows, :]])
     outputs = Ports.from_entries(model.outputs.entries())
     outputs.append("gw", 1)
-    model2 = StateSpaceModel(model.A, model.B, C2, D2, model.inputs, outputs)
+    model2 = StateSpaceModel._derive(model, C=np.concatenate((model.C, scale * model.C[rows])),
+                                     D=np.concatenate((model.D, scale * model.D[rows])),
+                                     outputs=outputs)
     return TransferFunction(model2, "F", "gw")
 
 

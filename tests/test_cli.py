@@ -189,6 +189,7 @@ def test_closedloop_scheme_mismatch(tmp_path, capsys):
             (dict(zero_mf1, measure=None), "measure"),
             (dict(zero_mf1, measure=["P", float("inf")]), "measure"),
             (dict(zero_mf1, measure=10 ** 400), "measure"),
+            (dict(zero_mf1, measure=True), "measure"),
             (dict(zero_mf2, measure_feedback="Z"), "measure_feedback"),
             ({"scheme": "direct", "tau": 10 ** 400}, "tau"))):
         ctrl = write_json(tmp_path, f"selector{i}.json", ctrl_json)

@@ -5,17 +5,24 @@ from hypothesis import strategies as st
 
 from conftest import random_system
 from qlin import (
+    ClassicalController,
     MeasurementSplit,
+    Ports,
     ShapeError,
+    StateSpaceModel,
     ValidationError,
     augment_with_vacuum,
     build_system,
     complex_to_quadrature,
     homodyne_split,
+    mf_type1,
+    mf_type2,
+    normalized_gw_signal,
     quadrature_to_complex,
     realizability_defect,
     sigma,
 )
+from qlin import scenarios as sc
 from qlin.serialize import system_from_dict, system_to_dict
 
 
@@ -170,6 +177,10 @@ def test_homodyne_split_conditions_random_angles(m, data):
     (["P", float("nan")], "homodyne_split expects 'Q', 'P' or a finite angle per channel, "
                           "got nan"),
     (["P", "Q", "P"], "need one selector per channel, got 3 for m=2"),
+    # a boolean is a mistaken flag, not an angle of 0 or 1 rad
+    (True, "homodyne_split expects 'Q', 'P' or a finite angle per channel, got True"),
+    (["Q", False], "homodyne_split expects 'Q', 'P' or a finite angle per channel, "
+                   "got False"),
 ])
 def test_homodyne_split_rejects_bad_selectors(measured, message):
     with pytest.raises(ValidationError) as err:
@@ -272,6 +283,76 @@ def test_state_space_ports_split():
     # Wout reconstructs the raw field: D = [M1^T, M2^T]
     assert np.allclose(model.d("Wout", "Q"), split.M1.T)
     assert np.allclose(model.d("Wout", "P"), split.M2.T)
+
+
+def test_port_lookups_by_name_and_by_list_agree():
+    # a single name resolves to its slice, a list to its indices: equal
+    # values, and a fresh writable array either way
+    sys = random_system(np.random.default_rng(7), 2, 2, force=True)
+    for model in (sys.to_state_space(), sys.to_state_space(homodyne_split(2, [0.3, "Q"]))):
+        pairs = [(model.b(i), model.b([i])) for i in model.inputs.names]
+        pairs += [(model.c(o), model.c([o])) for o in model.outputs.names]
+        for o in model.outputs.names:
+            for i in model.inputs.names:
+                pairs += [(model.d(o, i), model.d([o], [i])), (model.d(o, i), model.d(o, [i])),
+                          (model.d(o, i), model.d([o], i))]
+        for one, listed in pairs:
+            assert one.shape == listed.shape and np.array_equal(one, listed)
+            for arr in (one, listed):
+                assert arr.flags.writeable
+                assert not any(np.shares_memory(arr, M) for M in (model.B, model.C, model.D))
+        i, o = model.inputs.names[0], model.outputs.names[0]
+        assert np.array_equal(model.b(i), model.B[:, model.inputs.indices(i)])
+        assert np.array_equal(model.c(o), model.C[model.outputs.indices(o)])
+        assert np.array_equal(model.d(o, i), model.D[np.ix_(model.outputs.indices(o),
+                                                            model.inputs.indices(i))])
+
+
+def test_model_keeps_no_alias_of_caller_arrays():
+    arrays = [np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))]
+    model = StateSpaceModel(*arrays, Ports([("u", 1)]), Ports([("y", 1)]))
+    for arr in arrays:
+        arr += 5.0
+    assert np.array_equal(model.A, np.diag([-1.0, -2.0]))
+    assert np.array_equal(model.B, np.ones((2, 1)))
+    assert np.array_equal(model.C, np.ones((1, 2)))
+    assert np.array_equal(model.D, np.zeros((1, 1)))
+    for name in "ABCD":
+        with pytest.raises(ValueError):
+            getattr(model, name)[0, 0] = 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_drift_is_rejected_at_to_state_space():
+    # C^T Sigma C overflows: the system builds, but its drift is not finite
+    sys = build_system(np.eye(2), 1e200 * np.eye(2))
+    for split in (None, homodyne_split(1, "P")):
+        with pytest.raises(ValidationError, match="A contains non-finite entries"):
+            sys.to_state_space(split)
+
+
+def test_derived_realizations_match_the_checked_constructor():
+    # the package's own realizations share their parent's arrays; each must
+    # equal what the public, checking constructor makes of the same fields
+    rng = np.random.default_rng(8)
+    sys = random_system(rng, 2, 2, force=True)
+    raw = sys.to_state_space()
+    plant, mich = sc.optomech_reduced(), sc.michelson()
+    models = [raw, sys.to_state_space(homodyne_split(2, [0.3, "Q"])),
+              normalized_gw_signal(raw, "W1.out.P", 0.7, 1.3).realization,
+              raw.similar(np.triu(np.ones((4, 4)))),
+              mf_type1(plant, ClassicalController([[-1.0]], [[1.0]], C_K=[[0.5], [0.2]]),
+                       homodyne_split(1, "P")),
+              mf_type2(mich, ClassicalController([[-1.0]], [[1.0]], C_K1=[[0.5], [0.2]],
+                                                 C_K2=[[0.1], [0.3]]),
+                       homodyne_split(1, "P"), homodyne_split(1, "Q"))]
+    for model in models:
+        ref = StateSpaceModel(model.A, model.B, model.C, model.D, model.inputs, model.outputs)
+        for name in "ABCD":
+            assert np.array_equal(getattr(model, name), getattr(ref, name))
+            assert not getattr(model, name).flags.writeable
+    assert models[2].A is raw.A and models[2].B is raw.B and models[2].inputs is raw.inputs
 
 
 def test_system_json_roundtrip():

@@ -137,6 +137,30 @@ def test_stacked_solves_pass_a_stack_of_right_hand_sides(monkeypatch):
     assert dims and all(a == b == 3 for a, b in dims)
 
 
+def test_all_clear_chunk_factors_once(monkeypatch):
+    # a chunk whose points all pass the screen makes one joint solve against
+    # [B | I] and no inverse, exact condition number or second solve
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("solve", "inv", "cond"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    model = sc.michelson_cf_loop().to_state_space()
+    tf = normalized_gw_signal(model, "W2.out.P", 1.0, 1.0)
+    for run in (lambda: evaluate(tf, 0.3j),
+                lambda: noise_power(tf.realization, "gw", None, 0.3),
+                lambda: noise_power(tf.realization, "gw", None, np.geomspace(0.05, 50.0, 20)),
+                lambda: frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK))):
+        calls.clear()
+        run()
+        assert calls == ["solve"]
+    calls.clear()
+    frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK + 1))
+    assert calls == ["solve", "solve"]
+
+
 def test_grid_longer_than_a_chunk_matches_per_point_solves():
     model = sc.michelson_cf_loop().to_state_space()
     tf = normalized_gw_signal(model, "W2.out.P", 1.0, 1.0)
