@@ -27,7 +27,7 @@ from .core import (
     homodyne_split,
 )
 from .goals import DEFAULT_RESIDUAL_BASE, check_bae, checked_base, find_dfs, find_qnd
-from .interconnect import cf_type1, cf_type2, direct_mf, mf_type1, mf_type2
+from .interconnect import _split_widths, cf_type1, cf_type2, direct_mf, mf_type1, mf_type2
 from .nogo import verify_nogo
 from .scenarios import SCENARIOS
 from .serialize import (
@@ -179,14 +179,11 @@ def cmd_closedloop(args) -> int:
     if args.scheme and args.scheme != scheme:
         raise ValidationError(
             f"--scheme {args.scheme} contradicts controller file scheme {scheme}")
-    if scheme == "mf1":
-        split = homodyne_split(plant.m, opts["measure"])
-        _emit(model_to_dict(mf_type1(plant, ctrl, split)))
-    elif scheme == "mf2":
-        fb_channels, ev_channels = plant.role_partition()
-        fb = homodyne_split(len(fb_channels), opts["measure_feedback"])
-        ev = homodyne_split(len(ev_channels), opts["measure_evaluation"])
-        _emit(model_to_dict(mf_type2(plant, ctrl, fb, ev)))
+    if scheme in ("mf1", "mf2"):
+        splits = [homodyne_split(width, sel)
+                  for width, sel in zip(_split_widths(plant, scheme), opts["selectors"])]
+        assemble = mf_type1 if scheme == "mf1" else mf_type2
+        _emit(model_to_dict(assemble(plant, ctrl, *splits)))
     elif scheme == "cf1":
         _emit(system_to_dict(cf_type1(plant, ctrl)))
     elif scheme == "cf2":

@@ -106,6 +106,21 @@ def _sealed(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _hamiltonian(name: str, G) -> np.ndarray:
+    """A Hamiltonian matrix checked (finite, square with even size, symmetric
+    within ``SYMMETRY_RTOL``), symmetrised and frozen (:func:`_sealed`, so a
+    symmetrisation that overflows is rejected)."""
+    G = _as_matrix(name, G)
+    if G.shape[0] != G.shape[1] or G.shape[0] % 2:
+        raise ShapeError(f"{name} must be square with even size, got {G.shape}")
+    if (not (G == G.T).all()
+            and np.linalg.norm(G - G.T) > SYMMETRY_RTOL * max(np.linalg.norm(G), 1.0)):
+        raise ValidationError(
+            f"{name} is not symmetric within tolerance; refusing to symmetrise "
+            "an asymmetric Hamiltonian matrix")
+    return _sealed(name, (G + G.T) / 2.0)
+
+
 def _realify(Z: np.ndarray) -> np.ndarray:
     """Interleaved real form of a complex matrix: each entry ``z`` becomes
     the block ``[[Re z, -Im z], [Im z, Re z]]``."""
@@ -138,13 +153,16 @@ class Ports:
     """Ordered registry mapping port names to contiguous index ranges.
 
     Sub-ports (e.g. the single quadrature ``"W1.Q"`` inside the two-wide
-    channel port ``"W1"``) may overlap their parent range.
+    channel port ``"W1"``) may overlap their parent range.  A model seals
+    the registries it holds, so no port can be added under its matrices;
+    :meth:`from_entries` gives an open copy.
     """
 
     def __init__(self, entries: Iterable[tuple[str, int]] = ()):
         self._ranges: dict[str, tuple[int, int]] = {}
         self._order: list[str] = []
         self._total = 0
+        self._held = False
         for name, width in entries:
             self.append(name, width)
 
@@ -161,24 +179,27 @@ class Ports:
                 ports.alias(name, start, width)
         return ports
 
-    def append(self, name: str, width: int) -> None:
-        """Register a new primary port occupying the next `width` indices."""
+    def _add(self, name: str, start: int, width: int) -> None:
+        if self._held:
+            raise ValidationError(f"cannot add port {name!r}: the registry belongs to a "
+                                  "model (copy it with Ports.from_entries)")
         if name in self._ranges:
             raise ValidationError(f"duplicate port name {name!r}")
+        self._ranges[name] = (start, start + width)
+        self._order.append(name)
+
+    def append(self, name: str, width: int) -> None:
+        """Register a new primary port occupying the next `width` indices."""
         if width < 0:
             raise ShapeError(f"port {name!r} has negative width")
-        self._ranges[name] = (self._total, self._total + width)
-        self._order.append(name)
+        self._add(name, self._total, width)
         self._total += width
 
     def alias(self, name: str, start: int, width: int) -> None:
         """Register a sub-port referring to an existing index range."""
-        if name in self._ranges:
-            raise ValidationError(f"duplicate port name {name!r}")
         if start < 0 or start + width > self._total:
             raise ShapeError(f"sub-port {name!r} range out of bounds")
-        self._ranges[name] = (start, start + width)
-        self._order.append(name)
+        self._add(name, start, width)
 
     def __contains__(self, name: str) -> bool:
         return name in self._ranges
@@ -256,6 +277,7 @@ class StateSpaceModel:
         object.__setattr__(self, "B", _frozen(B))
         object.__setattr__(self, "C", _frozen(C))
         object.__setattr__(self, "D", _frozen(D))
+        self.inputs._held = self.outputs._held = True
 
     @classmethod
     def _derive(cls, parent, **fields) -> "StateSpaceModel":
@@ -281,6 +303,7 @@ class StateSpaceModel:
                              f"{outputs.total} out")
         model = object.__new__(cls)
         model.__dict__.update(A=A, B=B, C=C, D=D, inputs=inputs, outputs=outputs)
+        inputs._held = outputs._held = True
         return model
 
     @property
@@ -446,17 +469,8 @@ class QuantumLinearSystem:
     mode_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        G = _as_matrix("G", self.G)
-        if G.shape[0] != G.shape[1] or G.shape[0] % 2:
-            raise ShapeError(f"G must be square with even size, got {G.shape}")
+        G = _hamiltonian("G", self.G)
         n2 = G.shape[0]
-        if (not (G == G.T).all()
-                and np.linalg.norm(G - G.T) > SYMMETRY_RTOL * max(np.linalg.norm(G), 1.0)):
-            raise ValidationError(
-                "G is not symmetric within tolerance; refusing to symmetrise "
-                "an asymmetric Hamiltonian matrix")
-        G = (G + G.T) / 2.0
-        G.setflags(write=False)  # a fresh array: frozen without a copy
         C = _as_matrix("C", self.C, cols=n2) if np.size(self.C) else np.zeros((0, n2))
         if C.shape[0] % 2:
             raise ShapeError(f"C must have an even row count, got {C.shape[0]}")

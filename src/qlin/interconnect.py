@@ -2,9 +2,11 @@
 
 Both measurement-feedback schemes close one classical controller around an
 open-loop realization of the plant whose measured port is ``"y"``; they
-differ only in that realization and in which inputs the controller drives
-(type 1: every field quadrature; type 2: the raw feedback fields and the
-homodyned evaluation fields).  Both coherent loops are one SLH series
+differ only in that realization and in its field outputs (type 1:
+``"Wout"``; type 2: ``"W1out"``, ``"W2out"``).  The controller displaces
+the input fields, so its input map is ``E = D_W^T``, the transpose of the
+open loop's feedthrough ``D_W`` onto those field outputs: that feedthrough
+is orthogonal, so ``D_W E = I``.  Both coherent loops are one SLH series
 product of field stages over the joint plant/controller state, and the
 only algebraic loop in scope (ideal direct feedback, ``tau = 0``) is
 eliminated in closed form.
@@ -24,6 +26,8 @@ from .core import (
     ShapeError,
     StateSpaceModel,
     ValidationError,
+    _as_matrix,
+    _hamiltonian,
     sigma,
 )
 
@@ -58,25 +62,20 @@ class ClassicalController:
         A = np.atleast_2d(np.asarray(self.A_K, dtype=float))
         if A.size == 0:
             A = A.reshape(0, 0)
-        if A.shape[0] != A.shape[1]:
-            raise ShapeError(f"A_K must be square, got {A.shape}")
+        A = _as_matrix("A_K", A, cols=len(A))
         k = A.shape[0]
         B = np.asarray(self.B_K, dtype=float)
         if B.ndim == 1:
             B = B.reshape(k, -1) if B.size else B.reshape(k, 0)
-        if B.ndim != 2 or B.shape[0] != k:
-            raise ShapeError(f"B_K must have {k} rows, got shape {B.shape}")
         object.__setattr__(self, "A_K", A)
-        object.__setattr__(self, "B_K", B)
+        object.__setattr__(self, "B_K", _as_matrix("B_K", B, rows=k))
         for name in ("C_K", "C_K1", "C_K2"):
             val = getattr(self, name)
             if val is not None:
                 val = np.asarray(val, dtype=float)
                 if val.ndim == 1:
                     val = val.reshape(-1, k) if val.size else val.reshape(0, k)
-                if val.ndim != 2 or val.shape[1] != k:
-                    raise ShapeError(f"{name} must have {k} columns, got shape {val.shape}")
-                object.__setattr__(self, name, val)
+                object.__setattr__(self, name, _as_matrix(name, val, cols=k))
 
     @property
     def dim(self) -> int:
@@ -99,22 +98,14 @@ class QuantumController:
     S: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        G = np.atleast_2d(np.asarray(self.G_K, dtype=float))
-        if G.shape[0] != G.shape[1] or G.shape[0] % 2:
-            raise ShapeError(f"G_K must be square with even size, got {G.shape}")
-        if np.linalg.norm(G - G.T) > 1e-12 * max(1.0, np.linalg.norm(G)):
-            raise ValidationError("G_K must be symmetric")
-        object.__setattr__(self, "G_K", (G + G.T) / 2.0)
-        nk2 = G.shape[0]
+        G = _hamiltonian("G_K", self.G_K)
+        object.__setattr__(self, "G_K", G)
         for name in ("C1", "C2", "C_K"):
             val = getattr(self, name)
             if val is not None:
-                val = np.atleast_2d(np.asarray(val, dtype=float))
-                if val.shape[1] != nk2:
-                    raise ShapeError(f"{name} must have {nk2} columns, got {val.shape[1]}")
-                object.__setattr__(self, name, val)
+                object.__setattr__(self, name, _as_matrix(name, val, cols=G.shape[0]))
         if self.S is not None:
-            object.__setattr__(self, "S", _check_scattering(np.asarray(self.S, dtype=float)))
+            object.__setattr__(self, "S", _check_scattering(_as_matrix("S", self.S)))
 
     @property
     def dim(self) -> int:
@@ -138,14 +129,31 @@ def _quadrature_rows(channels) -> np.ndarray:
     return np.asarray([r for j in channels for r in (2 * j, 2 * j + 1)], dtype=int)
 
 
+#: The gain fields of a measurement-feedback controller, one per split.
+_GAINS = {"mf1": ("C_K",), "mf2": ("C_K1", "C_K2")}
+
+
+def _split_widths(plant: QuantumLinearSystem, scheme: str) -> tuple[int, ...]:
+    """Channel counts of the homodyne splits a measurement-feedback scheme
+    takes, in call order: all channels (mf1); feedback, evaluation (mf2).
+    ``B_K`` reads the first; each has a gain with two rows per channel."""
+    if scheme == "mf1":
+        return (plant.m,)
+    if scheme == "mf2":
+        return tuple(len(group) for group in plant.role_partition())
+    raise ValidationError(f"unknown scheme {scheme!r}; expected 'mf1' or 'mf2'")
+
+
 def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
-                        C_K: Optional[np.ndarray], E: np.ndarray) -> StateSpaceModel:
+                        C_K: Optional[np.ndarray], fields) -> StateSpaceModel:
     """Close a classical controller around the measured port ``"y"``.
 
     With ``y = C_y x + D_y w`` the controller obeys
-    ``dx_K/dt = A_K x_K + B_K y``, and ``E`` maps its output
-    ``u = C_K x_K`` onto the open loop's input columns.  The extended state
-    is ``[x; x_K]``::
+    ``dx_K/dt = A_K x_K + B_K y``, and its output ``u = C_K x_K`` displaces
+    the input fields whose outputs are the ports ``fields``.  With ``D_W``
+    the open loop's feedthrough onto those ports (orthogonal rows, so
+    ``D_W D_W^T = I``), the map of ``u`` onto the input columns is
+    ``E = D_W^T``.  The extended state is ``[x; x_K]``::
 
         A = [[A, B E C_K], [B_K C_y, A_K + B_K D_y E C_K]]
         B = [B; B_K D_y],  C = [C, D E C_K],  D = D
@@ -154,6 +162,8 @@ def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
     may leave ``B_K`` and ``C_K`` empty.
     """
     y = open_loop.outputs.slice("y")
+    # a contiguous copy: the layout of E fixes the rounding of E @ C_K
+    E = np.ascontiguousarray(open_loop.D[open_loop.outputs._select(fields)].T)
     k, ny, nu = ctrl.dim, y.stop - y.start, E.shape[1]
     if k and ctrl.B_K.shape[1] != ny:
         raise ShapeError(f"B_K must have {ny} columns (one per measured signal)")
@@ -179,12 +189,7 @@ def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
     """
     if ctrl.dim and ctrl.C_K is None:
         raise ValidationError("type-1 controller needs C_K")
-    open_loop = plant.to_state_space(split)
-    # the field input is W = M1^T Q + M2^T P
-    E = np.zeros((open_loop.inputs.total, 2 * plant.m))
-    E[open_loop.inputs.slice("Q")] = split.M1
-    E[open_loop.inputs.slice("P")] = split.M2
-    return _classical_feedback(open_loop, ctrl, ctrl.C_K, E)
+    return _classical_feedback(plant.to_state_space(split), ctrl, ctrl.C_K, "Wout")
 
 
 def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
@@ -240,20 +245,14 @@ def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,
     verdict.
     """
     open_loop = mf_type2_open_loop(plant, fb_split, eval_split)
-    m1, m2 = fb_split.m, eval_split.m
     C_K = None
     if ctrl.dim:
         if ctrl.C_K1 is None or ctrl.C_K2 is None:
             raise ValidationError("type-2 controller needs C_K1 and C_K2")
-        if ctrl.C_K1.shape[0] != 2 * m1 or ctrl.C_K2.shape[0] != 2 * m2:
-            raise ShapeError("C_K1/C_K2 widths do not match the channel partition")
-        C_K = np.vstack([ctrl.C_K1, ctrl.C_K2])
+        C_K = np.vstack([_as_matrix("C_K1", ctrl.C_K1, rows=2 * fb_split.m),
+                         _as_matrix("C_K2", ctrl.C_K2, rows=2 * eval_split.m)])
     # C_K1 drives the raw feedback fields; C_K2 drives W2 = M1e^T Q2 + M2e^T P2
-    E = np.zeros((open_loop.inputs.total, 2 * (m1 + m2)))
-    E[open_loop.inputs.slice("W1"), :2 * m1] = np.eye(2 * m1)
-    E[open_loop.inputs.slice("Q2"), 2 * m1:] = eval_split.M1
-    E[open_loop.inputs.slice("P2"), 2 * m1:] = eval_split.M2
-    return _classical_feedback(open_loop, ctrl, C_K, E)
+    return _classical_feedback(open_loop, ctrl, C_K, ["W1out", "W2out"])
 
 
 def _series(plant: QuantumLinearSystem, qctrl: QuantumController, channels,
@@ -293,15 +292,12 @@ def cf_type1(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLin
     """
     if qctrl.C1 is None or qctrl.C2 is None:
         raise ValidationError("type-1 CF controller needs C1 and C2")
-    if qctrl.C1.shape != qctrl.C2.shape:
-        raise ShapeError("C1 and C2 must have equal shapes")
-    if qctrl.C1.shape[0] != 2 * plant.m:
-        raise ShapeError(
-            f"controller couplings must have {2 * plant.m} rows to match the plant fields")
-    I, Zx, ZK = np.eye(2 * plant.m), np.zeros_like(plant.C), np.zeros_like(qctrl.C1)
+    # both have the controller's columns, so 2m rows each make them match
+    C1, C2 = (_as_matrix(name, getattr(qctrl, name), rows=2 * plant.m) for name in ("C1", "C2"))
+    I, Zx, ZK = np.eye(2 * plant.m), np.zeros_like(plant.C), np.zeros_like(C1)
     return _series(plant, qctrl, plant.channels, [
-        (I, np.hstack([Zx, qctrl.C1])), (I, np.hstack([plant.C, ZK])),
-        (I, np.hstack([Zx, qctrl.C2]))])
+        (I, np.hstack([Zx, C1])), (I, np.hstack([plant.C, ZK])),
+        (I, np.hstack([Zx, C2]))])
 
 
 def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLinearSystem:
@@ -320,15 +316,12 @@ def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLin
     C2 = plant.C[_quadrature_rows(ev), :]
     if C1.shape[0] != C2.shape[0]:
         raise ShapeError("feedback and evaluation partitions must have equal widths")
-    if qctrl.C_K.shape[0] != C1.shape[0]:
-        raise ShapeError("C_K width does not match the plant channel partition")
-    I = np.eye(C1.shape[0])
-    S = I if qctrl.S is None else qctrl.S
-    if S.shape[0] != C1.shape[0]:
-        raise ShapeError("scattering size does not match the channel width")
-    Zx, ZK = np.zeros_like(C1), np.zeros_like(qctrl.C_K)
+    C_K = _as_matrix("C_K", qctrl.C_K, rows=len(C1))
+    I = np.eye(len(C1))
+    S = I if qctrl.S is None else _as_matrix("S", qctrl.S, rows=len(C1))
+    Zx, ZK = np.zeros_like(C1), np.zeros_like(C_K)
     return _series(plant, qctrl, tuple(plant.channels[j] for j in ev), [
-        (I, np.hstack([C1, ZK])), (S, np.hstack([Zx, qctrl.C_K])),
+        (I, np.hstack([C1, ZK])), (S, np.hstack([Zx, C_K])),
         (I, np.hstack([C2, ZK]))])
 
 

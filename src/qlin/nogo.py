@@ -3,7 +3,9 @@
 For a plant that lacks a goal (BAE, QND, or DFS), no sampled classical
 controller may produce a closed loop that achieves it.  The harness samples
 stabilized controllers and random homodyne selectors, rebuilds the loop per
-trial, and counts violations (expected: zero).
+trial, and counts violations (expected: zero).  A trial's splits and gain
+shapes follow ``interconnect._split_widths``, and ``mf_type1``/``mf_type2``
+read the controller's input map from the open loop.
 
 One table names the noise ports and judged outputs of the six (scheme, goal)
 combinations.  Type-2 BAE (Theorem 4) is one joint zero transfer to the
@@ -27,7 +29,8 @@ from .core import (
     homodyne_split,
 )
 from .goals import GoalVerdict, check_bae, checked_base, find_dfs, find_qnd
-from .interconnect import ClassicalController, mf_type1, mf_type2, mf_type2_open_loop
+from .interconnect import (_GAINS, ClassicalController, _split_widths, mf_type1, mf_type2,
+                           mf_type2_open_loop)
 from .structural import Subspace
 
 __all__ = [
@@ -133,22 +136,11 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
     if k:
         shift = np.max(np.linalg.eigvals(A_K).real) + 0.5
         A_K = A_K - shift * np.eye(k)
-    m = plant.m
-    if scheme == "mf1":
-        return ClassicalController(
-            A_K=A_K,
-            B_K=rng.normal(size=(k, m)) * scale,
-            C_K=rng.normal(size=(2 * m, k)) * scale,
-        )
-    if scheme == "mf2":
-        m1, m2 = (len(group) for group in plant.role_partition())
-        return ClassicalController(
-            A_K=A_K,
-            B_K=rng.normal(size=(k, m1)) * scale,
-            C_K1=rng.normal(size=(2 * m1, k)) * scale,
-            C_K2=rng.normal(size=(2 * m2, k)) * scale,
-        )
-    raise ValidationError(f"unknown scheme {scheme!r}; expected 'mf1' or 'mf2'")
+    widths = _split_widths(plant, scheme)
+    B_K = rng.normal(size=(k, widths[0])) * scale
+    return ClassicalController(A_K=A_K, B_K=B_K, **{
+        name: rng.normal(size=(2 * width, k)) * scale
+        for name, width in zip(_GAINS[scheme], widths)})
 
 
 def _goal_verdict(model: StateSpaceModel, goal: str, scheme: str,
@@ -158,13 +150,6 @@ def _goal_verdict(model: StateSpaceModel, goal: str, scheme: str,
         return check_bae(model, noise, judged, base=base)
     engine = find_qnd if goal == "qnd" else find_dfs
     return engine(model, noise, judged, restrict_to=restrict, base=base)
-
-
-def _splits(plant: QuantumLinearSystem, scheme: str, draw) -> tuple[MeasurementSplit, ...]:
-    """One split per measured channel group, ``draw(width)`` each."""
-    if scheme == "mf1":
-        return (draw(plant.m),)
-    return tuple(draw(len(group)) for group in plant.role_partition())
 
 
 def _open_loop(plant: QuantumLinearSystem, scheme: str, splits) -> StateSpaceModel:
@@ -217,7 +202,8 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     else:
         controller_dim_range = tuple(int(d) for d in controller_dim_range)
 
-    canonical = _splits(plant, scheme, lambda width: homodyne_split(width, "P"))
+    widths = _split_widths(plant, scheme)
+    canonical = [homodyne_split(width, "P") for width in widths]
     pre = _goal_verdict(_open_loop(plant, scheme, canonical), goal, scheme, None, base)
     if pre.achieved:
         raise ValidationError(
@@ -233,7 +219,7 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     streams = np.random.SeedSequence(seed).spawn(trials)
     for ss in streams:
         rng = np.random.Generator(np.random.Philox(ss))
-        splits = _splits(plant, scheme, lambda width: random_split(rng, width))
+        splits = [random_split(rng, width) for width in widths]
         ctrl = sample_classical_controller(rng, plant, scheme, controller_dim_range)
         loop = assemble(plant, ctrl, *splits)
         # QND/DFS witnesses must be purely quantum: in the plant block

@@ -20,7 +20,7 @@ from .core import (
     build_system,
 )
 from .goals import GoalVerdict
-from .interconnect import ClassicalController, QuantumController
+from .interconnect import _GAINS, ClassicalController, QuantumController
 
 __all__ = [
     "system_to_dict",
@@ -146,23 +146,19 @@ def controller_from_dict(d: dict):
     (classical, with optional homodyne selector lists ``measure`` /
     ``measure_feedback``/``measure_evaluation``), ``cf1``/``cf2``
     (quantum), or ``direct`` (proportional feedback, field ``tau``).
+    The options of ``mf1``/``mf2`` are ``"selectors"``, one selector field
+    per homodyne split the scheme takes; that of ``direct`` is ``"tau"``.
     """
     if not isinstance(d, dict) or "scheme" not in d:
         raise ValidationError("controller description needs a 'scheme' field")
     scheme = str(d["scheme"])
     opts: dict[str, Any] = {}
-    if scheme == "mf1":
-        ctrl = ClassicalController(_matrix(d.get("A_K", []), "A_K"),
-                                   _matrix(d.get("B_K", []), "B_K"),
-                                   C_K=_matrix(d["C_K"], "C_K") if "C_K" in d else None)
-        opts["measure"] = _selectors(d, "measure")
-    elif scheme == "mf2":
+    if scheme in _GAINS:
         ctrl = ClassicalController(
             _matrix(d.get("A_K", []), "A_K"), _matrix(d.get("B_K", []), "B_K"),
-            C_K1=_matrix(d["C_K1"], "C_K1") if "C_K1" in d else None,
-            C_K2=_matrix(d["C_K2"], "C_K2") if "C_K2" in d else None)
-        opts["measure_feedback"] = _selectors(d, "measure_feedback")
-        opts["measure_evaluation"] = _selectors(d, "measure_evaluation")
+            **{name: _matrix(d[name], name) for name in _GAINS[scheme] if name in d})
+        fields = ("measure",) if scheme == "mf1" else ("measure_feedback", "measure_evaluation")
+        opts["selectors"] = [_selectors(d, name) for name in fields]
     elif scheme == "cf1":
         ctrl = QuantumController(_required_matrix(d, "G_K"),
                                  C1=_required_matrix(d, "C1"),

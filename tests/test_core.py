@@ -332,6 +332,29 @@ def test_overflowing_drift_is_rejected_at_to_state_space():
             sys.to_state_space(split)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_symmetrisation_is_rejected():
+    # (G + G^T) / 2 overflows although every entry of G is finite
+    with pytest.raises(ValidationError, match="^G contains non-finite entries"):
+        build_system([[1.7e308, 0], [0, 0]], np.zeros((0, 2)))
+
+
+def test_port_registries_are_sealed_once_a_model_holds_them():
+    ss = sc.optomech_reduced().to_state_space()
+    tf = normalized_gw_signal(ss, "W.out.P", 1, 1)
+    # the derived realization shares its parent's input registry
+    for add in (lambda: tf.realization.inputs.append("X", 1),
+                lambda: tf.realization.outputs.alias("X", 0, 1),
+                lambda: ss.outputs.append("X", 1)):
+        with pytest.raises(ValidationError, match="belongs to a model"):
+            add()
+    assert ss.inputs.total == 3 == ss.B.shape[1]
+    assert "X" not in ss.outputs and ss.outputs.total == ss.C.shape[0]
+    copy = Ports.from_entries(ss.outputs.entries())
+    copy.append("X", 1)
+    assert copy.total == ss.outputs.total + 1
+
+
 def test_derived_realizations_match_the_checked_constructor():
     # the package's own realizations share their parent's arrays; each must
     # equal what the public, checking constructor makes of the same fields

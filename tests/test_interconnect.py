@@ -20,7 +20,8 @@ from qlin import (
     sigma,
 )
 from qlin import scenarios as sc
-from qlin.nogo import random_orthosymplectic
+from qlin.interconnect import mf_type2_open_loop
+from qlin.nogo import random_orthosymplectic, random_split, sample_classical_controller
 from qlin.xfer import TransferFunction, evaluate
 
 
@@ -117,6 +118,26 @@ def test_mf_port_bookkeeping():
     loop1 = mf_type1(sc.optomech_full(), random_mf1_controller(
         np.random.default_rng(44), sc.optomech_full(), 2), homodyne_split(1, "P"))
     assert loop1.inputs.total == 2 * sc.optomech_full().m + 1
+
+
+NON_FINITE_CONTROLLERS = {
+    "A_K": lambda: ClassicalController([[np.inf]], [[1.0]], C_K=[[1.0], [0.0]]),
+    "B_K": lambda: ClassicalController([[-1.0]], [[np.nan]], C_K=[[1.0], [0.0]]),
+    "C_K1": lambda: ClassicalController([[-1.0]], [[1.0]], C_K1=[[np.nan], [0.0]],
+                                        C_K2=[[0.0], [0.0]]),
+    "G_K": lambda: QuantumController(G_K=[[np.nan, 0.0], [0.0, 0.0]], C1=np.zeros((2, 2)),
+                                     C2=np.zeros((2, 2))),
+    "C1": lambda: QuantumController(G_K=np.zeros((2, 2)), C1=[[np.nan, 0.0], [0.0, 0.0]],
+                                    C2=np.zeros((2, 2))),
+    "S": lambda: QuantumController(G_K=np.zeros((2, 2)), C_K=np.eye(2),
+                                   S=[[np.nan, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(NON_FINITE_CONTROLLERS))
+def test_controllers_reject_non_finite_fields(name):
+    with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries"):
+        NON_FINITE_CONTROLLERS[name]()
 
 
 def test_cf1_reproduces_tsang_caves_reference_matrices():
@@ -301,6 +322,45 @@ def test_cf_loops_obey_the_cascade_law():
         rhs = (evaluate(field_tf(ctrl, ctrl.channels), s) @ S
                @ evaluate(field_tf(plant, fb), s))
         worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
+    assert worst < 1e-12
+
+
+def test_mf_loops_obey_the_loop_transfer_law():
+    # with the open loop G (all inputs to all outputs), the controller
+    # K = C_K (s - A_K)^-1 B_K and the map E of u onto the inputs (u displaces
+    # the field: type 1 W = M1^T Q + M2^T P, type 2 W1 and W2 = M1e^T Q2 +
+    # M2e^T P2), the loop is G + G E K (I - G_yu K)^-1 G_y, G_yu = G_y E
+    rng = np.random.default_rng(49)
+
+    def tf(A, B, C, D, s):
+        return D + C @ np.linalg.solve(s * np.eye(len(A)) - A, B)
+
+    worst = 0.0
+    for scheme, plant in (("mf1", sc.optomech_reduced()), ("mf2", sc.michelson())):
+        for _ in range(100):
+            ctrl = sample_classical_controller(rng, plant, scheme, range(0, 5))
+            if scheme == "mf1":
+                splits = [random_split(rng, plant.m)]
+                loop, open_loop = mf_type1(plant, ctrl, *splits), plant.to_state_space(*splits)
+                E = np.zeros((open_loop.inputs.total, 2 * plant.m))
+                E[open_loop.inputs.slice("Q")] = splits[0].M1
+                E[open_loop.inputs.slice("P")] = splits[0].M2
+                C_K = ctrl.C_K
+            else:
+                splits = [random_split(rng, 1), random_split(rng, 1)]
+                loop, open_loop = mf_type2(plant, ctrl, *splits), mf_type2_open_loop(plant, *splits)
+                E = np.zeros((open_loop.inputs.total, 4))
+                E[open_loop.inputs.slice("W1"), :2] = np.eye(2)
+                E[open_loop.inputs.slice("Q2"), 2:] = splits[1].M1
+                E[open_loop.inputs.slice("P2"), 2:] = splits[1].M2
+                C_K = np.vstack([ctrl.C_K1, ctrl.C_K2])
+            s = complex(rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0))
+            G = tf(open_loop.A, open_loop.B, open_loop.C, open_loop.D, s)
+            Gy = G[open_loop.outputs.slice("y")]
+            K = tf(ctrl.A_K, ctrl.B_K, C_K, np.zeros((len(C_K), len(Gy))), s)
+            rhs = G + G @ E @ K @ np.linalg.solve(np.eye(len(Gy)) - Gy @ E @ K, Gy)
+            lhs = tf(loop.A, loop.B, loop.C, loop.D, s)
+            worst = max(worst, np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(rhs))))
     assert worst < 1e-12
 
 
