@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -154,8 +154,10 @@ class Ports:
 
     Sub-ports (e.g. the single quadrature ``"W1.Q"`` inside the two-wide
     channel port ``"W1"``) may overlap their parent range.  A model seals
-    the registries it holds, so no port can be added under its matrices;
-    :meth:`from_entries` gives an open copy.
+    the registries it holds, so no port can be added under its matrices,
+    and sealed registries are shared: the package builds those of one
+    channel layout once (:func:`_layout`).  :meth:`from_entries` gives an
+    open copy.
     """
 
     def __init__(self, entries: Iterable[tuple[str, int]] = ()):
@@ -163,6 +165,7 @@ class Ports:
         self._order: list[str] = []
         self._total = 0
         self._held = False
+        self._extended: dict[tuple[str, int], "Ports"] = {}
         for name, width in entries:
             self.append(name, width)
 
@@ -200,6 +203,17 @@ class Ports:
         if start < 0 or start + width > self._total:
             raise ShapeError(f"sub-port {name!r} range out of bounds")
         self._add(name, start, width)
+
+    def _plus(self, name: str, width: int) -> "Ports":
+        """A sealed copy of this sealed registry with one more primary port.
+        Neither can change, so the copy is built once and kept here."""
+        ports = self._extended.get((name, width))
+        if ports is None:
+            ports = Ports.from_entries(self.entries())
+            ports.append(name, width)
+            ports._held = True
+            self._extended[(name, width)] = ports
+        return ports
 
     def __contains__(self, name: str) -> bool:
         return name in self._ranges
@@ -311,11 +325,21 @@ class StateSpaceModel:
         return self.A.shape[0]
 
     @cached_property
-    def _staircases(self) -> dict:
-        """Memo of the staircase results of :mod:`qlin.structural`, keyed by
-        side and resolved port indices.  The model is immutable, so each is
-        computed once; only ``structural._subspace`` and
-        ``structural._reduced_pair`` read or fill it."""
+    def _memo(self) -> dict:
+        """Private memo of results that depend on this immutable model only.
+
+        Two kinds of entry, each owned by one module:
+
+        * staircase results of :mod:`qlin.structural`, keyed by side and the
+          resolved port indices, each computed once; only
+          ``structural._subspace`` and ``structural._reduced_pair`` read or
+          fill them;
+        * under the key ``"point"``, the joint resolvent solve of the most
+          recent one-point request of :mod:`qlin.xfer` that its conditioning
+          screen cleared; only ``xfer._point_solve`` reads or fills it.
+
+        A model derived from this one starts with a memo of its own.
+        """
         return {}
 
     def b(self, port: Union[str, Sequence[str]]) -> np.ndarray:
@@ -556,38 +580,21 @@ class QuantumLinearSystem:
         """
         B = self.B
         m = self.m
+        labels = tuple(ch.label for ch in self.channels)
+        force = self.force is not None
         if split is None:
-            inputs = Ports()
-            for j, ch in enumerate(self.channels):
-                inputs.append(ch.label, 2)
-                inputs.alias(ch.label + ".Q", 2 * j, 1)
-                inputs.alias(ch.label + ".P", 2 * j + 1, 1)
-            Bfull = B
-            if self.force is not None:
-                inputs.append("F", 1)
-                Bfull = np.concatenate((B, self.force[:, None]), axis=1)
-            outputs = Ports()
-            for j, ch in enumerate(self.channels):
-                outputs.append(ch.label + ".out", 2)
-                outputs.alias(ch.label + ".out.Q", 2 * j, 1)
-                outputs.alias(ch.label + ".out.P", 2 * j + 1, 1)
-            D = np.zeros((2 * m, Bfull.shape[1]))
-            D[:, :2 * m] = np.eye(2 * m)
+            inputs, outputs, D = _layout("raw", labels, force)
+            Bfull = np.concatenate((B, self.force[:, None]), axis=1) if force else B
             return StateSpaceModel._derive(self, B=Bfull, D=D, inputs=inputs, outputs=outputs)
 
         if split.m != m:
             raise ShapeError(f"split has {split.m} channels, system has {m}")
         M1, M2 = split.M1, split.M2
-        inputs = Ports([("Q", m), ("P", m)])
+        inputs, outputs, _ = _layout("split", labels, force)
         cols = [B @ M1.T, B @ M2.T]
-        if self.force is not None:
-            inputs.append("F", 1)
+        if force:
             cols.append(self.force.reshape(-1, 1))
         Bfull = np.hstack(cols) if cols else np.zeros((2 * self.n, 0))
-        outputs = Ports([("y", m), ("ybar", m), ("Wout", 2 * m)])
-        for j, ch in enumerate(self.channels):
-            outputs.alias(ch.label + ".out.Q", 2 * m + 2 * j, 1)
-            outputs.alias(ch.label + ".out.P", 2 * m + 2 * j + 1, 1)
         Cfull = np.vstack([M1 @ self.C, M2 @ self.C, self.C])
         D = np.zeros((4 * m, Bfull.shape[1]))
         D[:m, :m] = np.eye(m)                      # y carries the measured noise
@@ -596,6 +603,60 @@ class QuantumLinearSystem:
         D[2 * m:, m:2 * m] = M2.T
         return StateSpaceModel._derive(self, B=Bfull, C=Cfull, D=D, inputs=inputs,
                                        outputs=outputs)
+
+
+@lru_cache(maxsize=128)
+def _layout(kind: str, labels: tuple[str, ...], force: bool,
+            feedback: int = 0) -> tuple[Ports, Ports, Optional[np.ndarray]]:
+    """The sealed input and output registries of one channel layout, built
+    once per layout (the cache keeps the last 128) and shared by every
+    model with that layout.
+
+    ``labels`` are the channel labels in order and ``force`` whether the
+    system has a force port ``"F"``.  Kinds:
+
+    * ``"raw"``: the ports of ``to_state_space()``; the third item is its
+      identity feedthrough ``[I, 0]``, frozen;
+    * ``"split"``: the ports of ``to_state_space(split)``;
+    * ``"mf2"``: the ports of ``interconnect.mf_type2_open_loop``, where the
+      first ``feedback`` labels are the feedback channels.
+
+    The third item is ``None`` for the last two, whose feedthrough depends
+    on the split.  A duplicate port name raises ``ValidationError`` on
+    every call, as registering it does.
+    """
+    def quadratures(ports, name, start):
+        ports.alias(name + ".Q", start, 1)
+        ports.alias(name + ".P", start + 1, 1)
+
+    m, D = len(labels), None
+    if kind == "raw":
+        inputs, outputs = Ports(), Ports()
+        for j, label in enumerate(labels):
+            for ports, name in ((inputs, label), (outputs, label + ".out")):
+                ports.append(name, 2)
+                quadratures(ports, name, 2 * j)
+        D = np.zeros((2 * m, 2 * m + force))
+        D[:, :2 * m] = np.eye(2 * m)
+        D.setflags(write=False)
+    else:
+        if kind == "split":
+            inputs = Ports([("Q", m), ("P", m)])
+            outputs = Ports([("y", m), ("ybar", m), ("Wout", 2 * m)])
+            fields = 2 * m  # where the field outputs start
+        else:
+            m1, m2 = feedback, m - feedback
+            inputs = Ports([("W1", 2 * m1), ("Q2", m2), ("P2", m2)])
+            for j, label in enumerate(labels[:m1]):
+                quadratures(inputs, label, 2 * j)
+            outputs = Ports([("y", m1), ("z", m2), ("W1out", 2 * m1), ("W2out", 2 * m2)])
+            fields = m
+        for j, label in enumerate(labels):
+            quadratures(outputs, label + ".out", fields + 2 * j)
+    if force:
+        inputs.append("F", 1)
+    inputs._held = outputs._held = True
+    return inputs, outputs, D
 
 
 def build_system(G, C, channels=None, force=None, mode_labels=None) -> QuantumLinearSystem:

@@ -22,12 +22,15 @@ The staircase route reads the model's memo (``structural._subspace`` and
 ``structural._reduced_pair``), so verdicts on one model share each
 controllable subspace, observable subspace and reduced pair: ``check_bae``
 runs 3 staircases, and ``transfer_zero_equivalence`` inside it none of its
-own.  The probes are never shared: ``_probe`` runs once per verdict.
+own.  The probes are never shared: ``_probe`` runs once per verdict and
+never reads the memo's resolvent entry, which belongs to :mod:`qlin.xfer`
+alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -131,6 +134,16 @@ def _threshold(base: float, first: np.ndarray, second: np.ndarray, norm_A: float
     return base * np.linalg.norm(first) * np.linalg.norm(second) / (norm_A + 1.0)
 
 
+@cache
+def _probe_units() -> np.ndarray:
+    """The probe points on the unit circle, drawn from ``PROBE_SEED`` once
+    per process (at the first probe, so a process that never probes does
+    not draw them), read-only; a verdict scales them by its radius."""
+    units = np.exp(2j * np.pi * np.random.default_rng(PROBE_SEED).random(PROBE_COUNT))
+    units.setflags(write=False)
+    return units
+
+
 def _probe(A: np.ndarray, legs, base: float) -> list[tuple[float, float]]:
     """Per (left, right) leg: the largest ``|left (sI - A)^{-1} right|`` and
     its zero threshold ``base * |left|_F |right|_F / (|A|_F + 1)``.
@@ -141,8 +154,7 @@ def _probe(A: np.ndarray, legs, base: float) -> list[tuple[float, float]]:
     """
     nA = np.linalg.norm(A)
     rights = np.hstack([right for _, right in legs])
-    s = (2.0 * nA + 1.0) * np.exp(
-        2j * np.pi * np.random.default_rng(PROBE_SEED).random(PROBE_COUNT))
+    s = (2.0 * nA + 1.0) * _probe_units()
     X = np.linalg.solve(s[:, None, None] * np.eye(A.shape[0]) - A,
                         np.broadcast_to(rights, (PROBE_COUNT,) + rights.shape))
     out, col = [], 0

@@ -28,6 +28,7 @@ from .core import (
     ValidationError,
     _as_matrix,
     _hamiltonian,
+    _layout,
     sigma,
 )
 
@@ -64,22 +65,33 @@ class ClassicalController:
             A = A.reshape(0, 0)
         A = _as_matrix("A_K", A, cols=len(A))
         k = A.shape[0]
-        B = np.asarray(self.B_K, dtype=float)
-        if B.ndim == 1:
-            B = B.reshape(k, -1) if B.size else B.reshape(k, 0)
         object.__setattr__(self, "A_K", A)
-        object.__setattr__(self, "B_K", _as_matrix("B_K", B, rows=k))
+        object.__setattr__(self, "B_K", _as_matrix("B_K", _unflatten("B_K", self.B_K, k, True),
+                                                   rows=k))
         for name in ("C_K", "C_K1", "C_K2"):
             val = getattr(self, name)
             if val is not None:
-                val = np.asarray(val, dtype=float)
-                if val.ndim == 1:
-                    val = val.reshape(-1, k) if val.size else val.reshape(0, k)
-                object.__setattr__(self, name, _as_matrix(name, val, cols=k))
+                object.__setattr__(self, name,
+                                   _as_matrix(name, _unflatten(name, val, k, False), cols=k))
 
     @property
     def dim(self) -> int:
         return self.A_K.shape[0]
+
+
+def _unflatten(name: str, val, k: int, state_rows: bool) -> np.ndarray:
+    """A controller matrix, with a flat one read as ``k`` rows
+    (``state_rows``, as ``B_K``) or as rows of ``k`` columns (the gains); a
+    flat one that does not fill them is a ``ValidationError`` naming
+    ``name``."""
+    val = np.asarray(val, dtype=float)
+    if val.ndim != 1:
+        return val
+    width, rest = divmod(val.size, k) if k else (0, val.size)
+    if rest:
+        raise ValidationError(f"flat {name} has {val.size} entries, not a multiple of "
+                              f"the controller's {k} states")
+    return val.reshape((k, width) if state_rows else (width, k))
 
 
 @dataclass(frozen=True)
@@ -211,17 +223,10 @@ def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
     M = fb_split.M1
     M1e, M2e = eval_split.M1, eval_split.M2
 
-    inputs = Ports([("W1", 2 * m1), ("Q2", m2), ("P2", m2)])
-    outputs = Ports([("y", m1), ("z", m2), ("W1out", 2 * m1), ("W2out", 2 * m2)])
-    for j, ch in enumerate(plant.channels[i] for i in fb):
-        inputs.alias(ch.label + ".Q", 2 * j, 1)
-        inputs.alias(ch.label + ".P", 2 * j + 1, 1)
-    for j, ch in enumerate(plant.channels[i] for i in fb + ev):
-        outputs.alias(ch.label + ".out.Q", m1 + m2 + 2 * j, 1)
-        outputs.alias(ch.label + ".out.P", m1 + m2 + 2 * j + 1, 1)
+    inputs, outputs, _ = _layout("mf2", tuple(plant.channels[i].label for i in fb + ev),
+                                 plant.force is not None, m1)
     cols = [B1, B2 @ M1e.T, B2 @ M2e.T]
     if plant.force is not None:
-        inputs.append("F", 1)
         cols.append(plant.force.reshape(-1, 1))
     C = np.vstack([M @ C1, M1e @ C2, C1, C2])
     D = np.zeros((C.shape[0], inputs.total))

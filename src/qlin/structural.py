@@ -13,8 +13,9 @@ A :class:`~qlin.core.StateSpaceModel` is immutable, so the goal engines and
 the CLI read its subspaces through a per-model memo (``_subspace`` and
 ``_reduced_pair``): each controllable subspace, observable subspace and
 reduced pair is one staircase per model, keyed by side and the resolved
-column/row indices rather than port names.  The memo holds staircase
-results only; no resolvent probe is ever cached.
+column/row indices rather than port names.  These are the staircase
+entries of ``StateSpaceModel._memo``; its one resolvent entry belongs to
+:mod:`qlin.xfer` alone, and no resolvent probe is ever cached.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def _subspace(model: StateSpaceModel, side: str, ports) -> Subspace:
     ``"W1"`` and ``["W1.Q", "W1.P"]`` share it."""
     idx = (model.inputs if side == "in" else model.outputs).indices(ports)
     key = (side, tuple(idx.tolist()))
-    memo = model._staircases
+    memo = model._memo
     if key not in memo:
         memo[key] = (controllable_subspace(model.A, model.B[:, idx]) if side == "in"
                      else controllable_subspace(model.A.T, model.C[idx].T))
@@ -271,7 +272,7 @@ def _reduced_pair(model: StateSpaceModel, inputs, outputs):
     model; it starts from the memoised controllable basis of ``inputs``."""
     cols, rows = model.inputs.indices(inputs), model.outputs.indices(outputs)
     key = ("pair", tuple(cols.tolist()), tuple(rows.tolist()))
-    memo = model._staircases
+    memo = model._memo
     if key not in memo:
         memo[key] = _restrict(model.A, model.B[:, cols], model.C[rows],
                               _subspace(model, "in", inputs).basis)

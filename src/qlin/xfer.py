@@ -1,4 +1,19 @@
-"""Transfer-function evaluation, noise power spectra, and the SQL chain."""
+"""Transfer-function evaluation, noise power spectra, and the SQL chain.
+
+One resolvent engine (:func:`_solve_response`) solves against the joint
+right-hand side ``[B | I]``, so one LU factorisation per point gives both
+the response and a conditioning screen.
+
+One solve per (model, point): a model keeps, in its private memo, the joint
+solve of its most recent one-point request that the screen cleared, against
+the full ``B``.  :func:`noise_power`, :func:`evaluate` and
+:func:`frequency_response` at that point read their columns from it, so a
+coupling of the SQL chain (noise power, then force gain) factors ``sI - A``
+once.  Grids are never kept, a derived model (such as the ``"gw"``
+realization of :func:`normalized_gw_signal`) starts with an empty memo, and
+the goal probes never read it.  Registries are built once per channel
+layout (``core._layout``), the ``"gw"`` one once per parent registry.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +22,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Ports, ShapeError, StateSpaceModel, ValidationError
+from .core import ShapeError, StateSpaceModel, ValidationError
 from .structural import reduce_pair
 
 __all__ = [
@@ -49,8 +64,8 @@ class TransferFunction:
 
     def __post_init__(self):
         # fail fast on unknown ports
-        self.realization.b(self.input_port)
-        self.realization.c(self.output_port)
+        self.realization.inputs._select(self.input_port)
+        self.realization.outputs._select(self.output_port)
 
     def __call__(self, s: complex) -> np.ndarray:
         return evaluate(self, s)
@@ -83,22 +98,28 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     return out
 
 
-def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
+def _screened_solve(A, B, s):
+    """``M = s I - A`` at the 1-D complex points ``s``, the joint solve
+    ``X = M^{-1} [B | I]`` (``None`` if it fails) and the screen verdict of
+    each point: ``|M|_F^2 |M^{-1}|_F^2 <= (COND_LIMIT / 2)^2``."""
     n, p = B.shape
-    if n == 0 or p == 0 or C.shape[0] == 0:
-        return np.repeat(D.astype(complex)[None], s.size, axis=0)
     eye = np.eye(n)
     M = s[:, None, None] * eye - A
     try:
         X = np.linalg.solve(M, np.concatenate((B, eye), axis=1, dtype=complex)[None])
-        # the screen, squared: |M|_F^2 |M^{-1}|_F^2 <= (COND_LIMIT / 2)^2
-        sq = [np.add.reduce((Z.conj() * Z).real, axis=(1, 2)) for Z in (M, X[:, :, p:])]
-        ok = sq[0] * sq[1] <= (COND_LIMIT / 2) ** 2
     except np.linalg.LinAlgError:
-        ok = np.zeros(s.size, dtype=bool)
+        return M, None, np.zeros(s.size, dtype=bool)
+    sq = [np.add.reduce((Z.conj() * Z).real, axis=(1, 2)) for Z in (M, X[:, :, p:])]
+    return M, X, sq[0] * sq[1] <= (COND_LIMIT / 2) ** 2
+
+
+def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
+    n, p = B.shape
+    if n == 0 or p == 0 or C.shape[0] == 0:
+        return np.repeat(D.astype(complex)[None], s.size, axis=0)
+    M, X, ok = _screened_solve(A, B, s)
     if ok.all():
-        # a contiguous copy: matmul rounds a strided operand differently
-        return C @ np.ascontiguousarray(X[:, :, :p]) + D
+        return _columns(C, X, slice(0, p), D)
     ok[~ok] = np.linalg.cond(M[~ok]) <= COND_LIMIT
     ill = np.flatnonzero(~ok)
     if reduced and ill.size:
@@ -115,6 +136,30 @@ def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
         Ar, Br, Cr = reduce_pair(A, B, C)
         out[ill] = _solve_chunk(Ar, Br, Cr, D, s[ill], True)
     return out
+
+
+def _columns(C, X, cols, D) -> np.ndarray:
+    """``C X[:, :, cols] + D``, with the columns copied contiguous first:
+    matmul rounds a strided operand differently."""
+    return C @ np.ascontiguousarray(X[:, :, cols]) + D
+
+
+def _point_solve(model: StateSpaceModel, s: np.ndarray) -> Optional[np.ndarray]:
+    """The joint solve ``(sI - A)^{-1} [B | I]`` of ``model`` at the one
+    point ``s`` (shape ``(1,)``), read-only, or ``None`` if the screen does
+    not clear the point.  The model's memo keeps the solve of its most
+    recent cleared point under ``"point"``, keyed by the point's bytes."""
+    key = (s.dtype.char, s.tobytes())
+    memo = model._memo
+    hit = memo.get("point")
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    _, X, ok = _screened_solve(model.A, model.B, s)
+    if not ok[0]:
+        return None
+    X.setflags(write=False)
+    memo["point"] = (key, X)
+    return X
 
 
 def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
@@ -148,8 +193,23 @@ def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndar
 
 def _response(tf: TransferFunction, points: np.ndarray) -> np.ndarray:
     model = tf.realization
-    return _solve_response(model.A, model.b(tf.input_port), model.c(tf.output_port),
-                           model.d(tf.output_port, tf.input_port), points)
+    return _port_response(model, tf.input_port, model.c(tf.output_port),
+                          model.d(tf.output_port, tf.input_port), points)
+
+
+def _port_response(model: StateSpaceModel, port, C, D, points) -> np.ndarray:
+    """``C (sI - A)^{-1} B + D`` at ``points``, where ``B`` holds the columns
+    of the input port(s) ``port`` of ``model`` (all of them for ``None``).
+    A one-point request reads those columns of the model's memoised joint
+    solve (:func:`_point_solve`); a grid, an empty path or a point the
+    screen cannot clear goes to the grid engine, so such a point takes the
+    exact test, and the reduced pair, of its own port pair."""
+    if points.size == 1 and model.nstates and C.shape[0] and D.shape[1]:
+        X = _point_solve(model, points)
+        if X is not None:
+            cols = slice(0, model.B.shape[1]) if port is None else model.inputs._select(port)
+            return _columns(C, X, cols, D)
+    return _solve_response(model.A, model.B if port is None else model.b(port), C, D, points)
 
 
 @dataclass(frozen=True)
@@ -208,7 +268,7 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
     var = _column_variances(model, variances, exclude)
     # evaluate the full row response once, then weight column-wise
     om = np.asarray(omega, dtype=float)
-    row = _solve_response(model.A, model.B, C, D, 1j * om.reshape(-1))
+    row = _port_response(model, None, C, D, 1j * om.reshape(-1))
     power = (np.abs(row[:, 0]) ** 2 * var).sum(axis=-1)
     return float(power[0]) if om.ndim == 0 else power.reshape(om.shape)
 
@@ -242,11 +302,9 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
     if model.C[rows].shape[0] != 1:
         raise ShapeError("output must be a scalar port")
     scale = 1.0 / (2.0 * np.sqrt(lam) * L)
-    outputs = Ports.from_entries(model.outputs.entries())
-    outputs.append("gw", 1)
     model2 = StateSpaceModel._derive(model, C=np.concatenate((model.C, scale * model.C[rows])),
                                      D=np.concatenate((model.D, scale * model.D[rows])),
-                                     outputs=outputs)
+                                     outputs=model.outputs._plus("gw", 1))
     return TransferFunction(model2, "F", "gw")
 
 

@@ -198,6 +198,20 @@ def test_closedloop_scheme_mismatch(tmp_path, capsys):
         assert "qlin: error:" in err and field in err, err
 
 
+def test_closedloop_flat_controller_that_does_not_fit_exits_2(tmp_path, capsys):
+    plant = write_json(tmp_path, "plant.json", system_to_dict(sc.optomech_reduced()))
+    for i, (ctrl_json, field) in enumerate((
+            ({"scheme": "mf1", "A_K": [], "B_K": [1.0, 2.0], "C_K": [[], []]}, "B_K"),
+            ({"scheme": "mf1", "A_K": [[-1.0, 0.0], [0.0, -1.0]], "B_K": [1.0, 2.0, 3.0],
+              "C_K": [[1.0, 0.0], [0.0, 1.0]]}, "B_K"),
+            ({"scheme": "mf1", "A_K": [[-1.0, 0.0], [0.0, -1.0]], "B_K": [1.0, 2.0],
+              "C_K": [1.0, 2.0, 3.0]}, "C_K"))):
+        ctrl = write_json(tmp_path, f"flat{i}.json", ctrl_json)
+        code, _, err = run_cli(capsys, "closedloop", plant, ctrl)
+        assert code == 2, ctrl_json
+        assert f"qlin: error: flat {field} has" in err, err
+
+
 def test_closedloop_mf2_and_cf1_match_the_library(tmp_path, capsys):
     rng = np.random.default_rng(7)
     plant_sys = sc.michelson()

@@ -23,6 +23,7 @@ from qlin import (
     sigma,
 )
 from qlin import scenarios as sc
+from qlin.interconnect import mf_type2_open_loop
 from qlin.serialize import system_from_dict, system_to_dict
 
 
@@ -353,6 +354,50 @@ def test_port_registries_are_sealed_once_a_model_holds_them():
     copy = Ports.from_entries(ss.outputs.entries())
     copy.append("X", 1)
     assert copy.total == ss.outputs.total + 1
+
+
+def test_systems_with_equal_channel_labels_share_one_sealed_registry():
+    # registries depend on the channel labels (and the force port) only, so
+    # the realizations of one layout share them, sealed
+    rng = np.random.default_rng(12)
+    one, two = (random_system(rng, 2, 2, force=True) for _ in range(2))
+    split = homodyne_split(2, "P")
+    for a, b in ((one.to_state_space(), two.to_state_space()),
+                 (one.to_state_space(split), two.to_state_space(split)),
+                 (mf_type2_open_loop(sc.michelson(), homodyne_split(1, "Q"), homodyne_split(1, 0.3)),
+                  mf_type2_open_loop(sc.michelson(sc.MichelsonParams(lam=2.0)),
+                                     homodyne_split(1, "P"), homodyne_split(1, 1.0)))):
+        assert a.inputs is b.inputs and a.outputs is b.outputs
+        for add in (lambda: a.inputs.append("X", 1), lambda: a.outputs.alias("X", 0, 1)):
+            with pytest.raises(ValidationError, match="belongs to a model"):
+                add()
+    # other labels or no force port: another layout
+    relabelled = build_system(one.G, one.C, channels=["A", "B"], force=one.force)
+    assert relabelled.to_state_space().inputs is not one.to_state_space().inputs
+    assert build_system(one.G, one.C).to_state_space().inputs is not one.to_state_space().inputs
+    # the "gw" extension is built once per sealed parent registry
+    gw = [normalized_gw_signal(sys.to_state_space(), "W1.out.P", 1.0, 1.0).realization
+          for sys in (one, two)]
+    assert gw[0].outputs is gw[1].outputs
+    assert gw[0].outputs.names == one.to_state_space().outputs.names + ("gw",)
+    with pytest.raises(ValidationError, match="belongs to a model"):
+        gw[0].outputs.append("X", 1)
+    for _ in range(2):  # an extension that fails is not kept
+        with pytest.raises(ValidationError, match="duplicate port name 'gw'"):
+            normalized_gw_signal(gw[0], "W1.out.P", 1.0, 1.0)
+
+
+def test_shared_raw_feedthrough_is_read_only():
+    rng = np.random.default_rng(13)
+    a, b = (random_system(rng, 2, 2, force=True).to_state_space() for _ in range(2))
+    assert a.D is b.D
+    assert np.array_equal(a.D, np.hstack([np.eye(4), np.zeros((4, 1))]))
+    with pytest.raises(ValueError):
+        a.D[0, 0] = 2.0
+    # d() still hands out a fresh, writable copy
+    block = a.d("W1.out", "W1")
+    block[0, 0] = 2.0
+    assert a.D[0, 0] == 1.0
 
 
 def test_derived_realizations_match_the_checked_constructor():

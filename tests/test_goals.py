@@ -372,6 +372,23 @@ def memo_cases():
             (find_dfs, ["W1", "W2"], ["W1.out", "W2.out"]), (find_dfs, "W1", "W1.out")]
 
 
+def test_probe_points_are_drawn_once():
+    units = np.exp(2j * np.pi * np.random.default_rng(goals.PROBE_SEED).random(goals.PROBE_COUNT))
+    assert np.array_equal(goals._probe_units(), units)
+    assert goals._probe_units() is goals._probe_units()
+    assert not goals._probe_units().flags.writeable
+    # a probe is the same as one that draws its points afresh
+    model = scaling_system("dense", 8, 1).to_state_space()
+    left, right = model.c("W2.out"), model.b("W1")
+    nA = np.linalg.norm(model.A)
+    s = (2.0 * nA + 1.0) * units
+    X = np.linalg.solve(s[:, None, None] * np.eye(model.nstates) - model.A,
+                        np.broadcast_to(right, (goals.PROBE_COUNT,) + right.shape))
+    (worst, tol), = goals._probe(model.A, [(left, right)], 1e-9)
+    assert worst == float(np.max(np.abs(left @ X)))
+    assert tol == goals._threshold(1e-9, left, right, nA)
+
+
 def test_memo_changes_no_verdict():
     for fresh, verdicts in memo_cases():
         shared = fresh()
@@ -386,7 +403,7 @@ def test_memo_changes_no_verdict():
 
 def test_memo_keys_resolved_indices():
     model = scaling_system("dense", 8, 1).to_state_space()
-    memo = model._staircases
+    memo = model._memo
     whole = check_bae(model, "W1", "W2.out")
     assert len(memo) == 3  # W1, W2.out and their reduced pair
     split = check_bae(model, ["W1.Q", "W1.P"], ["W2.out.Q", "W2.out.P"])

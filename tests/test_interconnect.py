@@ -140,6 +140,24 @@ def test_controllers_reject_non_finite_fields(name):
         NON_FINITE_CONTROLLERS[name]()
 
 
+def test_flat_controller_fields_must_fit_the_state_count():
+    # a flat B_K is read as one row per state, a flat gain as rows of one
+    # column per state; a length that does not fit names the field
+    A2 = -np.eye(2)
+    for make, name in ((lambda: ClassicalController(A2, [1.0, 2.0, 3.0], C_K=np.ones((2, 2))),
+                        "B_K"),
+                       (lambda: ClassicalController(A2, np.ones((2, 1)), C_K=[1.0, 2.0, 3.0]),
+                        "C_K"),
+                       (lambda: ClassicalController([], [1.0, 2.0], C_K=[[], []]), "B_K"),
+                       (lambda: ClassicalController([], [], C_K1=[1.0]), "C_K1")):
+        with pytest.raises(ValidationError, match=f"^flat {name} has"):
+            make()
+    ok = ClassicalController(A2, [1.0, 2.0, 3.0, 4.0], C_K=[1.0, 2.0])
+    assert ok.B_K.shape == (2, 2) and ok.C_K.shape == (1, 2)
+    empty = ClassicalController([], [], C_K=[[], []])
+    assert empty.B_K.shape == (0, 0) and empty.C_K.shape == (2, 0)
+
+
 def test_cf1_reproduces_tsang_caves_reference_matrices():
     m_, w_, k_, g_ = 1.0, 1.0, 1.0, 2.0
     loop = sc.tsang_caves_loop(m_, w_, k_, g_)

@@ -138,8 +138,10 @@ def test_stacked_solves_pass_a_stack_of_right_hand_sides(monkeypatch):
 
 
 def test_all_clear_chunk_factors_once(monkeypatch):
-    # a chunk whose points all pass the screen makes one joint solve against
-    # [B | I] and no inverse, exact condition number or second solve
+    # a point or chunk that passes the screen makes one joint solve against
+    # [B | I] and no inverse, exact condition number or second solve; a
+    # model keeps the solve of its last one-point request, so every
+    # one-point request at that point on that model reads it
     calls = []
 
     def counted(name, fn):
@@ -149,16 +151,109 @@ def test_all_clear_chunk_factors_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     model = sc.michelson_cf_loop().to_state_space()
     tf = normalized_gw_signal(model, "W2.out.P", 1.0, 1.0)
-    for run in (lambda: evaluate(tf, 0.3j),
-                lambda: noise_power(tf.realization, "gw", None, 0.3),
-                lambda: noise_power(tf.realization, "gw", None, np.geomspace(0.05, 50.0, 20)),
-                lambda: frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK))):
+    gw = tf.realization
+    grid = np.geomspace(0.05, 50.0, 20)
+    for runs, solves in (
+            # noise power, then the gain, at one point: one solve in all
+            ([lambda: noise_power(gw, "gw", None, 0.3), lambda: evaluate(tf, 0.3j),
+              lambda: frequency_response(tf, [0.3]),
+              lambda: evaluate(TransferFunction(gw, "W2.P", "gw"), 0.3j),
+              lambda: noise_power(gw, "gw", None, np.array([0.3]))], 1),
+            # a new point solves again, and then is the one kept
+            ([lambda: evaluate(tf, 0.4j), lambda: noise_power(gw, "gw", None, 0.4)], 1),
+            # a grid is never kept, and solves every time
+            ([lambda: noise_power(gw, "gw", None, grid)], 1),
+            ([lambda: frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK))], 1),
+            ([lambda: frequency_response(tf, grid), lambda: evaluate(tf, 0.4j)], 1),
+            # so is a fresh model, even with the arrays of this one
+            ([lambda: evaluate(normalized_gw_signal(model, "W2.out.P", 1.0, 1.0), 0.4j)], 1),
+            ([lambda: noise_power(model, "W2.out.P", None, 0.4)], 1),
+            ([lambda: frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK + 1))], 2)):
         calls.clear()
-        run()
-        assert calls == ["solve"]
-    calls.clear()
-    frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK + 1))
-    assert calls == ["solve", "solve"]
+        for run in runs:
+            run()
+        assert calls == ["solve"] * solves
+
+
+def test_one_solve_and_no_registry_per_sql_coupling(monkeypatch):
+    # one coupling of the criterion-4 chain makes one solve; after the first,
+    # it builds no port registry: those of the layout and its "gw" extension
+    # are shared
+    from qlin import core
+
+    solves, registries = [], []
+    solve, init = np.linalg.solve, core.Ports.__init__
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(core.Ports, "__init__",
+                        lambda self, *a: registries.append(1) or init(self, *a))
+    W, m, L = 0.3, 1.0, 1.0
+    for k, lam in enumerate(np.logspace(-2, 2, 5) * m * W ** 2):
+        solves.clear()
+        registries.clear()
+        model = sc.michelson(sc.MichelsonParams(m, 0.01, lam, L)).to_state_space()
+        tf = normalized_gw_signal(model, "W2.out.P", lam, L)
+        S = noise_power(tf.realization, "gw", None, W)
+        gain = evaluate(tf, 1j * W)[0, 0]
+        assert S > 0 and gain != 0
+        assert len(solves) == 1
+        if k:
+            assert registries == []
+
+
+def test_derived_model_does_not_read_its_parents_memo(monkeypatch):
+    # the "gw" realization shares its parent's A and B, but not its memo
+    model = sc.michelson().to_state_space()
+    noise_power(model, "W2.out.P", None, 0.3)
+    assert "point" in model._memo
+    gw = normalized_gw_signal(model, "W2.out.P", 1.0, 1.0).realization
+    assert gw.A is model.A and gw.B is model.B and "point" not in gw._memo
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    noise_power(gw, "gw", None, 0.3)
+    assert len(solves) == 1
+
+
+def test_ill_conditioned_point_never_enters_the_memo():
+    model = sc.optomech_reduced(m=1.0, omega=1.0, lam=1.0).to_state_space()
+    evaluate(TransferFunction(model, "W.Q", "W.out.P"), 0.5j)
+    kept = model._memo["point"]
+    with pytest.raises(SingularityError):
+        evaluate(TransferFunction(model, "W.Q", "W.out.P"), 1j)  # a pole of the path
+    assert model._memo["point"] is kept
+    # an undamped mode the port pair cannot see: the point is answered on the
+    # reduced pair, and it is not kept either
+    inner = random_system(np.random.default_rng(33), 2, 1)
+    G = np.zeros((6, 6))
+    G[:4, :4] = inner.G
+    G[4:, 4:] = 0.7 * np.eye(2)
+    hidden = build_system(G, np.hstack([inner.C, np.zeros((2, 2))]),
+                          channels=[Channel("W1")]).to_state_space()
+    tf = TransferFunction(hidden, "W1", "W1.out")
+    # at the mode the solve fails; next to it only the exact test sees it
+    for w in (0.7, 0.7 * (1 + 1e-15)):
+        assert np.array_equal(evaluate(tf, 1j * w), per_point_response(tf, [w])[0])
+        assert "point" not in hidden._memo
+    with pytest.raises(ValueError):
+        kept[1][0, 0, 0] = 1.0  # the kept solve is read-only
+
+
+def test_sql_chain_equals_a_memo_free_evaluation():
+    # criterion 4's noise power and gain at one point share one solve; both
+    # equal, bit for bit, the grid engine (which keeps nothing) on a fresh model
+    m, L = 1.3, 0.8
+    for W in (0.1, 0.7, 3.0):
+        for lam in np.logspace(-2, 2, 7) * m * W ** 2:
+            def chain():
+                plant = sc.michelson(sc.MichelsonParams(m, 0.01, lam, L))
+                return normalized_gw_signal(plant.to_state_space(), "W2.out.P", lam, L)
+            tf = chain()
+            S = noise_power(tf.realization, "gw", None, W)
+            gain = evaluate(tf, 1j * W)
+            fresh = chain()
+            assert S == noise_power(fresh.realization, "gw", None, np.array([W, W]))[0]
+            assert np.array_equal(gain, frequency_response(fresh, [W, W])[0])
+            assert "point" not in fresh.realization._memo
 
 
 def test_grid_longer_than_a_chunk_matches_per_point_solves():
