@@ -205,8 +205,8 @@ def cmd_spectrum(args) -> int:
         output = args.output
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
-    if args.omega_min <= 0 or args.omega_max < args.omega_min:
-        raise ValidationError("need 0 < omega-min <= omega-max (the SQL "
+    if not 0 < args.omega_min <= args.omega_max < np.inf:
+        raise ValidationError("need finite 0 < omega-min <= omega-max (the SQL "
                               "reference diverges at zero)")
     omegas = (np.geomspace(args.omega_min, args.omega_max, args.points)
               if args.points > 1 else np.array([args.omega_min]))

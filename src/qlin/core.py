@@ -88,6 +88,14 @@ def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] =
     return out
 
 
+def _finite_positive(value, what: str) -> float:
+    """``value`` as a float, or a ``ValidationError`` naming ``what`` unless
+    it is a finite positive number."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)

@@ -1,22 +1,28 @@
 """Verdict engines for the three structural control goals.
 
-Each goal is decided by two independent routes and cross-checked:
+Each goal is decided by two independent routes, and one function,
+:func:`_probe`, cross-checks every verdict:
 
 * the controllable and observable subspaces of one orthogonal staircase
   (:func:`qlin.structural.controllable_subspace`, rank cutoff
   ``n^2 * eps * max(|A|_F, |B|_F)``): BAE holds when no part of the pair is
   both controllable and observable; QND/DFS witnesses are the directions
   those subspaces leave out; and
-* resolvent probes on the circle ``|s| = 2 |A|_F + 1``: BAE probes
-  ``C (sI - A)^{-1} B``; QND and DFS witnesses ``W`` must vanish in
-  ``W^T (sI - A)^{-1} B`` (DFS also in ``C (sI - A)^{-1} W``), each QND
-  witness must show in ``C (sI - A)^{-1} w``, and without witnesses the
-  least-reached candidate direction must not vanish.  A probe is zero
-  below ``base * |left|_F |right|_F / (|A|_F + 1)``; there
+* resolvent probes on the circle ``|s| = R = 2 |A|_F + 1``.  The staircase
+  claims that a list of "zero" legs ``left (sI - A)^{-1} right`` all
+  vanish (BAE when the reduced pair is empty: the leg ``(C, B)``; QND/DFS
+  with witnesses ``W``: ``W^T (sI - A)^{-1} B``, for DFS also
+  ``C (sI - A)^{-1} W``), or that not all of them do (BAE with a live
+  pair; QND/DFS without witnesses, for the least-reached candidate
+  direction).  Each QND witness must also show in ``C (sI - A)^{-1} w``.
+  A probe is zero below ``base * |left|_F |right|_F / (|A|_F + 1)``; there
   ``|(sI - A)^{-1}| <= 1 / (|A|_F + 1)``, so the bound does not grow with N.
 
-A verdict whose routes disagree is flagged through ``method_agreement``
-rather than silently resolved.
+``method_agreement`` holds when every probe meets the staircase's claim; a
+verdict whose routes disagree is flagged there rather than silently
+resolved.  Residuals are in probe units: the BAE residual is the largest
+scaled Markov term ``|C A^k B| / R^(k+1)``, which by Cauchy's estimate is at
+most ``max |C (sI - A)^{-1} B|`` on the probe circle.
 
 The staircase route reads the model's memo (``structural._subspace`` and
 ``structural._reduced_pair``), so verdicts on one model share each
@@ -35,7 +41,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import StateSpaceModel, ValidationError
+from .core import StateSpaceModel, _finite_positive
 from .structural import (
     Subspace,
     _reduced_pair,
@@ -77,19 +83,23 @@ class GoalVerdict:
     """Outcome of a BAE/QND/DFS check.
 
     ``witnesses`` are unit vectors spanning the witness subspace (empty for
-    BAE).  For BAE, ``residual`` is the largest Markov parameter of the
-    pair (direct term included), computed on its controllable-and-observable
-    part, and ``tolerance`` the probe threshold
-    ``base * |B|_F |C|_F / (|A|_F + 1)``, which also bounds the direct term;
-    ``dims["overlap"]`` is the dimension of that part, so BAE holds iff it
-    is 0 and the direct term is within tolerance.  For achieved QND/DFS,
-    ``residual`` is the largest witness probe and ``tolerance`` its
+    BAE).  For BAE, ``residual`` is the largest scaled Markov term
+    ``|C A^k B| / R^(k+1)`` (``k < N``, ``R = 2 |A|_F + 1`` the probe
+    radius) of the pair's controllable-and-observable part, or the direct
+    term if larger; each term is at most the largest probe value of
+    ``C (sI - A)^{-1} B``, so it shares the units of ``tolerance``, the probe
+    threshold ``base * |B|_F |C|_F / (|A|_F + 1)``, which also bounds the
+    direct term.  ``dims["overlap"]`` is the dimension of that part, so BAE
+    holds iff it is 0 and the direct term is within tolerance.  For achieved
+    QND/DFS, ``residual`` is the largest witness probe and ``tolerance`` its
     threshold; otherwise ``residual`` is the obstruction gap (smallest
     singular value separating the candidate space from the goal condition)
     and ``tolerance`` the rank cutoff it is judged against.
-    ``method_agreement`` records whether the staircase and probe routes
-    concurred: for QND/DFS without witnesses, whether the probes see the
-    least-reached candidate direction driven (or, for DFS, seen).
+    ``method_agreement`` records whether the probes meet the staircase's
+    claim (:func:`_probe`): for BAE, whether they see ``C (sI - A)^{-1} B``
+    vanish iff the reduced pair is empty; for QND/DFS without witnesses,
+    whether they see the least-reached candidate direction driven (or, for
+    DFS, seen).
     """
 
     goal: str
@@ -114,11 +124,7 @@ def checked_base(base: Optional[float], what: str = "base") -> float:
     anything but a finite positive number is a ``ValidationError`` that
     names ``what``.  Every public entry point of this module checks its
     ``base`` here once."""
-    if base is None:
-        return DEFAULT_RESIDUAL_BASE
-    if not (np.isfinite(base) and base > 0):
-        raise ValidationError(f"{what} must be a finite positive number, got {base!r}")
-    return base
+    return DEFAULT_RESIDUAL_BASE if base is None else _finite_positive(base, what)
 
 
 def residual_tolerance(model: StateSpaceModel, input_port: PortArg,
@@ -144,15 +150,23 @@ def _probe_units() -> np.ndarray:
     return units
 
 
-def _probe(A: np.ndarray, legs, base: float) -> list[tuple[float, float]]:
-    """Per (left, right) leg: the largest ``|left (sI - A)^{-1} right|`` and
-    its zero threshold ``base * |left|_F |right|_F / (|A|_F + 1)``.
+def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float):
+    """Cross-check the staircase's claim on resolvent probes.
+
+    ``zero`` and ``shown`` are lists of (left, right) legs, probed as the
+    largest ``|left (sI - A)^{-1} right|`` against the zero threshold
+    ``base * |left|_F |right|_F / (|A|_F + 1)``.  The staircase claims that
+    every ``zero`` leg vanishes (``vanishes``) or that not all of them do,
+    and that every ``shown`` leg does not vanish.  Returns whether the
+    probes agree (``method_agreement``) and the largest (value, threshold)
+    of the ``zero`` legs.
 
     The points lie on the circle ``|s| = R = 2 |A|_F + 1``, at distance at
     least ``R - |A|_F`` from the spectrum, so ``cond(sI - A) <= 3`` and one
     stacked solve serves every point and leg.
     """
     nA = np.linalg.norm(A)
+    legs = zero + shown
     rights = np.hstack([right for _, right in legs])
     s = (2.0 * nA + 1.0) * _probe_units()
     X = np.linalg.solve(s[:, None, None] * np.eye(A.shape[0]) - A,
@@ -163,7 +177,10 @@ def _probe(A: np.ndarray, legs, base: float) -> list[tuple[float, float]]:
         col += right.shape[1]
         out.append((float(np.max(np.abs(vals))) if vals.size else 0.0,
                     _threshold(base, left, right, nA)))
-    return out
+    probed = out[:len(zero)]
+    agree = (all(w <= t for w, t in probed) == vanishes
+             and all(w > t for w, t in out[len(zero):]))
+    return agree, max(probed)
 
 
 def _normalize_witness(v: np.ndarray) -> np.ndarray:
@@ -185,8 +202,9 @@ def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
     ``base * |B|_F |C|_F / (|A|_F + 1)``.
     """
     base = checked_base(base)
-    (worst, tol), = _probe(model.A, [(model.c(output_port), model.b(input_port))], base)
-    return (_reduced_pair(model, input_port, output_port)[0].shape[0] == 0) == (worst <= tol)
+    legs = [(model.c(output_port), model.b(input_port))]
+    empty = _reduced_pair(model, input_port, output_port)[0].shape[0] == 0
+    return _probe(model.A, empty, legs, [], base)[0]
 
 
 def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
@@ -210,7 +228,8 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         ``achieved`` iff no subsystem is both controllable from the BA port
         and observable from the measured output and the direct term is
         within tolerance, equivalently iff all Markov parameters (and the
-        direct term) of the pair vanish.
+        direct term) of the pair vanish.  ``residual`` is in probe units
+        (:class:`GoalVerdict`).
     """
     ctrl = _subspace(model, "in", ba_port)
     Ar, Br, Cr = _reduced_pair(model, ba_port, shot_output)
@@ -221,7 +240,8 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         goal="BAE",
         achieved=Ar.shape[0] == 0 and direct <= tol,
         witnesses=(),
-        residual=max(largest_markov(Ar, Br, Cr, model.nstates), direct),
+        residual=max(largest_markov(Ar, Br, Cr, model.nstates,
+                                    2.0 * np.linalg.norm(model.A) + 1.0), direct),
         method_agreement=transfer_zero_equivalence(model, ba_port, shot_output, base=base),
         dims={"controllable": ctrl.dim,
               "observable": _subspace(model, "out", shot_output).dim,
@@ -288,15 +308,11 @@ def _verdict(goal, model, noise_ports, output, restrict_to, base) -> GoalVerdict
     cutoff = INTERSECT_RTOL * float(np.linalg.norm(drive))
     W = candidate.basis @ Vt[int(np.count_nonzero(s > cutoff)):].T
     dims = {"witness": W.shape[1], **dims}
-    V = W if W.shape[1] else candidate.basis @ Vt[-1:].T  # else the least-reached direction
-    legs = [(V.T, B)] + ([(C, V)] if goal == "DFS" else [])
-    seen = [(C, w[:, None]) for w in W.T] if goal == "QND" else []
-    probed = _probe(A, legs + seen, base)
-    zero, shown = probed[:len(legs)], probed[len(legs):]
-    if not W.shape[1]:
-        return GoalVerdict(goal, False, (), s[-1], any(w > t for w, t in zero),
-                           dims=dims, tolerance=cutoff)
-    worst, tol = max(zero)
-    return GoalVerdict(goal, True, tuple(_normalize_witness(w) for w in W.T), worst,
-                       all(w <= t for w, t in zero) and all(w > t for w, t in shown),
-                       dims=dims, tolerance=tol)
+    found = W.shape[1] > 0
+    V = W if found else candidate.basis @ Vt[-1:].T  # else the least-reached direction
+    zero = [(V.T, B)] + ([(C, V)] if goal == "DFS" else [])
+    shown = [(C, w[:, None]) for w in W.T] if goal == "QND" else []
+    agree, (worst, tol) = _probe(A, found, zero, shown, base)
+    return GoalVerdict(goal, found, tuple(_normalize_witness(w) for w in W.T),
+                       worst if found else s[-1], agree, dims=dims,
+                       tolerance=tol if found else cutoff)

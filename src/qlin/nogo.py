@@ -70,7 +70,12 @@ class NogoReport:
     ``violations`` counts trials whose closed loop achieved a goal the
     plant (under the same trial's measurement choice) lacks; any nonzero
     count is a bug reproducer.  ``worst_residual_gap`` is the smallest
-    failure margin observed across trials.
+    failure margin observed across trials: the ``residual`` of each failing
+    :class:`~qlin.goals.GoalVerdict`, which for all six theorems is in the
+    units of that verdict's ``tolerance`` (for BAE a scaled Markov term
+    against the probe threshold, for QND/DFS the obstruction gap against
+    the rank cutoff).  ``near_tolerance`` counts the failing trials whose
+    residual is within 10x of their tolerance.
     """
 
     theorem: int

@@ -281,11 +281,17 @@ def _reduced_pair(model: StateSpaceModel, inputs, outputs):
     return memo[key]
 
 
-def largest_markov(A: np.ndarray, B: np.ndarray, C: np.ndarray, count: int) -> float:
-    """Largest entry magnitude of ``C A^k B`` over ``k < count`` (0 if empty)."""
+def largest_markov(A: np.ndarray, B: np.ndarray, C: np.ndarray, count: int,
+                   radius: float) -> float:
+    """Largest entry magnitude of ``C A^k B / radius^(k+1)`` over ``k < count``
+    (0 if empty), computed as ``(C / radius) (A / radius)^k B``: for
+    ``|A|_2 < radius / 2`` the terms shrink geometrically and cannot
+    overflow, and by Cauchy's estimate each is at most the largest
+    ``|C (sI - A)^{-1} B|`` on the circle ``|s| = radius``."""
     if not (A.size and B.size and C.size):
         return 0.0
-    return max(float(np.max(np.abs(row @ B))) for row in _krylov_rows(C, A, count))
+    return max(float(np.max(np.abs(row @ B)))
+               for row in _krylov_rows(C / radius, A / radius, count))
 
 
 @dataclass(frozen=True)

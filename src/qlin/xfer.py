@@ -17,12 +17,13 @@ layout (``core._layout``), the ``"gw"`` one once per parent registry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ShapeError, StateSpaceModel, ValidationError
+from .core import ShapeError, StateSpaceModel, ValidationError, _finite_positive
 from .structural import reduce_pair
 
 __all__ = [
@@ -40,6 +41,9 @@ __all__ = [
 
 #: Symmetrised vacuum variance per quadrature.
 VACUUM_VARIANCE = 0.5
+
+#: Largest squeeze parameter |r|: e^{2|r|} stays a finite float.
+MAX_SQUEEZE = 0.5 * math.log(np.finfo(float).max)
 
 #: Condition-number ceiling for resolvent solves.
 COND_LIMIT = 1e12
@@ -83,8 +87,9 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     point with ``|M|_F |M^{-1}|_F <= COND_LIMIT / 2`` passes the exact test
     with room for rounding.  A chunk whose points all pass returns
     ``C M^{-1} B + D`` at once.  Otherwise only the points the screen cannot
-    clear (all of them, if the solve fails) get the exact
-    ``np.linalg.cond``, and the accepted points are solved again against
+    clear (all of them, if the solve fails) are checked to be finite (the
+    screen clears no NaN or inf point, which raises ``ValidationError``),
+    then get the exact ``np.linalg.cond``, and the accepted points are solved again against
     ``B``.  Points above ``COND_LIMIT`` are never solved on the full pair;
     they are solved again on the reduced pair (built once per chunk), so
     only a pole of the signal path itself raises.
@@ -120,6 +125,9 @@ def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
     M, X, ok = _screened_solve(A, B, s)
     if ok.all():
         return _columns(C, X, slice(0, p), D)
+    rejected = s[~ok]
+    if not np.isfinite(rejected).all():
+        raise ValidationError(f"points must be finite, got {rejected[~np.isfinite(rejected)][0]}")
     ok[~ok] = np.linalg.cond(M[~ok]) <= COND_LIMIT
     ill = np.flatnonzero(~ok)
     if reduced and ill.size:
@@ -239,8 +247,9 @@ def _column_variances(model: StateSpaceModel,
     var = np.full(model.B.shape[1], VACUUM_VARIANCE)
     if variances:
         for port, v in variances.items():
-            if v < 0:
-                raise ValidationError(f"variance of {port!r} must be nonnegative")
+            if not 0 <= v < np.inf:
+                raise ValidationError(
+                    f"variance of {port!r} must be finite and nonnegative, got {v!r}")
             var[model.inputs._select(port)] = v
     for port in exclude:
         if port in model.inputs:
@@ -275,8 +284,8 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
 
 def sql_curve(m: float, L: float, omegas: Sequence[float]) -> SpectrumCurve:
     """Standard quantum limit 1 / (2 m L^2 Omega^2) on a frequency grid."""
-    if m <= 0 or L <= 0:
-        raise ValidationError("mass and path length must be positive")
+    _finite_positive(m, "mass m")
+    _finite_positive(L, "path length L")
     om = np.asarray(omegas, dtype=float)
     if np.any(om == 0):
         raise ValidationError("the SQL diverges at Omega = 0")
@@ -296,12 +305,12 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
     """
     if "F" not in model.inputs:
         raise ShapeError("model has no force port 'F'")
-    if lam <= 0 or L <= 0:
-        raise ValidationError("coupling and path length must be positive")
+    lam, L = _finite_positive(lam, "coupling lam"), _finite_positive(L, "path length L")
     rows = model.outputs._select(output)
     if model.C[rows].shape[0] != 1:
         raise ShapeError("output must be a scalar port")
-    scale = 1.0 / (2.0 * np.sqrt(lam) * L)
+    # in Python floats, so that an overflow reads inf (and is rejected) silently
+    scale = 1.0 / _finite_positive(2.0 * math.sqrt(lam) * L, "2 sqrt(lam) L")
     model2 = StateSpaceModel._derive(model, C=np.concatenate((model.C, scale * model.C[rows])),
                                      D=np.concatenate((model.D, scale * model.D[rows])),
                                      outputs=model.outputs._plus("gw", 1))
@@ -311,7 +320,11 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
 def squeezed_variances(port: str, r: float,
                        conjugate: Optional[str] = None) -> dict[str, float]:
     """Variance map for a squeezed input: e^{-2r}/2 on ``port``, e^{+2r}/2
-    on its conjugate quadrature (inferred from a .Q/.P suffix if omitted)."""
+    on its conjugate quadrature (inferred from a .Q/.P suffix if omitted).
+    ``r`` must be finite, with ``e^{2|r|}`` below the float range."""
+    if not abs(r) <= MAX_SQUEEZE:
+        raise ValidationError(
+            f"squeeze parameter r must be finite with |r| <= {MAX_SQUEEZE:.6g}, got {r!r}")
     out = {port: np.exp(-2.0 * r) * VACUUM_VARIANCE}
     if conjugate is None:
         if port.endswith(".Q"):

@@ -299,6 +299,17 @@ def test_spectrum_rejects_zero_omega(tmp_path, capsys):
         assert code == 2, extra
         assert extra[0] in err
 
+    # non-finite numbers exit 2 rather than with a traceback or a NaN, inf
+    # or zero column
+    for extra in (["--omega-min", "nan"], ["--omega-max", "inf"], ["--omega-max", "nan"],
+                  ["--sql", "nan,1"], ["--sql", "inf,1"], ["--squeeze", "W2.P:inf"],
+                  ["--squeeze", "W2.P:nan"], ["--squeeze", "W2.P:800"],
+                  ["--gw-normalize", "1,inf"], ["--gw-normalize", "1,1e308"]):
+        code, out, err = run_cli(capsys, "spectrum", path, "--output", "W2.out.P",
+                                 "--omega-min", "1", "--omega-max", "2", *extra)
+        assert (code, out) == (2, ""), extra
+        assert "finite" in err, extra
+
 
 def test_spectrum_squeezed_cf_michelson_below_sql(tmp_path, capsys):
     path = write_json(tmp_path, "cf.json", system_to_dict(sc.michelson_cf_loop()))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,8 @@ def test_bae_fails_for_reduced_optomech():
     v = check_bae(model, "P", "y")
     assert not v.achieved
     assert v.method_agreement
-    assert np.isclose(v.residual, lam / m_)  # the k=1 Markov parameter
+    R = 2.0 * np.linalg.norm(model.A) + 1.0  # the probe radius
+    assert np.isclose(v.residual, lam / (m_ * R ** 2))  # the scaled k=1 Markov term
 
 
 def test_bae_achieved_for_tsang_caves():
@@ -372,6 +375,32 @@ def memo_cases():
             (find_dfs, ["W1", "W2"], ["W1.out", "W2.out"]), (find_dfs, "W1", "W1.out")]
 
 
+def test_bae_residual_is_in_probe_units():
+    # the residual is the scaled Markov term |C A^k B| / R^(k+1) with
+    # R = 2 |A|_F + 1, so it stays finite: unscaled, G entries of order 100
+    # at N = 128 overflowed (6.3e305 and RuntimeWarnings)
+    strong = random_system(np.random.default_rng(5), 64, 2)
+    large = [build_system(100.0 * strong.G, strong.C, channels=strong.channels),
+             random_system(np.random.default_rng(128), 64, 2)]  # as bench's dense_system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for system in large:
+            assert np.isfinite(check_bae(system.to_state_space(), "W1.P", "W1.out.Q").residual)
+    # each term is at most |B|_F |C|_F / R, the probe bound of C (sI - A)^{-1} B
+    cases = list(memo_cases())
+    for build, defaults in sc.SCENARIOS.values():
+        model = build(**defaults).to_state_space()
+        cases.append((lambda model=model: model, [
+            (check_bae, i, o) for i in model.inputs.names for o in model.outputs.names]))
+    for fresh, verdicts in cases:
+        model = fresh()
+        for engine, i, o in (v for v in verdicts if v[0] is check_bae):
+            B, C, D = model.b(i), model.c(o), model.d(o, i)
+            bound = max(np.linalg.norm(B) * np.linalg.norm(C) / (2 * np.linalg.norm(model.A) + 1),
+                        np.max(np.abs(D)))
+            assert check_bae(model, i, o).residual <= bound, (i, o)
+
+
 def test_probe_points_are_drawn_once():
     units = np.exp(2j * np.pi * np.random.default_rng(goals.PROBE_SEED).random(goals.PROBE_COUNT))
     assert np.array_equal(goals._probe_units(), units)
@@ -384,7 +413,7 @@ def test_probe_points_are_drawn_once():
     s = (2.0 * nA + 1.0) * units
     X = np.linalg.solve(s[:, None, None] * np.eye(model.nstates) - model.A,
                         np.broadcast_to(right, (goals.PROBE_COUNT,) + right.shape))
-    (worst, tol), = goals._probe(model.A, [(left, right)], 1e-9)
+    _, (worst, tol) = goals._probe(model.A, True, [(left, right)], [], 1e-9)
     assert worst == float(np.max(np.abs(left @ X)))
     assert tol == goals._threshold(1e-9, left, right, nA)
 

@@ -151,7 +151,7 @@ def test_tsang_caves_off_tuning_breaks_bae():
         model = sc.tsang_caves_loop(1.0, 1.0, 1.0, 2.0, g=g).to_state_space()
         v = check_bae(model, "W.Q", "W.out.P")
         assert not v.achieved
-        assert v.residual > 1e-3
+        assert v.residual > 1e4 * v.tolerance
     ok = check_bae(sc.tsang_caves_loop().to_state_space(), "W.Q", "W.out.P")
     assert ok.achieved
 

@@ -348,8 +348,28 @@ def test_sql_curve_values():
     assert np.isclose(sql_curve(2.0, 1.0, [1.0]).values[0], 0.25)  # 1/m
     with pytest.raises(ValidationError):
         sql_curve(1.0, 1.0, [0.0, 1.0])
-    with pytest.raises(ValidationError):
-        sql_curve(-1.0, 1.0, [1.0])
+    for m, L in ((-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, 0.0)):
+        with pytest.raises(ValidationError, match="must be a finite positive number"):
+            sql_curve(m, L, [1.0])
+
+
+def test_non_finite_inputs_are_rejected():
+    model = sc.michelson().to_state_space()
+    tf = TransferFunction(model, "W2.P", "W2.out.P")
+    for run in (lambda: evaluate(tf, complex(np.nan, 1.0)),
+                lambda: frequency_response(tf, [1.0, np.nan]),
+                lambda: noise_power(model, "W2.out.P", None, np.nan)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            run()
+    for r in (np.inf, np.nan, 800.0, -800.0):
+        with pytest.raises(ValidationError, match="squeeze parameter"):
+            squeezed_variances("W2.P", r)
+    for v in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValidationError, match="variance"):
+            noise_power(model, "W2.out.P", {"W2.P": v}, 1.0)
+    for lam, L in ((1.0, np.inf), (np.nan, 1.0), (1.0, 1e308), (1e-300, 1e-300)):
+        with pytest.raises(ValidationError, match="must be a finite positive number"):
+            normalized_gw_signal(model, "W2.out.P", lam, L)
 
 
 def test_normalized_gw_gain_near_unity():
