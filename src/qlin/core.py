@@ -375,9 +375,10 @@ class StateSpaceModel:
 class MeasurementSplit:
     """Homodyne selector pair: y = M1 W_out is measured, M2 W_out is conjugate.
 
-    M = [M1; M2] is symplectic and orthogonal, which is equivalent to the
-    identity set  M1 Sigma M1^T = 0,  M1 M1^T = I,  M2 Sigma M2^T = 0,
-    M2 M2^T = I,  M1 Sigma M2^T = I,  M1 M2^T = 0,  M1^T M1 + M2^T M2 = I.
+    M = [M1; M2] is symplectic and orthogonal: M Sigma M^T = J = [[0, I],
+    [-I, 0]], M M^T = I and M^T M = I.  Block by block, these are the seven
+    identities M1 Sigma M1^T = 0, M2 Sigma M2^T = 0, M1 Sigma M2^T = I,
+    M1 M1^T = I, M2 M2^T = I, M1 M2^T = 0 and M1^T M1 + M2^T M2 = I.
     """
 
     m: int
@@ -388,16 +389,13 @@ class MeasurementSplit:
         M1 = _as_matrix("M1", self.M1, rows=self.m, cols=2 * self.m)
         M2 = _as_matrix("M2", self.M2, rows=self.m, cols=2 * self.m)
         tol = SPLIT_TOL * max(self.m, 1)
-        S = sigma(self.m)
-        eye = np.eye(self.m)
+        M = np.concatenate((M1, M2))
+        eye = np.eye(2 * self.m)
+        J = np.eye(2 * self.m, k=self.m) - np.eye(2 * self.m, k=-self.m)
         checks = {
-            "M1 Sigma M1^T = 0": M1 @ S @ M1.T,
-            "M2 Sigma M2^T = 0": M2 @ S @ M2.T,
-            "M1 M1^T = I": M1 @ M1.T - eye,
-            "M2 M2^T = I": M2 @ M2.T - eye,
-            "M1 Sigma M2^T = I": M1 @ S @ M2.T - eye,
-            "M1 M2^T = 0": M1 @ M2.T,
-            "M1^T M1 + M2^T M2 = I": M1.T @ M1 + M2.T @ M2 - np.eye(2 * self.m),
+            "M Sigma M^T = J": M @ sigma(self.m) @ M.T - J,
+            "M M^T = I": M @ M.T - eye,
+            "M^T M = I": M.T @ M - eye,
         }
         for label, defect in checks.items():
             worst = float(np.max(np.abs(defect))) if defect.size else 0.0

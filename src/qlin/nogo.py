@@ -16,6 +16,7 @@ evaluation noise ``P2`` together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -164,6 +165,14 @@ def _open_loop(plant: QuantumLinearSystem, scheme: str, splits) -> StateSpaceMod
     return mf_type2_open_loop(plant, *splits)
 
 
+@lru_cache(maxsize=None)
+def _plant_block(n: int, plant_n: int) -> Subspace:
+    """The plant's ``2 plant_n`` coordinates of an ``n``-state loop, where
+    QND/DFS witnesses must lie (they must be purely quantum); built once per
+    dimension pair and shared, as a ``Subspace`` is read-only."""
+    return Subspace(n, np.eye(n, 2 * plant_n))
+
+
 def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
                 trials: int = 500, seed: int = 0,
                 controller_dim_range: Optional[Sequence[int]] = None,
@@ -227,17 +236,14 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         splits = [random_split(rng, width) for width in widths]
         ctrl = sample_classical_controller(rng, plant, scheme, controller_dim_range)
         loop = assemble(plant, ctrl, *splits)
-        # QND/DFS witnesses must be purely quantum: in the plant block
-        n = loop.nstates
-        closed = _goal_verdict(loop, goal, scheme, Subspace(n, np.eye(n, 2 * plant.n)), base)
+        closed = _goal_verdict(loop, goal, scheme, _plant_block(loop.nstates, plant.n), base)
         if not closed.method_agreement:
             disagreements += 1
         if closed.achieved:
             # the theorem only forbids this when the plant fails under the
             # same measurement choice
             bare = _open_loop(plant, scheme, splits)
-            n = bare.nstates
-            plant_v = _goal_verdict(bare, goal, scheme, Subspace(n, np.eye(n, 2 * plant.n)), base)
+            plant_v = _goal_verdict(bare, goal, scheme, _plant_block(bare.nstates, plant.n), base)
             if plant_v.achieved:
                 skips += 1
                 continue

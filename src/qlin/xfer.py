@@ -1,8 +1,11 @@
 """Transfer-function evaluation, noise power spectra, and the SQL chain.
 
-One resolvent engine (:func:`_solve_response`) solves against the joint
-right-hand side ``[B | I]``, so one LU factorisation per point gives both
-the response and a conditioning screen.
+One resolvent engine (:func:`_solve_response`) factors each point once.
+Every ``STRIDE``-th point of a grid chunk is an anchor, solved against the
+joint right-hand side ``[B | I]``, which gives the response and a
+conditioning screen; the anchor's inverse certifies the conditioning of the
+points after it (a Neumann-series bound), which are then solved against
+``B`` alone.  A point no anchor can certify gets its own joint solve.
 
 One solve per (model, point): a model keeps, in its private memo, the joint
 solve of its most recent one-point request that the screen cleared, against
@@ -51,6 +54,10 @@ COND_LIMIT = 1e12
 #: Points per stacked resolvent solve (bounds the working memory of a grid).
 CHUNK = 128
 
+#: Every STRIDE-th point of a chunk is an anchor, whose inverse certifies
+#: the conditioning of the points up to the next one.
+STRIDE = 8
+
 PortArg = Union[str, Sequence[str]]
 
 
@@ -79,20 +86,28 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     """``C (sI - A)^{-1} B + D`` at each of the 1-D ``points``; shape
     ``(len(points),) + D.shape``.
 
-    Each chunk of ``CHUNK`` points makes one stacked solve against the
-    joint right-hand side ``[B | I]`` (3-D, broadcast over the stack, as
-    every numpy reads it), which gives both ``M^{-1} B`` and ``M^{-1}`` from one
-    LU factorisation per point, bit for bit the values of separate solves.
-    ``M^{-1}`` screens conditioning: ``cond_2(M) <= |M|_F |M^{-1}|_F``, so a
-    point with ``|M|_F |M^{-1}|_F <= COND_LIMIT / 2`` passes the exact test
-    with room for rounding.  A chunk whose points all pass returns
-    ``C M^{-1} B + D`` at once.  Otherwise only the points the screen cannot
-    clear (all of them, if the solve fails) are checked to be finite (the
-    screen clears no NaN or inf point, which raises ``ValidationError``),
-    then get the exact ``np.linalg.cond``, and the accepted points are solved again against
-    ``B``.  Points above ``COND_LIMIT`` are never solved on the full pair;
-    they are solved again on the reduced pair (built once per chunk), so
-    only a pole of the signal path itself raises.
+    The grid is cut into chunks of ``CHUNK`` points, and every ``STRIDE``-th
+    point of a chunk is an anchor (a one-point request is its own anchor).
+    The anchors make one stacked solve against the joint right-hand side
+    ``[B | I]`` (3-D, broadcast over the stack, as every numpy reads it),
+    which gives ``M^{-1} B`` and ``M^{-1}`` from one LU factorisation per
+    point.  ``M^{-1}`` screens conditioning: ``cond_2(M) <= |M|_F |M^{-1}|_F``,
+    so a point with ``|M|_F |M^{-1}|_F <= COND_LIMIT / 2`` passes the exact
+    test with room for rounding.  An anchor's inverse also certifies the
+    points after it: with ``d = |s - s_a|`` and ``F = |M_a^{-1}|_F``,
+    ``M^{-1} = (I + (s - s_a) M_a^{-1})^{-1} M_a^{-1}`` gives
+    ``|M^{-1}|_F <= F / (1 - d F)`` when ``d F < 1/2`` (the Neumann series),
+    so a point whose ``|M|_F F / (1 - d F)`` is at most ``COND_LIMIT / 2``
+    passes the screen and is solved against ``B`` alone.  A point its anchor
+    cannot certify gets its own joint solve and screen.  The points the
+    screen cannot clear (all of a stack, if its solve fails) are checked to
+    be finite (the screen clears no NaN or inf point, which raises
+    ``ValidationError``), then get the exact ``np.linalg.cond``, and the
+    accepted ones are solved against ``B``.  So each point is factored once,
+    and its values are bit for bit those of one solve against ``B``.
+    Points above ``COND_LIMIT`` are never solved on the full pair; they are
+    solved again on the reduced pair (built once per chunk), so only a pole
+    of the signal path itself raises.
     """
     points = np.asarray(points).reshape(-1)
     if points.size <= CHUNK:
@@ -103,43 +118,65 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     return out
 
 
-def _screened_solve(A, B, s):
-    """``M = s I - A`` at the 1-D complex points ``s``, the joint solve
-    ``X = M^{-1} [B | I]`` (``None`` if it fails) and the screen verdict of
-    each point: ``|M|_F^2 |M^{-1}|_F^2 <= (COND_LIMIT / 2)^2``."""
+def _sq_frobenius(Z):
+    """``|Z_k|_F^2`` of each matrix of the stack ``Z``."""
+    return np.add.reduce((Z.conj() * Z).real, axis=(1, 2))
+
+
+def _screened_solve(M, B):
+    """The joint solve ``X = M^{-1} [B | I]`` of the stack ``M`` (``None``
+    if it fails), ``|M^{-1}|_F`` (NaN if it fails) and the screen verdict of
+    each matrix: ``|M|_F^2 |M^{-1}|_F^2 <= (COND_LIMIT / 2)^2``."""
     n, p = B.shape
-    eye = np.eye(n)
-    M = s[:, None, None] * eye - A
     try:
-        X = np.linalg.solve(M, np.concatenate((B, eye), axis=1, dtype=complex)[None])
+        X = np.linalg.solve(M, np.concatenate((B, np.eye(n)), axis=1, dtype=complex)[None])
     except np.linalg.LinAlgError:
-        return M, None, np.zeros(s.size, dtype=bool)
-    sq = [np.add.reduce((Z.conj() * Z).real, axis=(1, 2)) for Z in (M, X[:, :, p:])]
-    return M, X, sq[0] * sq[1] <= (COND_LIMIT / 2) ** 2
+        return None, np.full(len(M), np.nan), np.zeros(len(M), dtype=bool)
+    inv = _sq_frobenius(X[:, :, p:])
+    return X, np.sqrt(inv), _sq_frobenius(M) * inv <= (COND_LIMIT / 2) ** 2
 
 
 def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
     n, p = B.shape
     if n == 0 or p == 0 or C.shape[0] == 0:
         return np.repeat(D.astype(complex)[None], s.size, axis=0)
-    M, X, ok = _screened_solve(A, B, s)
-    if ok.all():
-        return _columns(C, X, slice(0, p), D)
-    rejected = s[~ok]
-    if not np.isfinite(rejected).all():
-        raise ValidationError(f"points must be finite, got {rejected[~np.isfinite(rejected)][0]}")
-    ok[~ok] = np.linalg.cond(M[~ok]) <= COND_LIMIT
-    ill = np.flatnonzero(~ok)
-    if reduced and ill.size:
-        k = ill[0]
-        eigs = np.linalg.eigvals(A)
-        raise SingularityError(
-            f"(sI - A) is ill conditioned at s={s[k]} (cond={np.linalg.cond(M[k]):.3e}); "
-            f"nearest eigenvalue of the signal path: "
-            f"{eigs[int(np.argmin(np.abs(eigs - s[k])))]}")
-    out = np.empty((s.size,) + D.shape, dtype=complex)
-    good = M[ok]
-    out[ok] = C @ np.linalg.solve(good, np.broadcast_to(B.astype(complex), (len(good), n, p))) + D
+    M = s[:, None, None] * np.eye(n) - A
+    Z = np.zeros((s.size, n, p), dtype=complex)
+    ok = np.zeros(s.size, dtype=bool)
+    X, F, ok[::STRIDE] = _screened_solve(M[::STRIDE], B)
+    if X is not None:
+        Z[::STRIDE] = X[:, :, :p]
+    # the anchor certificate of _solve_response, with 1 - dF multiplied
+    # across so that no point divides by zero
+    F = np.repeat(F, STRIDE)[:s.size]
+    dF = np.abs(s - np.repeat(s[::STRIDE], STRIDE)[:s.size]) * F
+    solo = (dF < 0.5) & (np.sqrt(_sq_frobenius(M)) * F <= COND_LIMIT / 2 * (1 - dF))
+    solo[::STRIDE] = False
+    rest = ~solo
+    rest[::STRIDE] = False
+    if rest.any():
+        X, _, ok[rest] = _screened_solve(M[rest], B)
+        if X is not None:
+            Z[rest] = X[:, :, :p]
+    ok |= solo
+    bad = np.flatnonzero(~ok)
+    ill = bad[:0]
+    if bad.size:
+        if not np.isfinite(s[bad]).all():
+            raise ValidationError(f"points must be finite, got {s[bad][~np.isfinite(s[bad])][0]}")
+        fine = np.linalg.cond(M[bad]) <= COND_LIMIT
+        ill = bad[~fine]
+        if reduced and ill.size:
+            k = ill[0]
+            eigs = np.linalg.eigvals(A)
+            raise SingularityError(
+                f"(sI - A) is ill conditioned at s={s[k]} (cond={np.linalg.cond(M[k]):.3e}); "
+                f"nearest eigenvalue of the signal path: "
+                f"{eigs[int(np.argmin(np.abs(eigs - s[k])))]}")
+        solo[bad[fine]] = True
+    if solo.any():
+        Z[solo] = np.linalg.solve(M[solo], B.astype(complex)[None])
+    out = C @ Z + D
     if ill.size:
         Ar, Br, Cr = reduce_pair(A, B, C)
         out[ill] = _solve_chunk(Ar, Br, Cr, D, s[ill], True)
@@ -162,7 +199,7 @@ def _point_solve(model: StateSpaceModel, s: np.ndarray) -> Optional[np.ndarray]:
     hit = memo.get("point")
     if hit is not None and hit[0] == key:
         return hit[1]
-    _, X, ok = _screened_solve(model.A, model.B, s)
+    X, _, ok = _screened_solve(s[:, None, None] * np.eye(model.nstates) - model.A, model.B)
     if not ok[0]:
         return None
     X.setflags(write=False)
@@ -283,14 +320,20 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
 
 
 def sql_curve(m: float, L: float, omegas: Sequence[float]) -> SpectrumCurve:
-    """Standard quantum limit 1 / (2 m L^2 Omega^2) on a frequency grid."""
+    """Standard quantum limit 1 / (2 m L^2 Omega^2) on a frequency grid;
+    ``ValidationError`` unless every value is finite and positive."""
     _finite_positive(m, "mass m")
     _finite_positive(L, "path length L")
+    # in Python floats, so that an overflow reads inf (and is rejected) silently
+    scale = _finite_positive(2.0 * m * (L * L), "2 m L^2")
     om = np.asarray(omegas, dtype=float)
     if np.any(om == 0):
         raise ValidationError("the SQL diverges at Omega = 0")
-    return SpectrumCurve(om, 1.0 / (2.0 * m * L ** 2 * om ** 2),
-                         metadata={"m": m, "L": L})
+    with np.errstate(over="ignore", divide="ignore"):
+        values = 1.0 / (scale * om ** 2)
+    if not np.all((values > 0) & (values < np.inf)):
+        raise ValidationError("the SQL must be finite and positive on the grid")
+    return SpectrumCurve(om, values, metadata={"m": m, "L": L})
 
 
 def normalized_gw_signal(model: StateSpaceModel, output: str,
@@ -344,7 +387,6 @@ def spectrum_csv(curve: SpectrumCurve, sql: Optional[SpectrumCurve] = None) -> s
     """Render ``omega,S,S_sql`` rows at 17 significant digits."""
     if sql is not None and not np.array_equal(sql.omegas, curve.omegas):
         raise ShapeError("SQL grid does not match the spectrum grid")
-    refs = sql.values.tolist() if sql is not None else [float("nan")] * curve.omegas.size
-    return "\n".join(["omega,S,S_sql"] + [
-        f"{w:.17g},{v:.17g},{ref:.17g}"
-        for w, v, ref in zip(curve.omegas.tolist(), curve.values.tolist(), refs)]) + "\n"
+    refs = sql.values if sql is not None else np.full(curve.omegas.size, np.nan)
+    rows = np.column_stack((curve.omegas, curve.values, refs)).ravel().tolist()
+    return "omega,S,S_sql\n" + ("%.17g,%.17g,%.17g\n" * curve.omegas.size) % tuple(rows)

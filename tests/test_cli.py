@@ -304,7 +304,8 @@ def test_spectrum_rejects_zero_omega(tmp_path, capsys):
     for extra in (["--omega-min", "nan"], ["--omega-max", "inf"], ["--omega-max", "nan"],
                   ["--sql", "nan,1"], ["--sql", "inf,1"], ["--squeeze", "W2.P:inf"],
                   ["--squeeze", "W2.P:nan"], ["--squeeze", "W2.P:800"],
-                  ["--gw-normalize", "1,inf"], ["--gw-normalize", "1,1e308"]):
+                  ["--gw-normalize", "1,inf"], ["--gw-normalize", "1,1e308"],
+                  ["--sql", "1,1e200"], ["--sql", "1,1e-200"], ["--sql", "1e300,1e10"]):
         code, out, err = run_cli(capsys, "spectrum", path, "--output", "W2.out.P",
                                  "--omega-min", "1", "--omega-max", "2", *extra)
         assert (code, out) == (2, ""), extra

@@ -4,8 +4,10 @@ import pytest
 from conftest import random_system
 from qlin import (
     Channel,
+    Ports,
     SingularityError,
     SpectrumCurve,
+    StateSpaceModel,
     TransferFunction,
     ValidationError,
     build_system,
@@ -138,14 +140,18 @@ def test_stacked_solves_pass_a_stack_of_right_hand_sides(monkeypatch):
 
 
 def test_all_clear_chunk_factors_once(monkeypatch):
-    # a point or chunk that passes the screen makes one joint solve against
-    # [B | I] and no inverse, exact condition number or second solve; a
-    # model keeps the solve of its last one-point request, so every
-    # one-point request at that point on that model reads it
+    # every point of a grid that passes the screen is factored once: the
+    # anchors in a joint solve against [B | I], the points they certify in
+    # a solve against B, with no inverse or exact condition number; a
+    # one-point request is its own anchor, and a model keeps the solve of
+    # its last one, so every one-point request at that point reads it
     calls = []
 
     def counted(name, fn):
-        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+        def run(a, *args):
+            calls.append((name, a.shape[0] if a.ndim == 3 else 1))
+            return fn(a, *args)
+        return run
 
     for name in ("solve", "inv", "cond"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
@@ -153,26 +159,87 @@ def test_all_clear_chunk_factors_once(monkeypatch):
     tf = normalized_gw_signal(model, "W2.out.P", 1.0, 1.0)
     gw = tf.realization
     grid = np.geomspace(0.05, 50.0, 20)
-    for runs, solves in (
+    for runs in (
             # noise power, then the gain, at one point: one solve in all
-            ([lambda: noise_power(gw, "gw", None, 0.3), lambda: evaluate(tf, 0.3j),
-              lambda: frequency_response(tf, [0.3]),
-              lambda: evaluate(TransferFunction(gw, "W2.P", "gw"), 0.3j),
-              lambda: noise_power(gw, "gw", None, np.array([0.3]))], 1),
+            [lambda: noise_power(gw, "gw", None, 0.3), lambda: evaluate(tf, 0.3j),
+             lambda: frequency_response(tf, [0.3]),
+             lambda: evaluate(TransferFunction(gw, "W2.P", "gw"), 0.3j),
+             lambda: noise_power(gw, "gw", None, np.array([0.3]))],
             # a new point solves again, and then is the one kept
-            ([lambda: evaluate(tf, 0.4j), lambda: noise_power(gw, "gw", None, 0.4)], 1),
-            # a grid is never kept, and solves every time
-            ([lambda: noise_power(gw, "gw", None, grid)], 1),
-            ([lambda: frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK))], 1),
-            ([lambda: frequency_response(tf, grid), lambda: evaluate(tf, 0.4j)], 1),
-            # so is a fresh model, even with the arrays of this one
-            ([lambda: evaluate(normalized_gw_signal(model, "W2.out.P", 1.0, 1.0), 0.4j)], 1),
-            ([lambda: noise_power(model, "W2.out.P", None, 0.4)], 1),
-            ([lambda: frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK + 1))], 2)):
+            [lambda: evaluate(tf, 0.4j), lambda: noise_power(gw, "gw", None, 0.4)],
+            # so does a fresh model, even with the arrays of this one
+            [lambda: evaluate(normalized_gw_signal(model, "W2.out.P", 1.0, 1.0), 0.4j)],
+            [lambda: noise_power(model, "W2.out.P", None, 0.4)]):
         calls.clear()
         for run in runs:
             run()
-        assert calls == ["solve"] * solves
+        assert calls == [("solve", 1)]
+    # a grid is never kept, and factors each of its points once every time
+    for runs, points in (
+            ([lambda: noise_power(gw, "gw", None, grid)], grid.size),
+            ([lambda: frequency_response(tf, np.geomspace(0.05, 50.0, xfer.CHUNK))], xfer.CHUNK),
+            ([lambda: frequency_response(tf, grid), lambda: evaluate(tf, 0.4j)], grid.size),
+            ([lambda: frequency_response(tf, np.geomspace(0.05, 50.0, 2 * xfer.CHUNK + 1))],
+             2 * xfer.CHUNK + 1)):
+        calls.clear()
+        for run in runs:
+            run()
+        assert {name for name, _ in calls} == {"solve"}
+        assert sum(size for _, size in calls) == points
+
+
+def test_grid_certificate_clears_only_what_the_screen_clears(monkeypatch):
+    # a point its anchor's inverse certifies is solved against B alone, with
+    # no screen or exact test of its own: its exact |M|_F |M^{-1}|_F must be
+    # within the screen's bound.  Random drifts with an undamped pair at
+    # +-i w0 (seen by the path or hidden from it) and grids through w0
+    alone, tested = [], set()
+    solve, cond = np.linalg.solve, np.linalg.cond
+
+    def counted_solve(a, b):
+        if b.shape[-1] == p:  # against B, not the joint [B | I]
+            alone.extend(a.reshape((-1,) + a.shape[-2:]))
+        return solve(a, b)
+
+    def counted_cond(a, *args):
+        tested.update(m.tobytes() for m in a.reshape((-1,) + a.shape[-2:]))
+        return cond(a, *args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    rng = np.random.default_rng(20261019)
+    certified, worst = 0, 0
+    for trial in range(30):
+        n = int(rng.integers(1, 17))
+        w0 = rng.uniform(0.2, 3.0)
+        A = np.zeros((2 * n, 2 * n))
+        A[:2, :2] = [[0.0, w0], [-w0, 0.0]]
+        A[2:, 2:] = rng.normal(size=(2 * n - 2, 2 * n - 2)) - 2.0 * np.eye(2 * n - 2)
+        if trial % 2:  # the pair is mixed into every state
+            T = np.eye(2 * n) + 0.3 * rng.normal(size=(2 * n, 2 * n))
+            A = T @ A @ np.linalg.inv(T)
+        p = int(rng.integers(1, 4))
+        B, C = rng.normal(size=(2 * n, p)), rng.normal(size=(2, 2 * n))
+        if trial % 2 == 0:
+            B[:2], C[:, :2] = 0.0, 0.0  # the pair is hidden from the path
+        model = StateSpaceModel(A, B, C, np.zeros((2, p)), Ports([("u", p)]), Ports([("y", 2)]))
+        omegas = np.sort(np.concatenate((
+            rng.uniform(0.05, 4.0, 40), w0 + np.linspace(-1e-3, 1e-3, 41),
+            w0 * (1 + np.linspace(-1e-9, 1e-9, 193)), w0 * (1 + np.array([-1e-15, 1e-15])))))
+        alone.clear()
+        tested.clear()
+        try:
+            frequency_response(TransferFunction(model, "u", "y"), omegas)
+        except SingularityError:
+            assert trial % 2  # only a pole the path sees raises
+        for M in alone:
+            if M.tobytes() not in tested:
+                certified += 1
+                bound = np.linalg.norm(M) * np.linalg.norm(np.linalg.inv(M))
+                assert bound <= xfer.COND_LIMIT / 2
+                worst = max(worst, bound)
+    # thousands of points, some of them near the limit
+    assert certified > 1000 and worst > xfer.COND_LIMIT / 100
 
 
 def test_one_solve_and_no_registry_per_sql_coupling(monkeypatch):
@@ -348,9 +415,15 @@ def test_sql_curve_values():
     assert np.isclose(sql_curve(2.0, 1.0, [1.0]).values[0], 0.25)  # 1/m
     with pytest.raises(ValidationError):
         sql_curve(1.0, 1.0, [0.0, 1.0])
-    for m, L in ((-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, 0.0)):
+    # m and L each fine, but 2 m L^2 overflows or underflows
+    for m, L in ((-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, 0.0),
+                 (1.0, 1e200), (1.0, 1e-200), (1e300, 1e10)):
         with pytest.raises(ValidationError, match="must be a finite positive number"):
             sql_curve(m, L, [1.0])
+    # so is every value on the grid
+    for omega in (1e-200, 1e200, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            sql_curve(1.0, 1.0, [omega])
 
 
 def test_non_finite_inputs_are_rejected():
@@ -440,3 +513,22 @@ def test_spectrum_csv_format():
     assert float(w) == 2.0
     assert float(s) == 1.0 / 3.0  # 17 significant digits round-trip
     assert float(ref) == 0.125
+
+
+def test_spectrum_csv_matches_the_row_renderer():
+    def rows(curve, sql=None):  # the renderer of one f-string per row
+        refs = sql.values.tolist() if sql is not None else [float("nan")] * curve.omegas.size
+        return "\n".join(["omega,S,S_sql"] + [
+            f"{w:.17g},{v:.17g},{ref:.17g}"
+            for w, v, ref in zip(curve.omegas.tolist(), curve.values.tolist(), refs)]) + "\n"
+
+    rng = np.random.default_rng(44)
+    omegas = np.concatenate(([-0.0, 5e-324], np.sort(rng.uniform(1e-3, 1e3, 50)), [1e308, np.inf]))
+    special = [np.nan, np.inf, -0.0, 5e-324, 1e308]
+    values = np.concatenate((special, rng.exponential(size=omegas.size - 5)))
+    refs = np.concatenate((rng.exponential(size=omegas.size - 5), special[::-1]))
+    for curve, sql in ((SpectrumCurve(omegas, values), SpectrumCurve(omegas, refs)),
+                       (SpectrumCurve(omegas, values), None),
+                       (SpectrumCurve(omegas[:1], values[:1]), None),
+                       (SpectrumCurve([], []), None)):
+        assert spectrum_csv(curve, sql) == rows(curve, sql)
