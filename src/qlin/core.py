@@ -130,13 +130,13 @@ def _hamiltonian(name: str, G) -> np.ndarray:
 
 
 def _realify(Z: np.ndarray) -> np.ndarray:
-    """Interleaved real form of a complex matrix: each entry ``z`` becomes
-    the block ``[[Re z, -Im z], [Im z, Re z]]``."""
-    out = np.zeros((2 * Z.shape[0], 2 * Z.shape[1]))
-    out[0::2, 0::2] = Z.real
-    out[0::2, 1::2] = -Z.imag
-    out[1::2, 0::2] = Z.imag
-    out[1::2, 1::2] = Z.real
+    """Interleaved real form of a complex matrix, or of each matrix of a
+    stack: each entry ``z`` becomes the block ``[[Re z, -Im z], [Im z, Re z]]``."""
+    out = np.zeros(Z.shape[:-2] + (2 * Z.shape[-2], 2 * Z.shape[-1]))
+    out[..., 0::2, 0::2] = Z.real
+    out[..., 0::2, 1::2] = -Z.imag
+    out[..., 1::2, 0::2] = Z.imag
+    out[..., 1::2, 1::2] = Z.real
     return out
 
 
@@ -371,6 +371,37 @@ class StateSpaceModel:
         return self._derive(self, A=Tinv @ self.A @ T, B=Tinv @ self.B, C=self.C @ T)
 
 
+@lru_cache(maxsize=None)
+def _split_targets(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``I`` and ``J = [[0, I], [-I, 0]]`` of ``m`` channels, built once per
+    ``m`` and read-only, as :func:`sigma` is."""
+    return _frozen(np.eye(2 * m)), _frozen(np.eye(2 * m, k=m) - np.eye(2 * m, k=-m))
+
+
+def _check_splits(m: int, M: np.ndarray) -> None:
+    """Check every ``M = [M1; M2]`` of the stack ``M`` (shape ``(k, 2m, 2m)``)
+    against the three split identities within ``SPLIT_TOL * max(m, 1)``; a
+    ``ValidationError`` names the first identity that fails, its defect and,
+    in a stack of more than one, the member's index."""
+    eye, J = _split_targets(m)
+    Mt = M.transpose(0, 2, 1)
+    checks = {
+        "M Sigma M^T = J": M @ sigma(m) @ Mt - J,
+        "M M^T = I": M @ Mt - eye,
+        "M^T M = I": Mt @ M - eye,
+    }
+    tol = SPLIT_TOL * max(m, 1)
+    for label, defect in checks.items():
+        # one maximum over the whole stack (NaN fails it); per member only
+        # to name the one that fails
+        if defect.size and not np.abs(defect).max() <= tol:
+            worst = np.abs(defect).max(axis=(1, 2))
+            k = int(np.flatnonzero(~(worst <= tol))[0])
+            where = f" at member {k}" if len(M) > 1 else ""
+            raise ValidationError(
+                f"measurement split violates {label}{where} (defect {worst[k]:.3e})")
+
+
 @dataclass(frozen=True)
 class MeasurementSplit:
     """Homodyne selector pair: y = M1 W_out is measured, M2 W_out is conjugate.
@@ -388,22 +419,24 @@ class MeasurementSplit:
     def __post_init__(self):
         M1 = _as_matrix("M1", self.M1, rows=self.m, cols=2 * self.m)
         M2 = _as_matrix("M2", self.M2, rows=self.m, cols=2 * self.m)
-        tol = SPLIT_TOL * max(self.m, 1)
-        M = np.concatenate((M1, M2))
-        eye = np.eye(2 * self.m)
-        J = np.eye(2 * self.m, k=self.m) - np.eye(2 * self.m, k=-self.m)
-        checks = {
-            "M Sigma M^T = J": M @ sigma(self.m) @ M.T - J,
-            "M M^T = I": M @ M.T - eye,
-            "M^T M = I": M.T @ M - eye,
-        }
-        for label, defect in checks.items():
-            worst = float(np.max(np.abs(defect))) if defect.size else 0.0
-            if worst > tol:
-                raise ValidationError(
-                    f"measurement split violates {label} (defect {worst:.3e})")
+        _check_splits(self.m, np.concatenate((M1, M2))[None])
         object.__setattr__(self, "M1", _frozen(M1))
         object.__setattr__(self, "M2", _frozen(M2))
+
+    @classmethod
+    def _stack(cls, m: int, O: np.ndarray) -> list["MeasurementSplit"]:
+        """The splits ``M1 = O_k[0::2]``, ``M2 = O_k[1::2]`` of each matrix of
+        the stack ``O`` (shape ``(k, 2m, 2m)``), checked once as a stack by
+        the identities of the constructor; each split's rows are then frozen
+        without checking them again."""
+        M1, M2 = O[:, 0::2], O[:, 1::2]
+        _check_splits(m, np.concatenate((M1, M2), axis=1))
+        splits = []
+        for a, b in zip(M1, M2):
+            split = object.__new__(cls)
+            split.__dict__.update(m=m, M1=_frozen(a), M2=_frozen(b))
+            splits.append(split)
+        return splits
 
 
 def _selector_angle(sel, what: str) -> float:

@@ -184,7 +184,12 @@ def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
     B_K = ctrl.B_K.reshape(k, ny)
     EC = E @ (C_K if k else np.zeros((nu, 0)))
     A, B, C, D = open_loop.A, open_loop.B, open_loop.C, open_loop.D
-    Ae = np.block([[A, B @ EC], [B_K @ C[y], ctrl.A_K + B_K @ D[y] @ EC]])
+    n = A.shape[0]
+    Ae = np.empty((n + k, n + k))
+    Ae[:n, :n] = A
+    Ae[:n, n:] = B @ EC
+    Ae[n:, :n] = B_K @ C[y]
+    Ae[n:, n:] = ctrl.A_K + B_K @ D[y] @ EC
     return StateSpaceModel._derive(open_loop, A=Ae, B=np.vstack([B, B_K @ D[y]]),
                                    C=np.hstack([C, D @ EC]))
 

@@ -7,6 +7,13 @@ trial, and counts violations (expected: zero).  A trial's splits and gain
 shapes follow ``interconnect._split_widths``, and ``mf_type1``/``mf_type2``
 read the controller's input map from the open loop.
 
+Draws come first: each trial's stream gives the Gaussian matrix of each of
+its splits, then its controller, in that order.  The splits of one width
+are then built from all trials' draws as one stack (one QR, one phase fix,
+one realification) and checked as one stack against the split identities
+(``MeasurementSplit._stack``).  :func:`random_orthosymplectic` and
+:func:`random_split` are the same build on a stack of one.
+
 One table names the noise ports and judged outputs of the six (scheme, goal)
 combinations.  Type-2 BAE (Theorem 4) is one joint zero transfer to the
 evaluation signal ``z`` from the feedback field ``W1`` and the conjugate
@@ -112,18 +119,27 @@ class NogoReport:
         }
 
 
+def _gaussian(rng: np.random.Generator, m: int) -> np.ndarray:
+    """The complex Gaussian ``m x m`` draw behind one random split."""
+    return rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+
+
+def _orthosymplectic(Z: np.ndarray) -> np.ndarray:
+    """Realified unitaries of a stack of complex matrices: one stacked QR,
+    with the phases of ``R``'s diagonal moved into ``Q``."""
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    return _realify(Q * (d / np.abs(d))[:, None, :])
+
+
 def random_orthosymplectic(rng: np.random.Generator, m: int) -> np.ndarray:
     """Random 2m x 2m orthogonal-symplectic matrix (realified unitary)."""
-    Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    Q, R = np.linalg.qr(Z)
-    Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
-    return _realify(Q)
+    return _orthosymplectic(_gaussian(rng, m)[None])[0]
 
 
 def random_split(rng: np.random.Generator, m: int) -> MeasurementSplit:
     """Random homodyne selector pair from a random orthogonal-symplectic M."""
-    O = random_orthosymplectic(rng, m)
-    return MeasurementSplit(m, O[0::2, :], O[1::2, :])
+    return MeasurementSplit._stack(m, _orthosymplectic(_gaussian(rng, m)[None]))[0]
 
 
 def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSystem,
@@ -194,7 +210,9 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     seed : int
         Nonnegative master seed; per-trial streams are split from it with a
         counter-based generator, so reports are reproducible and trials
-        independent.
+        independent.  Every trial draws first (its splits' Gaussian
+        matrices, then its controller); the splits of each width are then
+        built and checked as one stack, before any loop is assembled.
     controller_dim_range : sequence of int, optional
         Controller state dimensions to sample (default 0 .. 2n+2).
     base : float, optional
@@ -230,11 +248,16 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     skips = 0
     worst_gap = float("inf")
     assemble = mf_type1 if scheme == "mf1" else mf_type2
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    for ss in streams:
+    draws = [np.empty((trials, width, width), dtype=complex) for width in widths]
+    ctrls = []
+    for t, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.Generator(np.random.Philox(ss))
-        splits = [random_split(rng, width) for width in widths]
-        ctrl = sample_classical_controller(rng, plant, scheme, controller_dim_range)
+        for Z, width in zip(draws, widths):
+            Z[t] = _gaussian(rng, width)
+        ctrls.append(sample_classical_controller(rng, plant, scheme, controller_dim_range))
+    stacks = [MeasurementSplit._stack(width, _orthosymplectic(Z))
+              for width, Z in zip(widths, draws)]
+    for ctrl, *splits in zip(ctrls, *stacks):
         loop = assemble(plant, ctrl, *splits)
         closed = _goal_verdict(loop, goal, scheme, _plant_block(loop.nstates, plant.n), base)
         if not closed.method_agreement:

@@ -20,6 +20,7 @@ layout (``core._layout``), the ``"gw"`` one once per parent registry.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
@@ -100,14 +101,13 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     so a point whose ``|M|_F F / (1 - d F)`` is at most ``COND_LIMIT / 2``
     passes the screen and is solved against ``B`` alone.  A point its anchor
     cannot certify gets its own joint solve and screen.  The points the
-    screen cannot clear (all of a stack, if its solve fails) are checked to
-    be finite (the screen clears no NaN or inf point, which raises
-    ``ValidationError``), then get the exact ``np.linalg.cond``, and the
-    accepted ones are solved against ``B``.  So each point is factored once,
-    and its values are bit for bit those of one solve against ``B``.
-    Points above ``COND_LIMIT`` are never solved on the full pair; they are
-    solved again on the reduced pair (built once per chunk), so only a pole
-    of the signal path itself raises.
+    screen cannot clear (all of a stack, if its solve fails) get the exact
+    ``np.linalg.cond``, and the accepted ones are solved against ``B``.  So
+    each point is factored once, and its values are bit for bit those of one
+    solve against ``B``.  Points above ``COND_LIMIT`` are never solved on
+    the full pair; they are solved again on the reduced pair (built once per
+    chunk), so only a pole of the signal path itself raises.  The points
+    are finite: each public entry checks them first (:func:`_finite`).
     """
     points = np.asarray(points).reshape(-1)
     if points.size <= CHUNK:
@@ -162,8 +162,6 @@ def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
     bad = np.flatnonzero(~ok)
     ill = bad[:0]
     if bad.size:
-        if not np.isfinite(s[bad]).all():
-            raise ValidationError(f"points must be finite, got {s[bad][~np.isfinite(s[bad])][0]}")
         fine = np.linalg.cond(M[bad]) <= COND_LIMIT
         ill = bad[~fine]
         if reduced and ill.size:
@@ -221,7 +219,7 @@ def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
         If (sI - A) restricted to the signal path has condition number
         above 1e12; the message names the offending eigenvalue.
     """
-    return _response(tf, np.array([s]))[0]
+    return _response(tf, _finite(np.array([s])))[0]
 
 
 def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndarray:
@@ -233,7 +231,16 @@ def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndar
     one of :func:`evaluate`, with the exact SVD kept for points that the
     Frobenius-norm bound cannot clear.
     """
-    return _response(tf, 1j * np.asarray(omegas, dtype=float).reshape(-1))
+    return _response(tf, 1j * _finite(np.asarray(omegas, dtype=float).reshape(-1)))
+
+
+def _finite(points: np.ndarray) -> np.ndarray:
+    """The 1-D ``points``, or a ``ValidationError`` if one is NaN or
+    infinite; checked before any arithmetic on them, so none warns first
+    (one point takes a scalar check)."""
+    if not (cmath.isfinite(points[0]) if points.size == 1 else np.isfinite(points).all()):
+        raise ValidationError(f"points must be finite, got {points[~np.isfinite(points)][0]}")
+    return points
 
 
 def _response(tf: TransferFunction, points: np.ndarray) -> np.ndarray:
@@ -314,7 +321,7 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
     var = _column_variances(model, variances, exclude)
     # evaluate the full row response once, then weight column-wise
     om = np.asarray(omega, dtype=float)
-    row = _port_response(model, None, C, D, 1j * om.reshape(-1))
+    row = _port_response(model, None, C, D, 1j * _finite(om.reshape(-1)))
     power = (np.abs(row[:, 0]) ** 2 * var).sum(axis=-1)
     return float(power[0]) if om.ndim == 0 else power.reshape(om.shape)
 

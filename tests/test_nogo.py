@@ -1,11 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from qlin import ValidationError, check_bae, find_dfs, find_qnd
+from qlin import MeasurementSplit, ValidationError, check_bae, find_dfs, find_qnd, homodyne_split
 from qlin import scenarios as sc
-from qlin.interconnect import mf_type2
+from qlin.interconnect import mf_type1, mf_type2, mf_type2_open_loop
+from qlin.structural import Subspace
 from qlin.nogo import (
     THEOREM_INDEX,
     random_orthosymplectic,
@@ -164,6 +166,127 @@ def test_zero_trials_report():
     r = verify_nogo(sc.optomech_reduced(), "bae", "mf1", trials=0, seed=0)
     assert r.violations == 0
     assert r.trials == 0
+    none = {"violations": 0, "worst_residual_gap": None, "near_tolerance": 0,
+            "disagreements": 0, "hypothesis_skips": 0, "residual_base": 1e-9}
+    assert r.to_dict() == {"theorem": 1, "plant_id": "1modes/1ch", "goal": "bae",
+                           "scheme": "mf1", "trials": 0, "seed": 0,
+                           "controller_dim_range": [0, 1, 2, 3, 4], **none}
+    r = verify_nogo(sc.michelson(), "dfs", "mf2", trials=0, seed=7)
+    assert r.to_dict() == {"theorem": 6, "plant_id": "2modes/2ch", "goal": "dfs",
+                           "scheme": "mf2", "trials": 0, "seed": 7,
+                           "controller_dim_range": [0, 1, 2, 3, 4, 5, 6], **none}
+
+
+def _reference_report(plant, goal, scheme, trials, seed):
+    """verify_nogo's report from one trial at a time: its stream draws the
+    trial's splits with the public random_split, then its controller."""
+    ports = {("mf1", "bae"): ("P", "y"), ("mf1", "qnd"): (["Q", "P"], "y"),
+             ("mf1", "dfs"): (["Q", "P"], "Wout"), ("mf2", "bae"): (["W1", "P2"], "z"),
+             ("mf2", "qnd"): (["W1", "Q2", "P2"], ["y", "z"]),
+             ("mf2", "dfs"): (["W1", "Q2", "P2"], ["W1out", "W2out"])}
+    noise, judged = ports[(scheme, goal)]
+
+    def judge(model, witnesses):
+        if goal == "bae":
+            return check_bae(model, noise, judged)
+        restrict = Subspace(model.nstates, np.eye(model.nstates, 2 * plant.n))
+        engine = find_qnd if goal == "qnd" else find_dfs
+        return engine(model, noise, judged, restrict_to=restrict if witnesses else None)
+
+    widths = (plant.m,) if scheme == "mf1" else tuple(map(len, plant.role_partition()))
+    dims = tuple(range(0, 2 * plant.n + 3))
+    violations = disagreements = near = skips = 0
+    worst = float("inf")
+    for ss in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.Philox(ss))
+        splits = [random_split(rng, width) for width in widths]
+        ctrl = sample_classical_controller(rng, plant, scheme, dims)
+        loop = (mf_type1 if scheme == "mf1" else mf_type2)(plant, ctrl, *splits)
+        closed = judge(loop, True)
+        disagreements += not closed.method_agreement
+        if closed.achieved:
+            bare = (plant.to_state_space(splits[0]) if scheme == "mf1"
+                    else mf_type2_open_loop(plant, *splits))
+            if judge(bare, True).achieved:
+                skips += 1
+            else:
+                violations += 1
+            continue
+        worst = min(worst, closed.residual)
+        near += closed.tolerance > 0 and closed.residual < 10.0 * closed.tolerance
+    return {"theorem": THEOREM_INDEX[(scheme, goal)], "plant_id": f"{plant.n}modes/{plant.m}ch",
+            "goal": goal, "scheme": scheme, "trials": trials, "violations": violations,
+            "worst_residual_gap": worst if np.isfinite(worst) else None, "seed": seed,
+            "controller_dim_range": list(dims), "near_tolerance": near,
+            "disagreements": disagreements, "hypothesis_skips": skips, "residual_base": 1e-9}
+
+
+def test_verify_nogo_matches_a_per_trial_reference():
+    # drawing every trial first and building its splits as one stack changes
+    # no byte of any report
+    for scheme, plant in (("mf1", sc.optomech_reduced()), ("mf2", sc.michelson())):
+        for goal in ("bae", "qnd", "dfs"):
+            for seed in (0, 1, 20240811):
+                got = verify_nogo(plant, goal, scheme, trials=12, seed=seed).to_dict()
+                want = _reference_report(plant, goal, scheme, 12, seed)
+                assert json.dumps(got) == json.dumps(want), (scheme, goal, seed)
+
+
+def test_stacked_splits_equal_one_at_a_time_splits():
+    import qlin.nogo as nogo
+
+    def parent_orthosymplectic(rng, m):  # one QR per matrix
+        Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        Q, R = np.linalg.qr(Z)
+        Q = Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+        out = np.zeros((2 * m, 2 * m))
+        out[0::2, 0::2], out[0::2, 1::2] = Q.real, -Q.imag
+        out[1::2, 0::2], out[1::2, 1::2] = Q.imag, Q.real
+        return out
+
+    for m in (1, 2, 3):
+        rng = np.random.default_rng(60 + m)
+        singles = [random_split(rng, m) for _ in range(6)]
+        rng = np.random.default_rng(60 + m)
+        stacked = MeasurementSplit._stack(
+            m, nogo._orthosymplectic(np.array([nogo._gaussian(rng, m) for _ in range(6)])))
+        for one, many in zip(singles, stacked):
+            assert many.m == m
+            assert np.array_equal(one.M1, many.M1) and np.array_equal(one.M2, many.M2)
+            assert not many.M1.flags.writeable and many.M1.flags.c_contiguous
+        rng, ref = np.random.default_rng(70 + m), np.random.default_rng(70 + m)
+        for _ in range(6):
+            assert np.array_equal(random_orthosymplectic(rng, m), parent_orthosymplectic(ref, m))
+
+
+def test_verify_nogo_makes_one_qr_per_split_width(monkeypatch):
+    calls = []
+
+    def counted(*args, _qr=np.linalg.qr, **kwargs):
+        calls.append(np.shape(args[0]))
+        return _qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    for plant, scheme, shapes in ((sc.optomech_reduced(), "mf1", [(9, 1, 1)]),
+                                  (sc.michelson(), "mf2", [(9, 1, 1), (9, 1, 1)])):
+        calls.clear()
+        verify_nogo(plant, "qnd", scheme, trials=9, seed=2)
+        assert calls == shapes
+
+
+def test_split_stack_names_the_member_that_fails():
+    import qlin.nogo as nogo
+
+    rng = np.random.default_rng(80)
+    O = nogo._orthosymplectic(np.array([nogo._gaussian(rng, 2) for _ in range(4)]))
+    assert len(MeasurementSplit._stack(2, O)) == 4
+    O[2, 1, 3] += 1e-9
+    with pytest.raises(ValidationError, match=r"violates M Sigma M\^T = J at member 2 \(defect"):
+        MeasurementSplit._stack(2, O)
+    # a stack of one is the constructor's check, with its message
+    split = homodyne_split(2, "P")
+    with pytest.raises(ValidationError, match=r"violates M Sigma M\^T = J \(defect"):
+        MeasurementSplit(2, split.M1 + 1e-9 * np.eye(2, 4), split.M2)
 
 
 def test_cf_sanity_inversion():

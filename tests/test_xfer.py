@@ -434,6 +434,15 @@ def test_non_finite_inputs_are_rejected():
                 lambda: noise_power(model, "W2.out.P", None, np.nan)):
         with pytest.raises(ValidationError, match="must be finite"):
             run()
+    # an infinite point is rejected before any arithmetic, which would warn
+    # (inf * 0) under the suite's RuntimeWarning filter
+    for run in (lambda: evaluate(tf, complex(np.inf, 0.0)),
+                lambda: frequency_response(tf, [1.0, np.inf]),
+                lambda: frequency_response(tf, [-np.inf]),
+                lambda: noise_power(model, "W2.out.P", None, [1.0, np.inf]),
+                lambda: noise_power(model, "W2.out.P", None, np.inf)):
+        with pytest.raises(ValidationError, match="points must be finite"):
+            run()
     for r in (np.inf, np.nan, 800.0, -800.0):
         with pytest.raises(ValidationError, match="squeeze parameter"):
             squeezed_variances("W2.P", r)
