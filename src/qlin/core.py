@@ -174,6 +174,7 @@ class Ports:
         self._total = 0
         self._held = False
         self._extended: dict[tuple[str, int], "Ports"] = {}
+        self._indices: dict[tuple, np.ndarray] = {}
         for name, width in entries:
             self.append(name, width)
 
@@ -226,27 +227,37 @@ class Ports:
     def __contains__(self, name: str) -> bool:
         return name in self._ranges
 
-    def slice(self, name: str) -> slice:
+    def _range(self, name: str) -> tuple[int, int]:
         try:
-            lo, hi = self._ranges[name]
+            return self._ranges[name]
         except KeyError:
             raise PortLookupError(
                 f"unknown port {name!r}; available: {sorted(self._ranges)}") from None
-        return slice(lo, hi)
+
+    def slice(self, name: str) -> slice:
+        return slice(*self._range(name))
 
     def indices(self, names: Union[str, Sequence[str]]) -> np.ndarray:
-        if isinstance(names, str):
-            names = [names]
-        idx: list[int] = []
-        for name in names:
-            s = self.slice(name)
-            idx.extend(range(s.start, s.stop))
-        return np.asarray(idx, dtype=int)
+        """The indices of one or more ports, in order, as a new array."""
+        return np.array(self._resolve(names))
+
+    def _resolve(self, names: Union[str, Sequence[str]]) -> np.ndarray:
+        """:meth:`indices` without the copy.  A sealed registry cannot
+        change, so it resolves each name list once and returns the same
+        read-only array after that."""
+        key = (names,) if isinstance(names, str) else tuple(names)
+        idx = self._indices.get(key)
+        if idx is None:
+            idx = np.asarray([i for name in key for i in range(*self._range(name))], dtype=int)
+            if self._held:
+                idx.setflags(write=False)
+                self._indices[key] = idx
+        return idx
 
     def _select(self, names: Union[str, Sequence[str]]) -> Union[slice, np.ndarray]:
         """Index of one or more ports: the slice of a single name, else
         :meth:`indices`.  Indexing with a slice gives a view."""
-        return self.slice(names) if isinstance(names, str) else self.indices(names)
+        return self.slice(names) if isinstance(names, str) else self._resolve(names)
 
     def width(self, name: str) -> int:
         s = self.slice(name)
@@ -333,6 +344,12 @@ class StateSpaceModel:
         return self.A.shape[0]
 
     @cached_property
+    def _norm_A(self) -> float:
+        """``|A|_F``, computed once: every staircase cutoff and probe radius
+        of the model reads it (``A^T`` has the same norm, to the bit)."""
+        return np.linalg.norm(self.A)
+
+    @cached_property
     def _memo(self) -> dict:
         """Private memo of results that depend on this immutable model only.
 
@@ -340,7 +357,7 @@ class StateSpaceModel:
 
         * staircase results of :mod:`qlin.structural`, keyed by side and the
           resolved port indices, each computed once; only
-          ``structural._subspace`` and ``structural._reduced_pair`` read or
+          ``structural._subspaces`` and ``structural._reduced_pair`` read or
           fill them;
         * under the key ``"point"``, the joint resolvent solve of the most
           recent one-point request of :mod:`qlin.xfer` that its conditioning
@@ -584,13 +601,26 @@ class QuantumLinearSystem:
         once, read-only."""
         return _sealed("B", sigma(self.n) @ self.C.T @ sigma(self.m))
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Private memo of results that depend on this immutable system only:
+        under ``"roles"`` its :meth:`role_partition`, and under ``"mf2"`` the
+        parts of its type-2 open loop that no split changes, which only
+        ``interconnect._mf2_parts`` reads or fills."""
+        return {}
+
     def role_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Indices of the feedback and of the evaluation channels.
 
         Type-2 loops split the fields into these two groups, so every
         channel must carry one of the two roles and each group must be
-        nonempty.
+        nonempty.  Computed once per system.
         """
+        if "roles" not in self._memo:
+            self._memo["roles"] = self._roles()
+        return self._memo["roles"]
+
+    def _roles(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         groups: dict[str, list[int]] = {"feedback": [], "evaluation": []}
         for j, ch in enumerate(self.channels):
             if ch.role == "environment":

@@ -24,19 +24,27 @@ resolved.  Residuals are in probe units: the BAE residual is the largest
 scaled Markov term ``|C A^k B| / R^(k+1)``, which by Cauchy's estimate is at
 most ``max |C (sI - A)^{-1} B|`` on the probe circle.
 
-The staircase route reads the model's memo (``structural._subspace`` and
+The staircase route reads the model's memo (``structural._subspaces`` and
 ``structural._reduced_pair``), so verdicts on one model share each
 controllable subspace, observable subspace and reduced pair: ``check_bae``
-runs 3 staircases, and ``transfer_zero_equivalence`` inside it none of its
-own.  The probes are never shared: ``_probe`` runs once per verdict and
-never reads the memo's resolvent entry, which belongs to :mod:`qlin.xfer`
-alone.
+on a fresh model runs 3 staircases (its ports' two subspaces and the
+reduced pair), and ``transfer_zero_equivalence`` inside it none of its own.
+The probes are never shared between verdicts and never read the memo's
+resolvent entry, which belongs to :mod:`qlin.xfer` alone.
+
+The engines take stacks: ``_verdict`` judges a list of same-dimension models
+(``find_qnd`` and ``find_dfs`` pass a list of one) with one stacked
+staircase per side, one stacked witness SVD per group of equal subspace
+dimensions and one ``_probe`` per group of equal witness counts, so one
+verdict makes one ``_probe`` call and a group of no-go loops makes one.
+Each stack keeps the memory layout of the one-model operands, so every
+verdict has the bits it has alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,7 +53,13 @@ from .core import StateSpaceModel, _finite_positive
 from .structural import (
     Subspace,
     _reduced_pair,
+    _eye,
+    _hstacked,
+    _members,
+    _stacked,
+    _take,
     _subspace,
+    _subspaces,
     controllability_matrix,  # noqa: F401  (the benchmark tracer restores this binding)
     intersect,
     largest_markov,
@@ -131,7 +145,7 @@ def residual_tolerance(model: StateSpaceModel, input_port: PortArg,
                        output_port: PortArg, base: Optional[float] = None) -> float:
     """Probe threshold ``base * |B|_F |C|_F / (|A|_F + 1)`` of a port pair."""
     return _threshold(checked_base(base), model.b(input_port), model.c(output_port),
-                      np.linalg.norm(model.A))
+                      model._norm_A)
 
 
 def _threshold(base: float, first: np.ndarray, second: np.ndarray, norm_A: float) -> float:
@@ -150,37 +164,51 @@ def _probe_units() -> np.ndarray:
     return units
 
 
-def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float):
-    """Cross-check the staircase's claim on resolvent probes.
+def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float,
+           norms: Sequence[float]):
+    """Cross-check the staircase's claim on resolvent probes, for one model
+    or for a stack of models whose legs have the same shapes.
 
-    ``zero`` and ``shown`` are lists of (left, right) legs, probed as the
-    largest ``|left (sI - A)^{-1} right|`` against the zero threshold
-    ``base * |left|_F |right|_F / (|A|_F + 1)``.  The staircase claims that
-    every ``zero`` leg vanishes (``vanishes``) or that not all of them do,
-    and that every ``shown`` leg does not vanish.  Returns whether the
-    probes agree (``method_agreement``) and the largest (value, threshold)
-    of the ``zero`` legs.
+    ``A`` is one drift matrix or a stack ``(T, n, n)``.  ``zero`` and
+    ``shown`` are lists of (left, right) legs, matrices or stacks with the
+    leading shape of ``A``, probed as the largest
+    ``|left (sI - A)^{-1} right|`` against the zero threshold
+    ``base * |left|_F |right|_F / (|A|_F + 1)``.  The staircase claims, for
+    every member, that every ``zero`` leg vanishes (``vanishes``) or that
+    not all of them do, and that every ``shown`` leg does not vanish.
+    Returns whether the probes agree (``method_agreement``) and the largest
+    (value, threshold) of the ``zero`` legs: one such pair for one model, a
+    list of them for a stack.  ``norms`` holds the members' ``|A|_F``
+    (``StateSpaceModel._norm_A``).
 
     The points lie on the circle ``|s| = R = 2 |A|_F + 1``, at distance at
     least ``R - |A|_F`` from the spectrum, so ``cond(sI - A) <= 3`` and one
-    stacked solve serves every point and leg.
+    stacked solve serves every member, point and leg.
     """
-    nA = np.linalg.norm(A)
+    lead, n = A.shape[:-2], A.shape[-1]
     legs = zero + shown
-    rights = np.hstack([right for _, right in legs])
-    s = (2.0 * nA + 1.0) * _probe_units()
-    X = np.linalg.solve(s[:, None, None] * np.eye(A.shape[0]) - A,
-                        np.broadcast_to(rights, (PROBE_COUNT,) + rights.shape))
-    out, col = [], 0
-    for left, right in legs:
-        vals = left @ X[:, :, col:col + right.shape[1]]
-        col += right.shape[1]
-        out.append((float(np.max(np.abs(vals))) if vals.size else 0.0,
-                    _threshold(base, left, right, nA)))
-    probed = out[:len(zero)]
-    agree = (all(w <= t for w, t in probed) == vanishes
-             and all(w > t for w, t in out[len(zero):]))
-    return agree, max(probed)
+    rights = np.concatenate([right for _, right in legs], axis=-1)
+    # sI - A member by member, so no temporary is larger than one member's
+    M = np.empty(lead + (PROBE_COUNT, n, n), dtype=complex)
+    for M_i, A_i, norm in zip(M.reshape(-1, PROBE_COUNT, n, n), _members(A), norms):
+        np.multiply(((2.0 * norm + 1.0) * _probe_units())[:, None, None], _eye(n), out=M_i)
+        M_i -= A_i
+    # the right-hand sides broadcast over the points, as a stack of matrices
+    X = np.linalg.solve(M, rights[..., None, :, :])
+    legs = [(_members(left), _members(right)) for left, right in legs]
+    out = []
+    for i, X_i in enumerate(X.reshape((-1,) + X.shape[-3:])):
+        probed, col = [], 0
+        for left, right in legs:
+            vals = left[i] @ X_i[:, :, col:col + right.shape[2]]
+            col += right.shape[2]
+            probed.append((float(np.max(np.abs(vals))) if vals.size else 0.0,
+                           _threshold(base, left[i], right[i], norms[i])))
+        zeros = probed[:len(zero)]
+        agree = (all(w <= t for w, t in zeros) == vanishes
+                 and all(w > t for w, t in probed[len(zero):]))
+        out.append((agree, max(zeros)))
+    return out if lead else out[0]
 
 
 def _normalize_witness(v: np.ndarray) -> np.ndarray:
@@ -204,7 +232,7 @@ def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
     base = checked_base(base)
     legs = [(model.c(output_port), model.b(input_port))]
     empty = _reduced_pair(model, input_port, output_port)[0].shape[0] == 0
-    return _probe(model.A, empty, legs, [], base)[0]
+    return _probe(model.A, empty, legs, [], base, [model._norm_A])[0]
 
 
 def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
@@ -241,7 +269,7 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         achieved=Ar.shape[0] == 0 and direct <= tol,
         witnesses=(),
         residual=max(largest_markov(Ar, Br, Cr, model.nstates,
-                                    2.0 * np.linalg.norm(model.A) + 1.0), direct),
+                                    2.0 * model._norm_A + 1.0), direct),
         method_agreement=transfer_zero_equivalence(model, ba_port, shot_output, base=base),
         dims={"controllable": ctrl.dim,
               "observable": _subspace(model, "out", shot_output).dim,
@@ -259,7 +287,7 @@ def find_qnd(model: StateSpaceModel, noise_ports: PortArg, output: PortArg,
     with ``restrict_to`` when given, e.g. the plant block of a hybrid loop)
     that the noise does not reach.
     """
-    return _verdict("QND", model, noise_ports, output, restrict_to, checked_base(base))
+    return _verdict("QND", [model], noise_ports, output, restrict_to, checked_base(base))[0]
 
 
 def find_dfs(model: StateSpaceModel, noise_ports: PortArg, output_fields: PortArg,
@@ -271,13 +299,21 @@ def find_dfs(model: StateSpaceModel, noise_ports: PortArg, output_fields: PortAr
     ``output_fields`` must name full field outputs (pre-measurement), not a
     homodyne signal.
     """
-    return _verdict("DFS", model, noise_ports, output_fields, restrict_to,
-                    checked_base(base))
+    return _verdict("DFS", [model], noise_ports, output_fields, restrict_to,
+                    checked_base(base))[0]
 
 
-def _verdict(goal, model, noise_ports, output, restrict_to, base) -> GoalVerdict:
-    """QND/DFS verdict on the candidate directions that ``drive`` does not
-    reach.
+@lru_cache(maxsize=None)
+def _whole(n: int) -> Subspace:
+    """The whole state space of dimension ``n``, the DFS candidate space
+    without ``restrict_to``; built once per dimension and shared, as a
+    ``Subspace`` is read-only."""
+    return Subspace(n, _eye(n))
+
+
+def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalVerdict]:
+    """QND/DFS verdicts of models with the same state dimension, on the
+    candidate directions that ``drive`` does not reach.
 
     The columns of ``drive`` span what the goal forbids: ``[B, A Q]`` spans
     the controllable subspace ``Q`` of (A, B), and ``[C^T, A^T Q]`` the
@@ -287,32 +323,67 @@ def _verdict(goal, model, noise_ports, output, restrict_to, base) -> GoalVerdict
     and for QND each ``C (sI - A)^{-1} w`` must not.  Without witnesses the
     gap (smallest singular value) is reported, and the least-reached
     candidate direction must not vanish along all of those legs.
-    """
-    A, B, C = model.A, model.b(noise_ports), model.c(output)
-    ctrl = _subspace(model, "in", noise_ports)
-    obs = _subspace(model, "out", output)
-    dims = {"uncontrollable": model.nstates - ctrl.dim}
-    if goal == "QND":
-        drive = np.hstack([B, A @ ctrl.basis])
-        candidate = obs if restrict_to is None else intersect(obs, restrict_to, INTERSECT_RTOL)
-        dims["observable"] = obs.dim
-    else:
-        drive = np.hstack([B, A @ ctrl.basis, C.T, A.T @ obs.basis])
-        candidate = restrict_to if restrict_to is not None else Subspace(
-            model.nstates, np.eye(model.nstates))
-        dims["unobservable"] = model.nstates - obs.dim
 
-    if candidate.dim == 0:  # nothing to probe
-        return GoalVerdict(goal, False, (), float("inf"), True, dims={"witness": 0, **dims})
-    _, s, Vt = np.linalg.svd(drive.T @ candidate.basis, full_matrices=True)
-    cutoff = INTERSECT_RTOL * float(np.linalg.norm(drive))
-    W = candidate.basis @ Vt[int(np.count_nonzero(s > cutoff)):].T
-    dims = {"witness": W.shape[1], **dims}
-    found = W.shape[1] > 0
-    V = W if found else candidate.basis @ Vt[-1:].T  # else the least-reached direction
-    zero = [(V.T, B)] + ([(C, V)] if goal == "DFS" else [])
-    shown = [(C, w[:, None]) for w in W.T] if goal == "QND" else []
-    agree, (worst, tol) = _probe(A, found, zero, shown, base)
-    return GoalVerdict(goal, found, tuple(_normalize_witness(w) for w in W.T),
-                       worst if found else s[-1], agree, dims=dims,
-                       tolerance=tol if found else cutoff)
+    The subspaces come from one stacked staircase per side
+    (``structural._subspaces``).  The models whose subspace and candidate
+    dimensions agree share one stacked witness SVD, and those whose witness
+    counts then agree share one ``_probe``.  The stacks are built and split
+    by ``structural._stacked``, ``_hstacked`` and ``_take``, so every verdict
+    has the bits it has alone; one model is a stack of one, run on its own
+    matrices.
+    """
+    n = models[0].nstates
+    ctrls = _subspaces(models, "in", noise_ports)
+    obss = _subspaces(models, "out", output)
+    if goal == "DFS":
+        cands = [_whole(n) if restrict_to is None else restrict_to] * len(models)
+    elif restrict_to is None:
+        cands = obss
+    else:
+        cands = [intersect(obs, restrict_to, INTERSECT_RTOL) for obs in obss]
+    verdicts: list = [None] * len(models)
+    groups: dict = {}
+    for t, (ctrl, obs, cand) in enumerate(zip(ctrls, obss, cands)):
+        groups.setdefault((ctrl.dim, obs.dim, cand.dim), []).append(t)
+
+    for (reached, seen, free), members in groups.items():
+        dims = {"uncontrollable": n - reached,
+                **({"observable": seen} if goal == "QND" else {"unobservable": n - seen})}
+        if free == 0:  # nothing to probe
+            for t in members:
+                verdicts[t] = GoalVerdict(goal, False, (), float("inf"), True,
+                                          dims={"witness": 0, **dims})
+            continue
+        A = _stacked([models[t].A for t in members])
+        norms = [models[t]._norm_A for t in members]
+        B = _stacked([models[t].b(noise_ports) for t in members])
+        C = _stacked([models[t].c(output) for t in members])
+        parts = [B, A @ _stacked([ctrls[t].basis for t in members])]
+        if goal == "DFS":
+            parts += [C.swapaxes(-1, -2),
+                      A.swapaxes(-1, -2) @ _stacked([obss[t].basis for t in members])]
+        drive = _hstacked(parts)
+        cand = _stacked([cands[t].basis for t in members])
+        # min(columns of drive, free) values per member; s[i][-1] is read
+        # only without witnesses, where drive has at least free columns
+        _, s, Vt = np.linalg.svd(drive.swapaxes(-1, -2) @ cand, full_matrices=True)
+        s = s.reshape(len(members), -1)
+        cutoffs = [INTERSECT_RTOL * float(np.linalg.norm(d)) for d in _members(drive)]
+        counts = [int(np.count_nonzero(s_t > c)) for s_t, c in zip(s, cutoffs)]
+        for k in dict.fromkeys(counts):  # the members with k witnesses share one probe
+            part = [i for i, count in enumerate(counts) if count == k]
+            A_k, B_k, C_k, cand_k, Vt_k = (_take(x, part) for x in (A, B, C, cand, Vt))
+            W = cand_k @ Vt_k[..., k:, :].swapaxes(-1, -2)
+            found = k < free
+            # else the least-reached direction
+            V = W if found else cand_k @ Vt_k[..., -1:, :].swapaxes(-1, -2)
+            zero = [(V.swapaxes(-1, -2), B_k)] + ([(C_k, V)] if goal == "DFS" else [])
+            shown = [(C_k, W[..., j:j + 1]) for j in range(free - k)] if goal == "QND" else []
+            probes = _probe(A_k, found, zero, shown, base, [norms[i] for i in part])
+            for i, W_i, (agree, (worst, tol)) in zip(part, _members(W),
+                                                     probes if W.ndim == 3 else [probes]):
+                verdicts[members[i]] = GoalVerdict(
+                    goal, found, tuple(_normalize_witness(w) for w in W_i.T),
+                    worst if found else s[i][-1], agree, dims={"witness": free - k, **dims},
+                    tolerance=tol if found else cutoffs[i])
+    return verdicts

@@ -209,6 +209,30 @@ def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
     return _classical_feedback(plant.to_state_space(split), ctrl, ctrl.C_K, "Wout")
 
 
+def _mf2_parts(plant: QuantumLinearSystem):
+    """The parts of the plant's type-2 open loop that no split changes, built
+    once per plant and kept read-only in its memo: the group widths
+    ``m1``/``m2``, the feedback and evaluation columns of ``B`` and rows of
+    ``C``, the sealed port registries, and the feedthrough with its fixed
+    identity blocks in place (the split blocks are zero)."""
+    memo = plant._memo
+    if "mf2" not in memo:
+        fb, ev = plant.role_partition()
+        m1, m2 = len(fb), len(ev)
+        fb_rows, ev_rows = _quadrature_rows(fb), _quadrature_rows(ev)
+        C1, C2 = plant.C[fb_rows, :], plant.C[ev_rows, :]
+        B1, B2 = plant.B[:, fb_rows], plant.B[:, ev_rows]
+        inputs, outputs, _ = _layout("mf2", tuple(plant.channels[i].label for i in fb + ev),
+                                     plant.force is not None, m1)
+        D = np.zeros((3 * (m1 + m2), inputs.total))
+        D[m1:m1 + m2, 2 * m1:2 * m1 + m2] = np.eye(m2)
+        D[m1 + m2:m1 + m2 + 2 * m1, :2 * m1] = np.eye(2 * m1)
+        for arr in (C1, C2, B1, B2, D):
+            arr.setflags(write=False)
+        memo["mf2"] = (m1, m2, B1, B2, C1, C2, inputs, outputs, D)
+    return memo["mf2"]
+
+
 def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
                        eval_split: MeasurementSplit) -> StateSpaceModel:
     """The plant of a type-2 loop before the controller is attached.
@@ -218,26 +242,18 @@ def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
     feedback signal ``y = M W1_out`` (fb_split), the evaluation signal
     ``z = M1 W2_out`` (eval_split) and the fields ``W1out``/``W2out``.
     """
-    fb, ev = plant.role_partition()
-    m1, m2 = len(fb), len(ev)
+    m1, m2, B1, B2, C1, C2, inputs, outputs, D = _mf2_parts(plant)
     if fb_split.m != m1 or eval_split.m != m2:
         raise ShapeError("measurement splits do not match the channel partition")
-    fb_rows, ev_rows = _quadrature_rows(fb), _quadrature_rows(ev)
-    C1, C2 = plant.C[fb_rows, :], plant.C[ev_rows, :]
-    B1, B2 = plant.B[:, fb_rows], plant.B[:, ev_rows]
     M = fb_split.M1
     M1e, M2e = eval_split.M1, eval_split.M2
 
-    inputs, outputs, _ = _layout("mf2", tuple(plant.channels[i].label for i in fb + ev),
-                                 plant.force is not None, m1)
     cols = [B1, B2 @ M1e.T, B2 @ M2e.T]
     if plant.force is not None:
         cols.append(plant.force.reshape(-1, 1))
     C = np.vstack([M @ C1, M1e @ C2, C1, C2])
-    D = np.zeros((C.shape[0], inputs.total))
+    D = D.copy()
     D[:m1, :2 * m1] = M
-    D[m1:m1 + m2, 2 * m1:2 * m1 + m2] = np.eye(m2)
-    D[m1 + m2:m1 + m2 + 2 * m1, :2 * m1] = np.eye(2 * m1)
     D[m1 + m2 + 2 * m1:, 2 * m1:2 * m1 + m2] = M1e.T
     D[m1 + m2 + 2 * m1:, 2 * m1 + m2:2 * m1 + 2 * m2] = M2e.T
     return StateSpaceModel._derive(plant, B=np.hstack(cols), C=C, D=D, inputs=inputs,

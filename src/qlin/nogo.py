@@ -12,7 +12,10 @@ its splits, then its controller, in that order.  The splits of one width
 are then built from all trials' draws as one stack (one QR, one phase fix,
 one realification) and checked as one stack against the split identities
 (``MeasurementSplit._stack``).  :func:`random_orthosymplectic` and
-:func:`random_split` are the same build on a stack of one.
+:func:`random_split` are the same build on a stack of one.  Every trial's
+loop is then assembled, and the loops of one state dimension are judged
+together: one stacked staircase per side, and for QND/DFS one stacked
+witness SVD and one probe (``goals._verdict``).
 
 One table names the noise ports and judged outputs of the six (scheme, goal)
 combinations.  Type-2 BAE (Theorem 4) is one joint zero transfer to the
@@ -22,6 +25,7 @@ evaluation noise ``P2`` together.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -36,10 +40,10 @@ from .core import (
     _realify,
     homodyne_split,
 )
-from .goals import GoalVerdict, check_bae, checked_base, find_dfs, find_qnd
+from .goals import GoalVerdict, _verdict, check_bae, checked_base
 from .interconnect import (_GAINS, ClassicalController, _split_widths, mf_type1, mf_type2,
                            mf_type2_open_loop)
-from .structural import Subspace
+from .structural import Subspace, _subspaces
 
 __all__ = [
     "NogoReport",
@@ -142,6 +146,20 @@ def random_split(rng: np.random.Generator, m: int) -> MeasurementSplit:
     return MeasurementSplit._stack(m, _orthosymplectic(_gaussian(rng, m)[None]))[0]
 
 
+def _dim_range(dims) -> tuple[int, ...]:
+    """``controller_dim_range`` as a tuple of ints; anything but a nonempty
+    sequence of nonnegative integers is a ``ValidationError`` naming it."""
+    try:
+        dims = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        raise ValidationError(
+            f"controller_dim_range must be a sequence of integers, got {dims!r}") from None
+    if not dims or min(dims) < 0:
+        raise ValidationError(
+            f"controller_dim_range must be nonempty and nonnegative, got {list(dims)}")
+    return dims
+
+
 def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSystem,
                                 scheme: str,
                                 controller_dim_range: Sequence[int]) -> ClassicalController:
@@ -165,13 +183,20 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
         for name, width in zip(_GAINS[scheme], widths)})
 
 
-def _goal_verdict(model: StateSpaceModel, goal: str, scheme: str,
-                  restrict: Optional[Subspace], base: float) -> GoalVerdict:
+def _judge(models: Sequence[StateSpaceModel], goal: str, scheme: str,
+           restrict: Optional[Subspace], base: float) -> list[GoalVerdict]:
+    """The verdicts of models with the same state dimension, in order.
+
+    QND/DFS are one stacked ``goals._verdict``.  BAE is ``check_bae`` per
+    model, after one stacked staircase per side has filled every model's
+    memo."""
     noise, judged = _PORTS[(scheme, goal)]
-    if goal == "bae":  # a zero transfer: no witnesses to restrict
-        return check_bae(model, noise, judged, base=base)
-    engine = find_qnd if goal == "qnd" else find_dfs
-    return engine(model, noise, judged, restrict_to=restrict, base=base)
+    if goal != "bae":
+        return _verdict(goal.upper(), models, noise, judged, restrict, base)
+    _subspaces(models, "in", noise)
+    _subspaces(models, "out", judged)
+    # a zero transfer: no witnesses to restrict
+    return [check_bae(model, noise, judged, base=base) for model in models]
 
 
 def _open_loop(plant: QuantumLinearSystem, scheme: str, splits) -> StateSpaceModel:
@@ -212,9 +237,13 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         counter-based generator, so reports are reproducible and trials
         independent.  Every trial draws first (its splits' Gaussian
         matrices, then its controller); the splits of each width are then
-        built and checked as one stack, before any loop is assembled.
+        built and checked as one stack.  Next every trial's loop is
+        assembled; the loops are judged once per state dimension (QND/DFS
+        as one stacked verdict, BAE per loop after one stacked staircase
+        per side), and the report is tallied in trial order.
     controller_dim_range : sequence of int, optional
-        Controller state dimensions to sample (default 0 .. 2n+2).
+        Controller state dimensions to sample (default 0 .. 2n+2); a
+        nonempty sequence of nonnegative integers, checked before any draw.
     base : float, optional
         Probe-threshold base factor (default 1e-9).
 
@@ -232,11 +261,11 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     if controller_dim_range is None:
         controller_dim_range = tuple(range(0, 2 * plant.n + 3))
     else:
-        controller_dim_range = tuple(int(d) for d in controller_dim_range)
+        controller_dim_range = _dim_range(controller_dim_range)
 
     widths = _split_widths(plant, scheme)
     canonical = [homodyne_split(width, "P") for width in widths]
-    pre = _goal_verdict(_open_loop(plant, scheme, canonical), goal, scheme, None, base)
+    pre = _judge([_open_loop(plant, scheme, canonical)], goal, scheme, None, base)[0]
     if pre.achieved:
         raise ValidationError(
             f"plant already achieves {goal.upper()} standalone; the no-go "
@@ -257,16 +286,23 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         ctrls.append(sample_classical_controller(rng, plant, scheme, controller_dim_range))
     stacks = [MeasurementSplit._stack(width, _orthosymplectic(Z))
               for width, Z in zip(widths, draws)]
-    for ctrl, *splits in zip(ctrls, *stacks):
-        loop = assemble(plant, ctrl, *splits)
-        closed = _goal_verdict(loop, goal, scheme, _plant_block(loop.nstates, plant.n), base)
+    loops = [assemble(plant, ctrl, *splits) for ctrl, *splits in zip(ctrls, *stacks)]
+    groups: dict[int, list[int]] = {}
+    for t, loop in enumerate(loops):
+        groups.setdefault(loop.nstates, []).append(t)
+    verdicts: list = [None] * trials
+    for n, members in groups.items():
+        judged = _judge([loops[t] for t in members], goal, scheme, _plant_block(n, plant.n), base)
+        for t, verdict in zip(members, judged):
+            verdicts[t] = verdict
+    for closed, *splits in zip(verdicts, *stacks):
         if not closed.method_agreement:
             disagreements += 1
         if closed.achieved:
             # the theorem only forbids this when the plant fails under the
             # same measurement choice
             bare = _open_loop(plant, scheme, splits)
-            plant_v = _goal_verdict(bare, goal, scheme, _plant_block(bare.nstates, plant.n), base)
+            plant_v = _judge([bare], goal, scheme, _plant_block(bare.nstates, plant.n), base)[0]
             if plant_v.achieved:
                 skips += 1
                 continue

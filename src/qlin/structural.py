@@ -10,17 +10,21 @@ arguments replace the ``n^2 * eps`` (never below ``n * eps``) /
 ``max_dim * eps`` factor.
 
 A :class:`~qlin.core.StateSpaceModel` is immutable, so the goal engines and
-the CLI read its subspaces through a per-model memo (``_subspace`` and
+the CLI read its subspaces through a per-model memo (``_subspaces`` and
 ``_reduced_pair``): each controllable subspace, observable subspace and
 reduced pair is one staircase per model, keyed by side and the resolved
-column/row indices rather than port names.  These are the staircase
-entries of ``StateSpaceModel._memo``; its one resolvent entry belongs to
+column/row indices rather than port names.  ``_subspaces`` fills the memo
+of a list of models with one stacked staircase per state dimension
+(``_subspace`` is its list of one); the stacked staircase gives each member
+the bits of its one-model staircase.  These are the staircase entries of
+``StateSpaceModel._memo``; its one resolvent entry belongs to
 :mod:`qlin.xfer` alone, and no resolvent probe is ever cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,13 +49,15 @@ __all__ = [
     "classical_subsystem",
 ]
 
+_EPS = np.finfo(float).eps
+
 
 def rank_tolerance(svals: np.ndarray, shape, rtol: Optional[float] = None) -> float:
     """Singular-value threshold below which directions count as zero."""
     if svals.size == 0:
         return 0.0
     if rtol is None:
-        rtol = max(shape) * np.finfo(float).eps
+        rtol = max(shape) * _EPS
     return rtol * float(svals[0])
 
 
@@ -71,13 +77,25 @@ class Subspace:
                 f"basis rows {basis.shape[0]} do not match ambient dim {self.ambient_dim}")
         if basis.shape[1] > self.ambient_dim:
             raise ShapeError("basis has more columns than the ambient dimension")
-        if basis.shape[1]:
-            defect = np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])))
-            if defect > 1e3 * ORTHO_TOL * max(1, self.ambient_dim):
-                raise ShapeError(f"basis columns are not orthonormal (defect {defect:.3e})")
+        _check_orthonormal(self.ambient_dim, basis[None])
         basis = np.array(basis)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _stack(cls, ambient_dim: int, bases: np.ndarray) -> list["Subspace"]:
+        """The subspaces of the stack ``bases`` (shape ``(T, ambient_dim,
+        d)``), checked orthonormal once as a stack; each member's basis is
+        then frozen without checking it again."""
+        _check_orthonormal(ambient_dim, bases)
+        bases = np.array(bases)
+        bases.setflags(write=False)
+        subs = []
+        for basis in bases:
+            sub = object.__new__(cls)
+            sub.__dict__.update(ambient_dim=ambient_dim, basis=basis)
+            subs.append(sub)
+        return subs
 
     @property
     def dim(self) -> int:
@@ -86,6 +104,23 @@ class Subspace:
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto the subspace."""
         return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The ``n x n`` identity, built once per ``n`` and read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def _check_orthonormal(ambient_dim: int, bases: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless the columns of each basis of the stack
+    ``bases`` are orthonormal within ``1e3 * ORTHO_TOL * max(1, ambient_dim)``."""
+    if bases.shape[2]:
+        defect = np.abs(bases.transpose(0, 2, 1) @ bases - _eye(bases.shape[2])).max()
+        if defect > 1e3 * ORTHO_TOL * max(1, ambient_dim):
+            raise ShapeError(f"basis columns are not orthonormal (defect {defect:.3e})")
 
 
 def _empty(ambient: int) -> Subspace:
@@ -189,10 +224,13 @@ def observability_matrix(model: StateSpaceModel,
     return np.vstack(blocks) if blocks else np.zeros((0, model.nstates))
 
 
-def _cutoff(A: np.ndarray, B: np.ndarray, rtol: Optional[float]) -> float:
-    step = A.shape[0] * np.finfo(float).eps  # one step's rounding: the least cutoff
+def _cutoff(A: np.ndarray, B: np.ndarray, rtol: Optional[float],
+            norm_A: Optional[float] = None) -> float:
+    """The staircase's rank cutoff ``rtol * max(|A|_F, |B|_F)``; ``norm_A``
+    is ``|A|_F`` when the caller has it."""
+    step = A.shape[0] * _EPS  # one step's rounding: the least cutoff
     rtol = A.shape[0] * step if rtol is None else max(rtol, step)
-    return rtol * max(np.linalg.norm(A), np.linalg.norm(B))
+    return rtol * max(np.linalg.norm(A) if norm_A is None else norm_A, np.linalg.norm(B))
 
 
 def controllable_subspace(A: np.ndarray, B: np.ndarray,
@@ -209,29 +247,95 @@ def controllable_subspace(A: np.ndarray, B: np.ndarray,
     rather than a direction.  The observable subspace of (A, C) is
     ``controllable_subspace(A.T, C.T)``.
     """
-    return _staircase(A, B, _cutoff(A, B, rtol))
+    return _staircase(A, B, [_cutoff(A, B, rtol)])[0]
 
 
-def _staircase(A: np.ndarray, B: np.ndarray, cutoff: float) -> Subspace:
-    n = A.shape[0]
-    Q = np.empty((n, n))
-    lo = hi = 0
-    block = B
-    while block.shape[1] and hi < n:
-        if block.shape[1] == 1:  # the SVD of one column is its norm
-            s = np.linalg.norm(block)
-            r = int(s > cutoff)
-            if r:
-                Q[:, hi] = block[:, 0] / s
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The stack of same-shape matrices whose products must round as they do
+    one at a time: each member keeps the memory layout of the first (C
+    order, or column-major when the first is only that), since BLAS rounds
+    a transposed operand apart.  One matrix is its own stack of one and is
+    returned as it is."""
+    first = arrays[0]
+    if len(arrays) == 1:
+        return first
+    if first.flags.f_contiguous and not first.flags.c_contiguous:
+        return np.array([a.T for a in arrays]).transpose(0, 2, 1)
+    return np.array(arrays)
+
+
+def _members(stack: np.ndarray) -> np.ndarray:
+    """The members of a stack of matrices, with one matrix read as a stack
+    of one: a view of shape ``(T, rows, cols)`` with the members' own
+    strides."""
+    return stack if stack.ndim == 3 else stack[None]
+
+
+def _hstacked(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.hstack`` of stacks of the same depth, member by member: each
+    member has the layout of its one-model ``np.hstack`` (:func:`_stacked`)."""
+    return _stacked([np.hstack(member) for member in zip(*map(_members, parts))])
+
+
+def _take(stack: np.ndarray, part: Sequence[int]) -> np.ndarray:
+    """The members ``part`` of a stack, in that order, each with its own
+    layout; the whole stack when ``part`` names every member."""
+    return stack if len(part) == len(_members(stack)) else stack[part]
+
+
+def _staircase(A: np.ndarray, B: np.ndarray, cutoff: Sequence[float]) -> list[Subspace]:
+    """The staircases of a stack of pairs, one controllable subspace per
+    member: ``A`` is ``(T, n, n)``, ``B`` is ``(T, n, p)`` and ``cutoff``
+    holds the ``T`` rank cutoffs.  One pair is a stack of one, passed as
+    its own 2-D ``A`` and ``B``.
+
+    Each step is one stacked SVD (for one column, one stacked ``b^T b``), one
+    stacked ``A @ Q`` and two stacked re-orthogonalisations.  Each member
+    gets the bits it gets alone when its ``A`` has the memory layout of the
+    one-pair call (:func:`_stacked`; the observable side's ``A^T`` is a
+    transposed view): the stacked products and factorizations make the
+    same BLAS/LAPACK call per member.  When the members' ranks part at a
+    step, each rank goes on as a stack of its own.
+    """
+    n = A.shape[-1]
+    out: list = [None] * len(cutoff)
+    # a unit-stride column, so that b^T b below is the dot np.linalg.norm
+    # makes; one pair's cutoff is a plain number
+    todo = [(list(range(len(cutoff))), A, np.empty(A.shape), np.ascontiguousarray(B),
+             np.array(cutoff)[:, None] if A.ndim == 3 else cutoff[0], 0)]
+    while todo:
+        members, A, Q, block, cut, hi = todo.pop()
+        while block.shape[-1] and hi < n:
+            if block.shape[-1] == 1:  # the SVD of one column b is its norm sqrt(b^T b)
+                s = np.sqrt(block.swapaxes(-1, -2) @ block)[..., 0]
+                counts = (s > cut).ravel().tolist()
+            else:
+                U, s, _ = np.linalg.svd(block, full_matrices=False)
+                above = s > cut
+                counts = ([int(np.count_nonzero(above))] if above.ndim == 1
+                          else above.sum(1).tolist())
+            if counts.count(counts[0]) < len(counts):  # the members part: each goes on apart
+                for c in set(counts):
+                    part = [i for i, c_i in enumerate(counts) if c_i == c]
+                    todo.append(([members[i] for i in part], _take(A, part), _take(Q, part),
+                                 _take(block, part), cut[part], hi))
+                break
+            r = min(int(counts[0]), n - hi)
+            if block.shape[-1] == 1:
+                if r:
+                    Q[..., hi] = block[..., 0] / s
+            else:
+                Q[..., hi:hi + r] = U[..., :r]
+            lo, hi = hi, hi + r
+            basis = Q[..., :hi]
+            basis_t = basis.swapaxes(-1, -2)
+            block = A @ Q[..., lo:hi]
+            for _ in range(2):
+                block -= basis @ (basis_t @ block)
         else:
-            U, s, _ = np.linalg.svd(block, full_matrices=False)
-            r = min(int(np.count_nonzero(s > cutoff)), n - hi)
-            Q[:, hi:hi + r] = U[:, :r]
-        lo, hi = hi, hi + r
-        block = A @ Q[:, lo:hi]
-        for _ in range(2):
-            block -= Q[:, :hi] @ (Q[:, :hi].T @ block)
-    return Subspace(n, Q[:, :hi])
+            for t, sub in zip(members, Subspace._stack(n, _members(Q[..., :hi]))):
+                out[t] = sub
+    return out
 
 
 def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
@@ -246,36 +350,53 @@ def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     return _restrict(A, B, C, controllable_subspace(A, B).basis)
 
 
-def _restrict(A, B, C, Q1):
+def _restrict(A, B, C, Q1, norm_A: Optional[float] = None):
     """The observable step of :func:`reduce_pair` inside the controllable basis Q1."""
     A1, B1, C1 = Q1.T @ A @ Q1, Q1.T @ B, C @ Q1
-    Q2 = _staircase(A1.T, C1.T, _cutoff(A, C.T, None)).basis
+    Q2 = _staircase(A1.T, C1.T, [_cutoff(A, C.T, None, norm_A)])[0].basis
     return Q2.T @ A1 @ Q2, Q2.T @ B1, C1 @ Q2
 
 
-def _subspace(model: StateSpaceModel, side: str, ports) -> Subspace:
+def _subspaces(models: Sequence[StateSpaceModel], side: str, ports) -> list[Subspace]:
     """Controllable (``side="in"``: input columns) or observable
-    (``side="out"``: output rows) subspace of ``model``'s ports, at the
-    default cutoff.  One staircase per model and resolved index set, so
-    ``"W1"`` and ``["W1.Q", "W1.P"]`` share it."""
-    idx = (model.inputs if side == "in" else model.outputs).indices(ports)
-    key = (side, tuple(idx.tolist()))
-    memo = model._memo
-    if key not in memo:
-        memo[key] = (controllable_subspace(model.A, model.B[:, idx]) if side == "in"
-                     else controllable_subspace(model.A.T, model.C[idx].T))
-    return memo[key]
+    (``side="out"``: output rows) subspace of the same ports of each model,
+    at the default cutoff.  Each is one staircase per model and resolved
+    index set, kept in the model's memo, so ``"W1"`` and
+    ``["W1.Q", "W1.P"]`` share it; the models that lack it run as one
+    stacked staircase per state dimension and index set."""
+    keys, todo = [], {}
+    for model in models:
+        idx = (model.inputs if side == "in" else model.outputs)._resolve(ports)
+        key = (side, tuple(idx.tolist()))
+        keys.append(key)
+        if key not in model._memo:
+            # A^T and C^T are transposed views and B[:, idx] is column-major,
+            # as in the one-model call
+            todo.setdefault((model.nstates, key), []).append(
+                (model, model.A, model.B[:, idx]) if side == "in"
+                else (model, model.A.T, model.C[idx].T))
+    for (_, key), group in todo.items():
+        subs = _staircase(_stacked([A for _, A, _ in group]), _stacked([B for _, _, B in group]),
+                          [_cutoff(A, B, None, model._norm_A) for model, A, B in group])
+        for (model, _, _), sub in zip(group, subs):
+            model._memo[key] = sub
+    return [model._memo[key] for model, key in zip(models, keys)]
+
+
+def _subspace(model: StateSpaceModel, side: str, ports) -> Subspace:
+    """:func:`_subspaces` of one model."""
+    return _subspaces([model], side, ports)[0]
 
 
 def _reduced_pair(model: StateSpaceModel, inputs, outputs):
     """:func:`reduce_pair` of a port pair of ``model``, computed once per
     model; it starts from the memoised controllable basis of ``inputs``."""
-    cols, rows = model.inputs.indices(inputs), model.outputs.indices(outputs)
+    cols, rows = model.inputs._resolve(inputs), model.outputs._resolve(outputs)
     key = ("pair", tuple(cols.tolist()), tuple(rows.tolist()))
     memo = model._memo
     if key not in memo:
         memo[key] = _restrict(model.A, model.B[:, cols], model.C[rows],
-                              _subspace(model, "in", inputs).basis)
+                              _subspace(model, "in", inputs).basis, model._norm_A)
         for arr in memo[key]:
             arr.setflags(write=False)
     return memo[key]

@@ -356,6 +356,29 @@ def test_port_registries_are_sealed_once_a_model_holds_them():
     assert copy.total == ss.outputs.total + 1
 
 
+def test_sealed_registries_resolve_each_name_list_once():
+    from qlin.core import PortLookupError
+
+    ports = Ports([("W1", 2), ("W2", 2)])
+    ports.alias("W1.P", 1, 1)
+    assert ports._resolve(["W2", "W1.P"]).flags.writeable  # open: it may still grow
+    StateSpaceModel(np.zeros((1, 1)), np.zeros((1, 4)), np.zeros((0, 1)), np.zeros((0, 4)),
+                    ports, Ports())
+    first = ports._resolve(["W2", "W1.P"])
+    assert first.tolist() == [2, 3, 1] and not first.flags.writeable
+    assert ports._resolve(("W2", "W1.P")) is first
+    assert ports._resolve("W2") is ports._resolve(["W2"])
+    with pytest.raises(PortLookupError, match="W3"):
+        ports._resolve(["W1", "W3"])
+    # the public indices stay a new, writable array on every call
+    mine = ports.indices(["W2", "W1.P"])
+    assert mine.flags.writeable and mine is not first
+    mine += 1
+    assert ports.indices(["W2", "W1.P"]).tolist() == [2, 3, 1]
+    with pytest.raises(PortLookupError, match="W3"):
+        ports.indices(["W1", "W3"])
+
+
 def test_systems_with_equal_channel_labels_share_one_sealed_registry():
     # registries depend on the channel labels (and the force port) only, so
     # the realizations of one layout share them, sealed

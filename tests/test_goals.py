@@ -413,7 +413,7 @@ def test_probe_points_are_drawn_once():
     s = (2.0 * nA + 1.0) * units
     X = np.linalg.solve(s[:, None, None] * np.eye(model.nstates) - model.A,
                         np.broadcast_to(right, (goals.PROBE_COUNT,) + right.shape))
-    _, (worst, tol) = goals._probe(model.A, True, [(left, right)], [], 1e-9)
+    _, (worst, tol) = goals._probe(model.A, True, [(left, right)], [], 1e-9, [nA])
     assert worst == float(np.max(np.abs(left @ X)))
     assert tol == goals._threshold(1e-9, left, right, nA)
 
@@ -445,3 +445,32 @@ def test_memo_keys_resolved_indices():
     assert len(memo) == 4
     with pytest.raises(ValueError):
         structural._reduced_pair(model, "W1", "W2.out")[0][0, 0] = 1.0
+
+
+def wide_model(A, B, C):
+    return StateSpaceModel(A, B, C, np.zeros((C.shape[0], B.shape[1])),
+                           Ports([("W", B.shape[1])]), Ports([("Y", C.shape[0])]))
+
+
+def test_candidate_spaces_wider_than_the_drive_keep_their_verdicts():
+    # drive = [B, A Q] (QND) or [B, A Q, C^T, A^T Q] (DFS) has fewer columns
+    # than the candidate space, so the witness SVD has fewer singular values
+    # than candidate directions: the large-witness cases
+    chain = wide_model(np.eye(3, k=1), np.eye(3)[:, :1], np.eye(3)[:1])
+    qnd = find_qnd(chain, "W", "Y")
+    assert (qnd.achieved, qnd.method_agreement, qnd.residual) == (True, True, 0.0)
+    assert qnd.dims == {"witness": 2, "uncontrollable": 2, "observable": 3}
+    assert [w.tolist() for w in qnd.witnesses] == [[0, 1, 0], [0, 0, 1]]
+    assert qnd.tolerance == pytest.approx(1e-9 * np.sqrt(2) / (np.sqrt(2) + 1), rel=1e-12)
+    flat = wide_model(np.zeros((5, 5)), np.eye(5)[:, :1], np.eye(5)[:1])
+    dfs = find_dfs(flat, "W", "Y")
+    assert (dfs.achieved, dfs.method_agreement, dfs.residual) == (True, True, 0.0)
+    assert dfs.dims == {"witness": 4, "uncontrollable": 4, "unobservable": 4}
+    assert sorted(np.flatnonzero(w).item() for w in dfs.witnesses) == [1, 2, 3, 4]
+    assert dfs.tolerance == 2e-9  # base |W|_F |B|_F / (|A|_F + 1), |W|_F = 2
+    # in a stack, beside a member with a wide drive and none
+    tall = wide_model(np.eye(3, k=1), np.eye(3)[:, 2:], np.eye(3)[:1])
+    models = [chain, tall, wide_model(2.0 * np.eye(3, k=1), np.eye(3)[:, :1], np.eye(3)[:1])]
+    for v, model in zip(goals._verdict("QND", models, "W", "Y", None, 1e-9), models):
+        assert same_verdict(v, find_qnd(wide_model(model.A, model.B, model.C), "W", "Y"))
+    assert not find_qnd(tall, "W", "Y").achieved

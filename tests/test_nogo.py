@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -314,3 +315,86 @@ def test_report_serialization():
     assert d["theorem"] == 3
     assert d["violations"] == 0
     assert isinstance(d["controller_dim_range"], list)
+
+
+def test_verify_nogo_matches_a_per_trial_reference_in_dimension_groups():
+    # at 60 trials most loop dimensions hold several trials, so the stacked
+    # staircases, witness SVDs and probes run on groups of more than one
+    for scheme, plant in (("mf1", sc.optomech_reduced()), ("mf2", sc.michelson())):
+        for goal in ("bae", "qnd", "dfs"):
+            for seed in (3, 20240812):
+                got = verify_nogo(plant, goal, scheme, trials=60, seed=seed).to_dict()
+                want = _reference_report(plant, goal, scheme, 60, seed)
+                assert json.dumps(got) == json.dumps(want), (scheme, goal, seed)
+
+
+def test_verify_nogo_judges_each_dimension_group_once(monkeypatch):
+    import qlin.goals as goals
+    import qlin.nogo as nogo
+    import qlin.structural as structural
+
+    calls = Counter()
+    for owner, name in ((structural, "_staircase"), (goals, "_probe")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.update([_name])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    dims = []
+    for name in ("mf_type1", "mf_type2"):
+        def assemble(*args, _fn=getattr(nogo, name), **kwargs):
+            loop = _fn(*args, **kwargs)
+            dims.append(loop.nstates)
+            return loop
+        monkeypatch.setattr(nogo, name, assemble)
+    for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf2")):
+        for goal in ("qnd", "dfs"):
+            calls.clear()
+            dims.clear()
+            verify_nogo(plant, goal, scheme, trials=40, seed=3)
+            groups = len(set(dims))
+            assert len(dims) == 40 and groups < 20
+            # one staircase per side and one probe per group, and those of
+            # the plant's own pre-check
+            assert calls == {"_staircase": 2 * groups + 2, "_probe": groups + 1}, (scheme, goal)
+
+
+@pytest.mark.parametrize("dims", [[-1], [], [2.5], [1, None], 3, "12"])
+def test_verify_nogo_rejects_a_bad_controller_dim_range(dims, monkeypatch):
+    import qlin.nogo as nogo
+
+    drawn = []
+    monkeypatch.setattr(nogo, "sample_classical_controller",
+                        lambda *args, **kwargs: drawn.append(1))
+    with pytest.raises(ValidationError, match="controller_dim_range"):
+        verify_nogo(sc.optomech_reduced(), "qnd", "mf1", trials=3, seed=0,
+                    controller_dim_range=dims)
+    assert drawn == []
+
+
+def test_verify_nogo_reads_every_valid_dim_range_alike():
+    plant = sc.optomech_reduced()
+    reports = [verify_nogo(plant, "dfs", "mf1", trials=8, seed=11,
+                           controller_dim_range=dims).to_dict()
+               for dims in (None, range(0, 5), [0, 1, 2, 3, 4], np.arange(5), (0, 1, 2, 3, 4))]
+    assert all(report == reports[0] for report in reports)
+    assert reports[0]["controller_dim_range"] == [0, 1, 2, 3, 4]
+
+
+def test_type2_open_loop_reads_the_plant_once(monkeypatch):
+    from qlin.core import QuantumLinearSystem
+
+    calls = []
+    roles = QuantumLinearSystem._roles
+    monkeypatch.setattr(QuantumLinearSystem, "_roles",
+                        lambda self: calls.append(1) or roles(self))
+    plant = sc.michelson()
+    rng = np.random.default_rng(5)
+    loops = [mf_type2_open_loop(plant, random_split(rng, 1), random_split(rng, 1))
+             for _ in range(4)]
+    for _ in range(4):
+        sample_classical_controller(rng, plant, "mf2", range(3))
+    assert calls == [1]
+    # each loop has a feedthrough of its own; the plant's fixed blocks stay
+    assert loops[0].D is not loops[1].D
+    assert not np.array_equal(loops[0].D, loops[1].D)
+    assert np.array_equal(loops[0].D[1:2, 2:3], [[1.0]])

@@ -280,3 +280,65 @@ def test_subspace_validation():
         Subspace(3, np.ones((3, 2)))  # not orthonormal
     s = span_of(np.eye(3)[:, :2])
     assert s.dim == 2
+
+
+def _one_pair_staircase(A, B, cutoff):
+    """The staircase of one pair as it was written before stacks (kept
+    verbatim as the reference of the stacked one)."""
+    n = A.shape[0]
+    Q = np.empty((n, n))
+    lo = hi = 0
+    block = B
+    while block.shape[1] and hi < n:
+        if block.shape[1] == 1:  # the SVD of one column is its norm
+            s = np.linalg.norm(block)
+            r = int(s > cutoff)
+            if r:
+                Q[:, hi] = block[:, 0] / s
+        else:
+            U, s, _ = np.linalg.svd(block, full_matrices=False)
+            r = min(int(np.count_nonzero(s > cutoff)), n - hi)
+            Q[:, hi:hi + r] = U[:, :r]
+        lo, hi = hi, hi + r
+        block = A @ Q[:, lo:hi]
+        for _ in range(2):
+            block -= Q[:, :hi] @ (Q[:, :hi].T @ block)
+    return Subspace(n, Q[:, :hi])
+
+
+def test_stacked_staircase_equals_one_at_a_time():
+    from qlin.structural import _cutoff, _stacked, _staircase
+
+    rng = np.random.default_rng(2024)
+    for n in range(2, 11):
+        for p in (1, 2, 4):
+            for size in (1, 2, 5, 8):
+                As = rng.normal(size=(size, n, n))
+                Bs = rng.normal(size=(size, n, p))
+                if size > 1:  # a member with a smaller controllable subspace
+                    As[1, : n // 2, n // 2:] = 0.0
+                    Bs[1, n // 2:] = 0.0
+                Cs = [np.ascontiguousarray(b.T) for b in Bs]
+                # the controllable side of (A, B) and the observable side of
+                # (A, C), whose operands A^T and C^T are transposed views
+                for side_A, side_B in ((list(As), list(Bs)),
+                                       ([a.T for a in As], [c.T for c in Cs])):
+                    cutoffs = [_cutoff(a, b, None) for a, b in zip(side_A, side_B)]
+                    stacked = _staircase(_stacked(side_A), _stacked(side_B), cutoffs)
+                    for a, b, c, got in zip(side_A, side_B, cutoffs, stacked):
+                        want = _one_pair_staircase(a, b, c)
+                        assert np.array_equal(got.basis, want.basis), (n, p, size)
+                        assert not got.basis.flags.writeable
+    # the ranks of a stack part at the second step: each part goes on alone
+    A = np.zeros((3, 6, 6))
+    A[:] = rng.normal(size=(6, 6))
+    A[1, :4, 4:] = A[1, 4:, :4] = 0.0  # member 1 reaches 4 states, member 2 only 2
+    A[2, :2, 2:] = A[2, 2:, :2] = 0.0
+    B = np.zeros((3, 6, 2))
+    B[:, :2] = rng.normal(size=(3, 2, 2))
+    for side_A in (list(A), [np.ascontiguousarray(a.T).T for a in A]):
+        cutoffs = [_cutoff(a, b, None) for a, b in zip(side_A, B)]
+        stacked = _staircase(_stacked(side_A), B, cutoffs)
+        assert [sub.dim for sub in stacked] == [6, 4, 2]
+        for a, b, c, got in zip(side_A, B, cutoffs, stacked):
+            assert np.array_equal(got.basis, _one_pair_staircase(a, b, c).basis)
