@@ -44,6 +44,10 @@ SYMMETRY_RTOL = 1e-12
 SPLIT_TOL = 1e-12
 # Orthonormality tolerance for subspace bases.
 ORTHO_TOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
+# Largest entry of a Hamiltonian matrix: 2|g| must be a float, so that its
+# symmetrisation (G + G^T) / 2 cannot overflow.
+HALF_MAX = _FLOAT_MAX / 2
 
 
 class ShapeError(ValueError):
@@ -75,7 +79,17 @@ def sigma(n: int) -> np.ndarray:
     return out
 
 
-def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] = None) -> np.ndarray:
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite: one count in C, without the
+    Python layer of ``ndarray.all``."""
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
+def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] = None,
+               bound: Optional[float] = None) -> np.ndarray:
+    """``arr`` as a 2-D float matrix with the given shape and finite entries,
+    or, with ``bound``, entries of magnitude at most ``bound`` (one check:
+    NaN fails the comparison)."""
     out = np.atleast_2d(np.asarray(arr, dtype=float))
     if out.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
@@ -83,15 +97,18 @@ def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] =
         raise ShapeError(f"{name} must have {rows} rows, got {out.shape[0]}")
     if cols is not None and out.shape[1] != cols:
         raise ShapeError(f"{name} must have {cols} columns, got {out.shape[1]}")
-    if not np.isfinite(out).all():
-        raise ValidationError(f"{name} contains non-finite entries")
+    ok = np.isfinite(out) if bound is None else np.abs(out) <= bound
+    if np.count_nonzero(ok) != out.size:
+        over = "" if bound is None else f" or entries above {bound:.6g} in magnitude"
+        raise ValidationError(f"{name} contains non-finite entries{over}")
     return out
 
 
 def _finite_positive(value, what: str) -> float:
     """``value`` as a float, or a ``ValidationError`` naming ``what`` unless
-    it is a finite positive number."""
-    if not (np.isfinite(value) and value > 0):
+    it is a finite positive number (compared in Python, so a float costs no
+    numpy call; NaN fails both comparisons)."""
+    if not 0 < value <= _FLOAT_MAX:
         raise ValidationError(f"{what} must be a finite positive number, got {value!r}")
     return float(value)
 
@@ -103,26 +120,30 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _sealed(name: str, arr: np.ndarray) -> np.ndarray:
-    """Freeze a float array this package has just computed, in place (it
-    aliases no caller's data, so it needs no copy), after the finiteness
-    check of :func:`_as_matrix`.  A read-only array is one of the package's
-    frozen, already validated arrays and is returned as it is."""
-    if arr.flags.writeable:
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"{name} contains non-finite entries")
-        arr.setflags(write=False)
+    """Freeze a float array this package has just computed by arithmetic, in
+    place (it aliases no caller's data, so it needs no copy), after a
+    finiteness check.  This is the one check of an
+    arithmetic result; an array that only rearranges validated arrays needs
+    none (:meth:`StateSpaceModel._derive`)."""
+    if not _all_finite(arr):
+        raise ValidationError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
     return arr
 
 
 def _hamiltonian(name: str, G) -> np.ndarray:
-    """A Hamiltonian matrix checked (finite, square with even size, symmetric
-    within ``SYMMETRY_RTOL``), symmetrised and frozen (:func:`_sealed`, so a
-    symmetrisation that overflows is rejected)."""
-    G = _as_matrix(name, G)
+    """A Hamiltonian matrix checked (no entry above ``HALF_MAX``, which also
+    rejects a non-finite one, square with even size and symmetric within
+    ``SYMMETRY_RTOL``), symmetrised and frozen.  A bitwise symmetric ``G``
+    is its own symmetrisation (``2g`` is a float and halving it is exact),
+    so it is frozen as given; one whose transpose differs only in the sign
+    of a zero is symmetrised as any other."""
+    G = _as_matrix(name, G, bound=HALF_MAX)
     if G.shape[0] != G.shape[1] or G.shape[0] % 2:
         raise ShapeError(f"{name} must be square with even size, got {G.shape}")
-    if (not (G == G.T).all()
-            and np.linalg.norm(G - G.T) > SYMMETRY_RTOL * max(np.linalg.norm(G), 1.0)):
+    if G.tobytes() == G.T.tobytes():
+        return _frozen(G)
+    if np.linalg.norm(G - G.T) > SYMMETRY_RTOL * max(np.linalg.norm(G), 1.0):
         raise ValidationError(
             f"{name} is not symmetric within tolerance; refusing to symmetrise "
             "an asymmetric Hamiltonian matrix")
@@ -174,7 +195,10 @@ class Ports:
         self._total = 0
         self._held = False
         self._extended: dict[tuple[str, int], "Ports"] = {}
-        self._indices: dict[tuple, np.ndarray] = {}
+        # results that depend on the registered ranges only: the slices of
+        # _select (keyed by name) and, once sealed, the index arrays of
+        # _resolve (by name tuple) and xfer._column_variances's vectors
+        self._memo: dict = {}
         for name, width in entries:
             self.append(name, width)
 
@@ -246,18 +270,22 @@ class Ports:
         change, so it resolves each name list once and returns the same
         read-only array after that."""
         key = (names,) if isinstance(names, str) else tuple(names)
-        idx = self._indices.get(key)
+        idx = self._memo.get(key)
         if idx is None:
             idx = np.asarray([i for name in key for i in range(*self._range(name))], dtype=int)
             if self._held:
                 idx.setflags(write=False)
-                self._indices[key] = idx
+                self._memo[key] = idx
         return idx
 
     def _select(self, names: Union[str, Sequence[str]]) -> Union[slice, np.ndarray]:
         """Index of one or more ports: the slice of a single name, else
-        :meth:`indices`.  Indexing with a slice gives a view."""
-        return self.slice(names) if isinstance(names, str) else self._resolve(names)
+        :meth:`_resolve`.  Indexing with a slice gives a view.  The registry
+        keeps each name's slice, as a sealed one keeps each index array."""
+        if not isinstance(names, str):
+            return self._resolve(names)
+        # a name's range never changes once registered, sealed or not
+        return self._memo.get(names) or self._memo.setdefault(names, self.slice(names))
 
     def width(self, name: str) -> int:
         s = self.slice(name)
@@ -293,24 +321,14 @@ class StateSpaceModel:
 
     def __post_init__(self):
         A = _as_matrix("A", self.A)
-        if A.shape[0] != A.shape[1]:
-            raise ShapeError(f"A must be square, got {A.shape}")
         n = A.shape[0]
         B = _as_matrix("B", self.B, rows=n) if np.size(self.B) else np.zeros((n, 0))
         C = _as_matrix("C", self.C, cols=n) if np.size(self.C) else np.zeros((0, n))
         D = _as_matrix("D", self.D, rows=C.shape[0], cols=B.shape[1]) \
             if np.size(self.D) else np.zeros((C.shape[0], B.shape[1]))
-        if self.inputs.total != B.shape[1]:
-            raise ShapeError(
-                f"input ports cover {self.inputs.total} columns, B has {B.shape[1]}")
-        if self.outputs.total != C.shape[0]:
-            raise ShapeError(
-                f"output ports cover {self.outputs.total} rows, C has {C.shape[0]}")
-        object.__setattr__(self, "A", _frozen(A))
-        object.__setattr__(self, "B", _frozen(B))
-        object.__setattr__(self, "C", _frozen(C))
-        object.__setattr__(self, "D", _frozen(D))
-        self.inputs._held = self.outputs._held = True
+        # frozen copies, then the one shape check of every realization
+        model = self._derive(self, A=_frozen(A), B=_frozen(B), C=_frozen(C), D=_frozen(D))
+        self.__dict__.update(model.__dict__)
 
     @classmethod
     def _derive(cls, parent, **fields) -> "StateSpaceModel":
@@ -319,14 +337,26 @@ class StateSpaceModel:
         Each of ``A``, ``B``, ``C``, ``D``, ``inputs`` and ``outputs`` not in
         ``fields`` is taken from ``parent`` (a validated model or system),
         so its frozen arrays are shared, not checked or copied again.  A new
-        array must be one the package has just computed, never a caller's:
-        it is checked for finiteness and frozen in place (:func:`_sealed`).
-        """
-        def pick(name):
-            return fields[name] if name in fields else getattr(parent, name)
+        array is never a caller's: it is either an arithmetic result that the
+        caller has already checked and frozen (:func:`_sealed`), or a fresh
+        rearrangement (concatenation, slice or block copy) of validated
+        arrays, which needs no check and is frozen here in place.  Only the
+        shapes are checked.
 
-        A, B, C, D = (_sealed(name, pick(name)) for name in "ABCD")
-        inputs, outputs = pick("inputs"), pick("outputs")
+        Every model, the public constructor's included, gets here its own
+        empty private memo ``_memo`` of results that depend on the model
+        only, in two kinds of entry, each owned by one module:
+
+        * staircase results of :mod:`qlin.structural`, keyed by side and the
+          resolved port indices, each computed once; only
+          ``structural._subspaces`` and ``structural._reduced_pair`` read or
+          fill them;
+        * under the key ``"point"``, the joint resolvent solve of the most
+          recent one-point request of :mod:`qlin.xfer` that its conditioning
+          screen cleared; only ``xfer._point_solve`` reads or fills it.
+        """
+        A, B, C, D, inputs, outputs = [fields[k] if k in fields else getattr(parent, k)
+                                       for k in ("A", "B", "C", "D", "inputs", "outputs")]
         n = A.shape[0]
         if (A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n
                 or D.shape != (C.shape[0], B.shape[1])
@@ -334,8 +364,10 @@ class StateSpaceModel:
             raise ShapeError(f"inconsistent realization: A {A.shape}, B {B.shape}, "
                              f"C {C.shape}, D {D.shape}, ports {inputs.total} in, "
                              f"{outputs.total} out")
+        for arr in (A, B, C, D):
+            arr.setflags(write=False)
         model = object.__new__(cls)
-        model.__dict__.update(A=A, B=B, C=C, D=D, inputs=inputs, outputs=outputs)
+        model.__dict__.update(A=A, B=B, C=C, D=D, inputs=inputs, outputs=outputs, _memo={})
         inputs._held = outputs._held = True
         return model
 
@@ -348,24 +380,6 @@ class StateSpaceModel:
         """``|A|_F``, computed once: every staircase cutoff and probe radius
         of the model reads it (``A^T`` has the same norm, to the bit)."""
         return np.linalg.norm(self.A)
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Private memo of results that depend on this immutable model only.
-
-        Two kinds of entry, each owned by one module:
-
-        * staircase results of :mod:`qlin.structural`, keyed by side and the
-          resolved port indices, each computed once; only
-          ``structural._subspaces`` and ``structural._reduced_pair`` read or
-          fill them;
-        * under the key ``"point"``, the joint resolvent solve of the most
-          recent one-point request of :mod:`qlin.xfer` that its conditioning
-          screen cleared; only ``xfer._point_solve`` reads or fills it.
-
-        A model derived from this one starts with a memo of its own.
-        """
-        return {}
 
     def b(self, port: Union[str, Sequence[str]]) -> np.ndarray:
         """Input-matrix columns of one or more input ports (a fresh array, in
@@ -385,7 +399,8 @@ class StateSpaceModel:
         """Realization in the coordinates x' = T^{-1} x (ports unchanged)."""
         T = _as_matrix("T", T, rows=self.nstates, cols=self.nstates)
         Tinv = np.linalg.inv(T)
-        return self._derive(self, A=Tinv @ self.A @ T, B=Tinv @ self.B, C=self.C @ T)
+        return self._derive(self, A=_sealed("A", Tinv @ self.A @ T),
+                            B=_sealed("B", Tinv @ self.B), C=_sealed("C", self.C @ T))
 
 
 @lru_cache(maxsize=None)
@@ -566,18 +581,15 @@ class QuantumLinearSystem:
             force = np.asarray(force, dtype=float).reshape(-1)
             if force.shape[0] != n2:
                 raise ShapeError(f"force must have length {n2}, got {force.shape[0]}")
-            if not np.isfinite(force).all():
+            if not _all_finite(force):
                 raise ValidationError("force contains non-finite entries")
             force = _frozen(force)
         labels = tuple(self.mode_labels) if self.mode_labels else tuple(
             f"mode{i + 1}" for i in range(n2 // 2))
         if len(labels) != n2 // 2:
             raise ShapeError(f"{len(labels)} mode labels for {n2 // 2} modes")
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "C", _frozen(C))
-        object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "force", force)
-        object.__setattr__(self, "mode_labels", labels)
+        self.__dict__.update(G=G, C=_frozen(C), channels=channels, force=force,
+                             mode_labels=labels)
 
     @property
     def n(self) -> int:
@@ -593,13 +605,15 @@ class QuantumLinearSystem:
     def A(self) -> np.ndarray:
         """Drift matrix Sigma_n (G + C^T Sigma_m C / 2), computed and checked
         finite once, read-only."""
-        return _sealed("A", sigma(self.n) @ (self.G + self.C.T @ sigma(self.m) @ self.C / 2.0))
+        # ndarray.dot is the BLAS product of @, bit for bit, with less overhead
+        CtSC = self.C.T.dot(sigma(self.m)).dot(self.C)
+        return _sealed("A", sigma(self.n).dot(self.G + CtSC / 2.0))
 
     @cached_property
     def B(self) -> np.ndarray:
         """Noise input matrix Sigma_n C^T Sigma_m, computed and checked finite
         once, read-only."""
-        return _sealed("B", sigma(self.n) @ self.C.T @ sigma(self.m))
+        return _sealed("B", sigma(self.n).dot(self.C.T).dot(sigma(self.m)))
 
     @cached_property
     def _memo(self) -> dict:
@@ -649,7 +663,7 @@ class QuantumLinearSystem:
         """
         B = self.B
         m = self.m
-        labels = tuple(ch.label for ch in self.channels)
+        labels = tuple([ch.label for ch in self.channels])
         force = self.force is not None
         if split is None:
             inputs, outputs, D = _layout("raw", labels, force)
@@ -670,8 +684,8 @@ class QuantumLinearSystem:
         D[m:2 * m, m:2 * m] = np.eye(m)            # ybar carries the conjugate
         D[2 * m:, :m] = M1.T
         D[2 * m:, m:2 * m] = M2.T
-        return StateSpaceModel._derive(self, B=Bfull, C=Cfull, D=D, inputs=inputs,
-                                       outputs=outputs)
+        return StateSpaceModel._derive(self, B=_sealed("B", Bfull), C=_sealed("C", Cfull), D=D,
+                                       inputs=inputs, outputs=outputs)
 
 
 @lru_cache(maxsize=128)

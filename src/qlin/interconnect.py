@@ -29,6 +29,7 @@ from .core import (
     _as_matrix,
     _hamiltonian,
     _layout,
+    _sealed,
     sigma,
 )
 
@@ -73,6 +74,16 @@ class ClassicalController:
             if val is not None:
                 object.__setattr__(self, name,
                                    _as_matrix(name, _unflatten(name, val, k, False), cols=k))
+
+    @classmethod
+    def _fresh(cls, A_K: np.ndarray, B_K: np.ndarray, **gains: np.ndarray) -> "ClassicalController":
+        """The validate-once constructor of the package's own random draws
+        (``nogo.sample_classical_controller``): the arrays are fresh, finite,
+        2-D float matrices of consistent shapes, so they are kept as they
+        are, as the public constructor would keep them, without a check."""
+        ctrl = object.__new__(cls)
+        ctrl.__dict__.update(dict(A_K=A_K, B_K=B_K, C_K=None, C_K1=None, C_K2=None), **gains)
+        return ctrl
 
     @property
     def dim(self) -> int:
@@ -190,8 +201,9 @@ def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
     Ae[:n, n:] = B @ EC
     Ae[n:, :n] = B_K @ C[y]
     Ae[n:, n:] = ctrl.A_K + B_K @ D[y] @ EC
-    return StateSpaceModel._derive(open_loop, A=Ae, B=np.vstack([B, B_K @ D[y]]),
-                                   C=np.hstack([C, D @ EC]))
+    return StateSpaceModel._derive(open_loop, A=_sealed("A", Ae),
+                                   B=_sealed("B", np.vstack([B, B_K @ D[y]])),
+                                   C=_sealed("C", np.hstack([C, D @ EC])))
 
 
 def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -256,8 +268,8 @@ def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
     D[:m1, :2 * m1] = M
     D[m1 + m2 + 2 * m1:, 2 * m1:2 * m1 + m2] = M1e.T
     D[m1 + m2 + 2 * m1:, 2 * m1 + m2:2 * m1 + 2 * m2] = M2e.T
-    return StateSpaceModel._derive(plant, B=np.hstack(cols), C=C, D=D, inputs=inputs,
-                                   outputs=outputs)
+    return StateSpaceModel._derive(plant, B=_sealed("B", np.hstack(cols)), C=_sealed("C", C),
+                                   D=D, inputs=inputs, outputs=outputs)
 
 
 def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,

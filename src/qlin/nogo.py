@@ -178,7 +178,7 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
         A_K = A_K - shift * np.eye(k)
     widths = _split_widths(plant, scheme)
     B_K = rng.normal(size=(k, widths[0])) * scale
-    return ClassicalController(A_K=A_K, B_K=B_K, **{
+    return ClassicalController._fresh(A_K, B_K, **{
         name: rng.normal(size=(2 * width, k)) * scale
         for name, width in zip(_GAINS[scheme], widths)})
 

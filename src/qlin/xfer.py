@@ -16,6 +16,17 @@ once.  Grids are never kept, a derived model (such as the ``"gw"``
 realization of :func:`normalized_gw_signal`) starts with an empty memo, and
 the goal probes never read it.  Registries are built once per channel
 layout (``core._layout``), the ``"gw"`` one once per parent registry.
+
+Validate once: each array is checked where it enters (a public
+constructor) or where arithmetic makes it (``core._sealed``: the drift,
+the noise input, the scaled ``"gw"`` row).  An array that only rearranges
+checked arrays (``[B | force]``, ``[C; gw row]``, a slice) is frozen without
+a second check (``StateSpaceModel._derive``).  Along the SQL chain the
+sealed registries keep each port's slice and the vacuum-variance vector,
+and a one-point solve builds ``sI - A`` and ``[B | I]`` from one identity
+per state count (``structural._eye``) and screens both Frobenius norms with
+one reduction.  A noise power that is not finite is a ``ValidationError``
+that names the frequency, computed without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -27,8 +38,9 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ShapeError, StateSpaceModel, ValidationError, _finite_positive
-from .structural import reduce_pair
+from .core import (ShapeError, StateSpaceModel, ValidationError, _all_finite, _finite_positive,
+                   _frozen, _sealed)
+from .structural import _eye, reduce_pair
 
 __all__ = [
     "SingularityError",
@@ -119,36 +131,39 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
 
 
 def _sq_frobenius(Z):
-    """``|Z_k|_F^2`` of each matrix of the stack ``Z``."""
-    return np.add.reduce((Z.conj() * Z).real, axis=(1, 2))
+    """``|Z_k|_F^2`` of each matrix of the stack ``Z`` (contiguous in its last
+    axis): one reduction over the squares of its real and imaginary parts."""
+    return np.add.reduce(np.square(Z.view(float)), axis=(1, 2))
 
 
 def _screened_solve(M, B):
     """The joint solve ``X = M^{-1} [B | I]`` of the stack ``M`` (``None``
-    if it fails), ``|M^{-1}|_F`` (NaN if it fails) and the screen verdict of
-    each matrix: ``|M|_F^2 |M^{-1}|_F^2 <= (COND_LIMIT / 2)^2``."""
-    n, p = B.shape
+    if it fails), ``|M^{-1}|_F^2`` (NaN if it fails) and the screen verdict
+    of each matrix: ``|M|_F^2 |M^{-1}|_F^2 <= (COND_LIMIT / 2)^2``.  Both
+    norms come from one reduction over ``M`` stacked on ``M^{-1}``."""
+    k, (n, p) = len(M), B.shape
     try:
-        X = np.linalg.solve(M, np.concatenate((B, np.eye(n)), axis=1, dtype=complex)[None])
+        X = np.linalg.solve(M, np.concatenate((B, _eye(n)), axis=1, dtype=complex)[None])
     except np.linalg.LinAlgError:
-        return None, np.full(len(M), np.nan), np.zeros(len(M), dtype=bool)
-    inv = _sq_frobenius(X[:, :, p:])
-    return X, np.sqrt(inv), _sq_frobenius(M) * inv <= (COND_LIMIT / 2) ** 2
+        return None, np.full(k, np.nan), np.zeros(k, dtype=bool)
+    sq = _sq_frobenius(np.concatenate((M, X[:, :, p:])))
+    return X, sq[k:], sq[:k] * sq[k:] <= (COND_LIMIT / 2) ** 2
 
 
 def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
     n, p = B.shape
     if n == 0 or p == 0 or C.shape[0] == 0:
         return np.repeat(D.astype(complex)[None], s.size, axis=0)
-    M = s[:, None, None] * np.eye(n) - A
+    M = s[:, None, None] * _eye(n)
+    M -= A
     Z = np.zeros((s.size, n, p), dtype=complex)
     ok = np.zeros(s.size, dtype=bool)
-    X, F, ok[::STRIDE] = _screened_solve(M[::STRIDE], B)
+    X, F2, ok[::STRIDE] = _screened_solve(M[::STRIDE], B)
     if X is not None:
         Z[::STRIDE] = X[:, :, :p]
     # the anchor certificate of _solve_response, with 1 - dF multiplied
     # across so that no point divides by zero
-    F = np.repeat(F, STRIDE)[:s.size]
+    F = np.repeat(np.sqrt(F2), STRIDE)[:s.size]
     dF = np.abs(s - np.repeat(s[::STRIDE], STRIDE)[:s.size]) * F
     solo = (dF < 0.5) & (np.sqrt(_sq_frobenius(M)) * F <= COND_LIMIT / 2 * (1 - dF))
     solo[::STRIDE] = False
@@ -181,12 +196,6 @@ def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
     return out
 
 
-def _columns(C, X, cols, D) -> np.ndarray:
-    """``C X[:, :, cols] + D``, with the columns copied contiguous first:
-    matmul rounds a strided operand differently."""
-    return C @ np.ascontiguousarray(X[:, :, cols]) + D
-
-
 def _point_solve(model: StateSpaceModel, s: np.ndarray) -> Optional[np.ndarray]:
     """The joint solve ``(sI - A)^{-1} [B | I]`` of ``model`` at the one
     point ``s`` (shape ``(1,)``), read-only, or ``None`` if the screen does
@@ -197,7 +206,9 @@ def _point_solve(model: StateSpaceModel, s: np.ndarray) -> Optional[np.ndarray]:
     hit = memo.get("point")
     if hit is not None and hit[0] == key:
         return hit[1]
-    X, _, ok = _screened_solve(s[:, None, None] * np.eye(model.nstates) - model.A, model.B)
+    M = s[:, None, None] * _eye(model.nstates)
+    M -= model.A
+    X, _, ok = _screened_solve(M, model.B)
     if not ok[0]:
         return None
     X.setflags(write=False)
@@ -219,7 +230,7 @@ def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
         If (sI - A) restricted to the signal path has condition number
         above 1e12; the message names the offending eigenvalue.
     """
-    return _response(tf, _finite(np.array([s])))[0]
+    return _response(tf.realization, tf.output_port, tf.input_port, _finite(np.array([s])))[0]
 
 
 def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndarray:
@@ -231,7 +242,8 @@ def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndar
     one of :func:`evaluate`, with the exact SVD kept for points that the
     Frobenius-norm bound cannot clear.
     """
-    return _response(tf, 1j * _finite(np.asarray(omegas, dtype=float).reshape(-1)))
+    points = 1j * _finite(np.asarray(omegas, dtype=float).reshape(-1))
+    return _response(tf.realization, tf.output_port, tf.input_port, points)
 
 
 def _finite(points: np.ndarray) -> np.ndarray:
@@ -243,24 +255,22 @@ def _finite(points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _response(tf: TransferFunction, points: np.ndarray) -> np.ndarray:
-    model = tf.realization
-    return _port_response(model, tf.input_port, model.c(tf.output_port),
-                          model.d(tf.output_port, tf.input_port), points)
-
-
-def _port_response(model: StateSpaceModel, port, C, D, points) -> np.ndarray:
-    """``C (sI - A)^{-1} B + D`` at ``points``, where ``B`` holds the columns
-    of the input port(s) ``port`` of ``model`` (all of them for ``None``).
-    A one-point request reads those columns of the model's memoised joint
-    solve (:func:`_point_solve`); a grid, an empty path or a point the
-    screen cannot clear goes to the grid engine, so such a point takes the
-    exact test, and the reduced pair, of its own port pair."""
+def _response(model: StateSpaceModel, output: PortArg, port: Optional[PortArg],
+              points: np.ndarray) -> np.ndarray:
+    """``C (sI - A)^{-1} B + D`` at ``points`` for the output port(s)
+    ``output`` and the input port(s) ``port`` of ``model`` (every input for
+    ``None``).  A one-point request reads those columns of the model's
+    memoised joint solve (:func:`_point_solve`); a grid, an empty path or a
+    point the screen cannot clear goes to the grid engine, so such a point
+    takes the exact test, and the reduced pair, of its own port pair."""
+    rows = model.outputs._select(output)
+    cols = slice(0, model.B.shape[1]) if port is None else model.inputs._select(port)
+    C, D = model.C[rows], model.D[rows][:, cols]
     if points.size == 1 and model.nstates and C.shape[0] and D.shape[1]:
         X = _point_solve(model, points)
         if X is not None:
-            cols = slice(0, model.B.shape[1]) if port is None else model.inputs._select(port)
-            return _columns(C, X, cols, D)
+            # the columns copied contiguous: matmul rounds a strided operand apart
+            return C @ np.ascontiguousarray(X[:, :, cols]) + D
     return _solve_response(model.A, model.B if port is None else model.b(port), C, D, points)
 
 
@@ -288,16 +298,24 @@ class SpectrumCurve:
 def _column_variances(model: StateSpaceModel,
                       variances: Optional[Mapping[str, float]],
                       exclude: Sequence[str]) -> np.ndarray:
-    var = np.full(model.B.shape[1], VACUUM_VARIANCE)
-    if variances:
-        for port, v in variances.items():
-            if not 0 <= v < np.inf:
-                raise ValidationError(
-                    f"variance of {port!r} must be finite and nonnegative, got {v!r}")
-            var[model.inputs._select(port)] = v
+    """The noise variance of each input column: ``VACUUM_VARIANCE``, the
+    value ``variances`` gives a port, and zero on the ports in ``exclude``.
+    Without ``variances`` it depends on the sealed registry only, which
+    keeps it, read-only, per ``exclude``."""
+    ports, key = model.inputs, ("vacuum", tuple(exclude))
+    if not variances and key in ports._memo:
+        return ports._memo[key]
+    var = np.full(ports.total, VACUUM_VARIANCE)
+    for port, v in (variances or {}).items():
+        if not 0 <= v < np.inf:
+            raise ValidationError(
+                f"variance of {port!r} must be finite and nonnegative, got {v!r}")
+        var[ports._select(port)] = v
     for port in exclude:
-        if port in model.inputs:
-            var[model.inputs.slice(port)] = 0.0
+        if port in ports:
+            var[ports.slice(port)] = 0.0
+    if not variances:
+        ports._memo[key] = var = _frozen(var)
     return var
 
 
@@ -313,16 +331,23 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
     A float ``omega`` gives a float; a 1-D array gives an array of the same
     length, from one call of the grid engine of :func:`frequency_response`
     (same values and conditioning test as one call per frequency).
+    A noise power that is not finite (the response or its square overflows)
+    is a ``ValidationError`` naming the first such frequency; it is computed
+    without a RuntimeWarning.
     """
-    rows = model.outputs._select(signal_output)
-    C, D = model.C[rows], model.D[rows]
-    if C.shape[0] != 1:
+    if model.C[model.outputs._select(signal_output)].shape[0] != 1:
         raise ShapeError("signal_output must be a scalar output port")
     var = _column_variances(model, variances, exclude)
     # evaluate the full row response once, then weight column-wise
     om = np.asarray(omega, dtype=float)
-    row = _port_response(model, None, C, D, 1j * _finite(om.reshape(-1)))
-    power = (np.abs(row[:, 0]) ** 2 * var).sum(axis=-1)
+    points = 1j * _finite(om.reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _response(model, signal_output, None, points)
+        power = np.add.reduce(np.abs(row[:, 0]) ** 2 * var, axis=-1)
+    if not _all_finite(power):
+        k = int(np.flatnonzero(~np.isfinite(power))[0])
+        raise ValidationError(f"noise power is not finite at omega={float(om.flat[k])!r} "
+                              f"({float(power[k])!r}): the response is too large to evaluate")
     return float(power[0]) if om.ndim == 0 else power.reshape(om.shape)
 
 
@@ -357,12 +382,16 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
         raise ShapeError("model has no force port 'F'")
     lam, L = _finite_positive(lam, "coupling lam"), _finite_positive(L, "path length L")
     rows = model.outputs._select(output)
-    if model.C[rows].shape[0] != 1:
+    C, D = model.C[rows], model.D[rows]
+    if C.shape[0] != 1:
         raise ShapeError("output must be a scalar port")
     # in Python floats, so that an overflow reads inf (and is rejected) silently
     scale = 1.0 / _finite_positive(2.0 * math.sqrt(lam) * L, "2 sqrt(lam) L")
-    model2 = StateSpaceModel._derive(model, C=np.concatenate((model.C, scale * model.C[rows])),
-                                     D=np.concatenate((model.D, scale * model.D[rows])),
+    # the one arithmetic result, checked once; the rest only stacks rows
+    row = _sealed('the "gw" row', scale * np.concatenate((C, D), axis=1))
+    n = model.nstates
+    model2 = StateSpaceModel._derive(model, C=np.concatenate((model.C, row[:, :n])),
+                                     D=np.concatenate((model.D, row[:, n:])),
                                      outputs=model.outputs._plus("gw", 1))
     return TransferFunction(model2, "F", "gw")
 

@@ -286,6 +286,39 @@ def test_spectrum_basic_and_single_point(tmp_path, capsys):
     assert len(out.strip().split("\n")) == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_spectrum_with_an_overflowing_response_exits_2(tmp_path, capsys):
+    # C[1][0] = 1e160 of optomech_reduced: the response overflows the noise
+    # power, which used to print nan rows with exit 0; now exit 2 names the
+    # first such frequency, with no RuntimeWarning and no partial output
+    doc = system_to_dict(sc.optomech_reduced())
+    doc["C"][1][0] = 1e160
+    path = write_json(tmp_path, "om.json", doc)
+    for extra in ([], ["--gw-normalize", "1,1"], ["--points", "1"]):
+        code, out, err = run_cli(capsys, "spectrum", path, "--output", "W.out.P",
+                                 "--omega-min", "0.1", "--omega-max", "10", "--points", "4",
+                                 *extra)
+        assert (code, out) == (2, ""), extra
+        assert "noise power is not finite at omega=0.1 " in err, extra
+    # a finite response keeps its S_sql column nan without --sql
+    path = write_json(tmp_path, "ok.json", system_to_dict(sc.optomech_reduced()))
+    code, out, _ = run_cli(capsys, "spectrum", path, "--output", "W.out.P",
+                           "--omega-min", "0.1", "--omega-max", "0.5", "--points", "3")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert code == 0 and len(rows) == 3
+    assert all(np.isfinite(float(S)) and S_sql == "nan" for _, S, S_sql in rows)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [1e308, -1e308])
+def test_analyze_huge_hamiltonian_exits_2(tmp_path, capsys, entry):
+    doc = system_to_dict(sc.optomech_reduced())
+    doc["G"][0][0] = entry
+    code, out, err = run_cli(capsys, "analyze", write_json(tmp_path, "g.json", doc))
+    assert (code, out) == (2, "")
+    assert "G contains non-finite entries or entries above" in err
+
+
 def test_spectrum_rejects_zero_omega(tmp_path, capsys):
     path = write_json(tmp_path, "m.json", system_to_dict(sc.michelson()))
     code, _, err = run_cli(capsys, "spectrum", path, "--output", "W2.out.P",

@@ -333,11 +333,41 @@ def test_overflowing_drift_is_rejected_at_to_state_space():
             sys.to_state_space(split)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_symmetrisation_is_rejected():
-    # (G + G^T) / 2 overflows although every entry of G is finite
+    # (G + G^T) / 2 would overflow although every entry of G is finite; the
+    # magnitude check rejects it first, so nothing warns
     with pytest.raises(ValidationError, match="^G contains non-finite entries"):
         build_system([[1.7e308, 0], [0, 0]], np.zeros((0, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("G", [
+    [[1e308, 0], [0, 1]], [[-1e308, 0], [0, 1]], [[1, 1e308], [1e308, 1]],
+    [[1, -1e308], [-1e308, 1]], [[0, 1e308], [-1e308, 0]],
+])
+def test_huge_hamiltonian_is_rejected_without_a_warning(G):
+    # an entry above half the float range is a ValidationError before any
+    # arithmetic, whether G is symmetric or (anti)symmetric: no RuntimeWarning
+    with pytest.raises(ValidationError, match="^G contains non-finite entries or entries above"):
+        build_system(G, [[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_symmetric_hamiltonian_is_frozen_as_given():
+    # a bitwise symmetric G is its own symmetrisation; it is kept bit for bit
+    # (a copy, read-only); a G whose transpose differs only in the sign of a
+    # zero is symmetrised, as at any asymmetry
+    rng = np.random.default_rng(5)
+    G = rng.normal(size=(4, 4))
+    G = (G + G.T) / 2
+    G[0, 1] = G[1, 0] = -0.0
+    sys = build_system(G, rng.normal(size=(2, 4)))
+    assert sys.G.tobytes() == ((G + G.T) / 2).tobytes() == G.tobytes()
+    assert not sys.G.flags.writeable and not np.shares_memory(sys.G, G)
+    G[2, 3], G[3, 2] = 0.0, -0.0
+    assert build_system(G, np.zeros((0, 4))).G.tobytes() == ((G + G.T) / 2).tobytes()
+    for huge in (8.98e307, -8.98e307):
+        G = np.diag([huge, 1.0])
+        assert build_system(G, np.zeros((0, 2))).G.tobytes() == G.tobytes()
 
 
 def test_port_registries_are_sealed_once_a_model_holds_them():
@@ -462,3 +492,91 @@ def test_system_json_rejects_nonfinite():
     d = {"modes": 1, "G": [[0.0, 0.0], [0.0, float("inf")]], "C": []}
     with pytest.raises(ValidationError):
         system_from_dict(d)
+
+
+def _sigma_from_scratch(n):
+    return np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def _assert_sealed(arr, ref):
+    assert not arr.flags.writeable
+    assert np.isfinite(arr).all()
+    assert arr.dtype == ref.dtype and arr.shape == ref.shape
+    assert arr.tobytes() == ref.tobytes()
+
+
+_entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), with_force=st.booleans(), data=st.data())
+def test_every_held_array_is_sealed_and_equals_its_formula(n, m, with_force, data):
+    # each array a system, its raw and split realizations and the "gw"
+    # realization hold is read-only, finite and bitwise the formula of the
+    # core module docstring, computed here from scratch; arrays validated
+    # once are never checked again, so this pins what they hold
+    from hypothesis.extra.numpy import arrays
+
+    upper = data.draw(arrays(np.float64, (2 * n, 2 * n), elements=_entries))
+    G = np.triu(upper) + np.triu(upper, 1).T
+    C = data.draw(arrays(np.float64, (2 * m, 2 * n), elements=_entries))
+    f = data.draw(arrays(np.float64, 2 * n, elements=_entries)) if with_force else None
+    sys = build_system(G, C, force=f)
+    Sn, Sm = _sigma_from_scratch(n), _sigma_from_scratch(m)
+    A = Sn @ (G + C.T @ Sm @ C / 2.0)
+    B = Sn @ C.T @ Sm
+    for arr, ref in ((sys.G, (G + G.T) / 2.0), (sys.C, C), (sys.A, A), (sys.B, B)):
+        _assert_sealed(arr, ref)
+    if with_force:
+        _assert_sealed(sys.force, f)
+
+    raw = sys.to_state_space()
+    Braw = np.concatenate((B, f[:, None]), axis=1) if with_force else B
+    Draw = np.zeros((2 * m, Braw.shape[1]))
+    Draw[:, :2 * m] = np.eye(2 * m)
+    for arr, ref in zip((raw.A, raw.B, raw.C, raw.D), (A, Braw, C, Draw)):
+        _assert_sealed(arr, ref)
+
+    angles = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=m, max_size=m))
+    split = homodyne_split(m, angles)
+    M1, M2 = split.M1, split.M2
+    model = sys.to_state_space(split)
+    cols = [B @ M1.T, B @ M2.T] + ([f.reshape(-1, 1)] if with_force else [])
+    Bsplit = np.hstack(cols)
+    Dsplit = np.zeros((4 * m, Bsplit.shape[1]))
+    Dsplit[:m, :m] = Dsplit[m:2 * m, m:2 * m] = np.eye(m)
+    Dsplit[2 * m:, :m], Dsplit[2 * m:, m:2 * m] = M1.T, M2.T
+    for arr, ref in zip((model.A, model.B, model.C, model.D),
+                        (A, Bsplit, np.vstack([M1 @ C, M2 @ C, C]), Dsplit)):
+        _assert_sealed(arr, ref)
+
+    if with_force:
+        lam, L = data.draw(st.floats(1e-3, 1e3)), data.draw(st.floats(1e-3, 1e3))
+        gw = normalized_gw_signal(raw, "W1.out.P", lam, L).realization
+        scale = 1.0 / (2.0 * np.sqrt(lam) * L)
+        for arr, ref in zip((gw.A, gw.B, gw.C, gw.D),
+                            (A, Braw, np.vstack([C, scale * C[1:2]]),
+                             np.vstack([Draw, scale * Draw[1:2]]))):
+            _assert_sealed(arr, ref)
+
+
+def test_public_constructors_check_a_read_only_caller_array():
+    # a read-only array counts as validated only inside the package: a
+    # caller's read-only array that holds an inf is rejected as any other
+    def frozen(arr, at):
+        arr = np.array(arr, dtype=float)
+        arr[at] = np.inf
+        arr.setflags(write=False)
+        return arr
+
+    G, C, f = np.eye(2), np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0])
+    for args, name in (((frozen(G, (0, 0)), C, None), "G"), ((G, frozen(C, (1, 0)), None), "C"),
+                       ((G, C, frozen(f, 1)), "force")):
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries"):
+            build_system(args[0], args[1], force=args[2])
+    arrays = [-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))]
+    for k, name in enumerate("ABCD"):
+        bad = list(arrays)
+        bad[k] = frozen(bad[k], (0, 0))
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries"):
+            StateSpaceModel(*bad, Ports([("u", 1)]), Ports([("y", 1)]))

@@ -52,6 +52,42 @@ def test_sample_controller_zero_dim_and_determinism():
     assert np.array_equal(a.C_K, b.C_K)
 
 
+def test_sampled_controllers_equal_the_public_constructor():
+    # the sampler keeps its fresh draws without a second check; the draws and
+    # the controllers equal, bit for bit, those of a verbatim copy of the
+    # sampler that builds through the public ClassicalController constructor
+    from qlin.interconnect import _GAINS, ClassicalController, _split_widths
+
+    def reference(rng, plant, scheme, dims):
+        k = int(rng.choice(np.asarray(dims, dtype=int)))
+        scale = 1.0 / np.sqrt(max(k, 1))
+        A_K = rng.normal(size=(k, k)) * scale
+        if k:
+            shift = np.max(np.linalg.eigvals(A_K).real) + 0.5
+            A_K = A_K - shift * np.eye(k)
+        widths = _split_widths(plant, scheme)
+        B_K = rng.normal(size=(k, widths[0])) * scale
+        return ClassicalController(A_K=A_K, B_K=B_K, **{
+            name: rng.normal(size=(2 * width, k)) * scale
+            for name, width in zip(_GAINS[scheme], widths)})
+
+    for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf1"),
+                          (sc.michelson(), "mf2")):
+        for dims in ([0], [0, 1, 2], range(1, 5), [3, 6]):
+            for seed in (0, 1, 7, 20240811):
+                rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    got = sample_classical_controller(rngs[0], plant, scheme, dims)
+                    ref = reference(rngs[1], plant, scheme, dims)
+                    for name in ("A_K", "B_K", "C_K", "C_K1", "C_K2"):
+                        a, b = getattr(got, name), getattr(ref, name)
+                        assert (a is None) == (b is None), name
+                        if a is not None:
+                            assert a.dtype == b.dtype and a.shape == b.shape, name
+                            assert a.tobytes() == b.tobytes(), name
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_sampled_controllers_are_stable_and_loops_build():
     plant = sc.michelson()
     rng = np.random.default_rng(53)
