@@ -120,14 +120,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _sealed(name: str, arr: np.ndarray) -> np.ndarray:
-    """Freeze a float array this package has just computed by arithmetic, in
-    place (it aliases no caller's data, so it needs no copy), after a
-    finiteness check.  This is the one check of an
-    arithmetic result; an array that only rearranges validated arrays needs
-    none (:meth:`StateSpaceModel._derive`)."""
-    if not _all_finite(arr):
-        raise ValidationError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
+    """Freeze a float array this package has just computed, in place (it
+    aliases no caller's data, so it needs no copy), after the finiteness
+    check of :func:`_as_matrix`.  A read-only array is one of the package's
+    frozen, already validated arrays and is returned as it is."""
+    if arr.flags.writeable:
+        if not _all_finite(arr):
+            raise ValidationError(f"{name} contains non-finite entries")
+        arr.setflags(write=False)
     return arr
 
 
@@ -190,15 +190,12 @@ class Ports:
     """
 
     def __init__(self, entries: Iterable[tuple[str, int]] = ()):
-        self._ranges: dict[str, tuple[int, int]] = {}
+        self._ranges: dict[str, slice] = {}
         self._order: list[str] = []
         self._total = 0
         self._held = False
         self._extended: dict[tuple[str, int], "Ports"] = {}
-        # results that depend on the registered ranges only: the slices of
-        # _select (keyed by name) and, once sealed, the index arrays of
-        # _resolve (by name tuple) and xfer._column_variances's vectors
-        self._memo: dict = {}
+        self._indices: dict[tuple, np.ndarray] = {}
         for name, width in entries:
             self.append(name, width)
 
@@ -221,7 +218,7 @@ class Ports:
                                   "model (copy it with Ports.from_entries)")
         if name in self._ranges:
             raise ValidationError(f"duplicate port name {name!r}")
-        self._ranges[name] = (start, start + width)
+        self._ranges[name] = slice(start, start + width)
         self._order.append(name)
 
     def append(self, name: str, width: int) -> None:
@@ -251,15 +248,12 @@ class Ports:
     def __contains__(self, name: str) -> bool:
         return name in self._ranges
 
-    def _range(self, name: str) -> tuple[int, int]:
+    def slice(self, name: str) -> slice:
         try:
             return self._ranges[name]
         except KeyError:
             raise PortLookupError(
                 f"unknown port {name!r}; available: {sorted(self._ranges)}") from None
-
-    def slice(self, name: str) -> slice:
-        return slice(*self._range(name))
 
     def indices(self, names: Union[str, Sequence[str]]) -> np.ndarray:
         """The indices of one or more ports, in order, as a new array."""
@@ -270,22 +264,19 @@ class Ports:
         change, so it resolves each name list once and returns the same
         read-only array after that."""
         key = (names,) if isinstance(names, str) else tuple(names)
-        idx = self._memo.get(key)
+        idx = self._indices.get(key)
         if idx is None:
-            idx = np.asarray([i for name in key for i in range(*self._range(name))], dtype=int)
+            idx = np.asarray([i for name in key for i in range(self._total)[self.slice(name)]],
+                             dtype=int)
             if self._held:
                 idx.setflags(write=False)
-                self._memo[key] = idx
+                self._indices[key] = idx
         return idx
 
     def _select(self, names: Union[str, Sequence[str]]) -> Union[slice, np.ndarray]:
         """Index of one or more ports: the slice of a single name, else
-        :meth:`_resolve`.  Indexing with a slice gives a view.  The registry
-        keeps each name's slice, as a sealed one keeps each index array."""
-        if not isinstance(names, str):
-            return self._resolve(names)
-        # a name's range never changes once registered, sealed or not
-        return self._memo.get(names) or self._memo.setdefault(names, self.slice(names))
+        :meth:`_resolve`.  Indexing with a slice gives a view."""
+        return self.slice(names) if isinstance(names, str) else self._resolve(names)
 
     def width(self, name: str) -> int:
         s = self.slice(name)
@@ -301,7 +292,7 @@ class Ports:
 
     def entries(self) -> list[tuple[str, int, int]]:
         """(name, start, width) triples in registration order."""
-        return [(n, self._ranges[n][0], self._ranges[n][1] - self._ranges[n][0])
+        return [(n, self._ranges[n].start, self._ranges[n].stop - self._ranges[n].start)
                 for n in self._order]
 
     def __repr__(self):
@@ -331,17 +322,15 @@ class StateSpaceModel:
         self.__dict__.update(model.__dict__)
 
     @classmethod
-    def _derive(cls, parent, **fields) -> "StateSpaceModel":
+    def _derive(cls, parent, A=None, B=None, C=None, D=None, inputs=None,
+                outputs=None) -> "StateSpaceModel":
         """The validate-once constructor of the package's own realizations.
 
-        Each of ``A``, ``B``, ``C``, ``D``, ``inputs`` and ``outputs`` not in
-        ``fields`` is taken from ``parent`` (a validated model or system),
+        Each of ``A``, ``B``, ``C``, ``D``, ``inputs`` and ``outputs`` not
+        given is taken from ``parent`` (a validated model or system),
         so its frozen arrays are shared, not checked or copied again.  A new
-        array is never a caller's: it is either an arithmetic result that the
-        caller has already checked and frozen (:func:`_sealed`), or a fresh
-        rearrangement (concatenation, slice or block copy) of validated
-        arrays, which needs no check and is frozen here in place.  Only the
-        shapes are checked.
+        array must be one the package has just computed, never a caller's:
+        it is checked for finiteness and frozen in place (:func:`_sealed`).
 
         Every model, the public constructor's included, gets here its own
         empty private memo ``_memo`` of results that depend on the model
@@ -355,8 +344,12 @@ class StateSpaceModel:
           recent one-point request of :mod:`qlin.xfer` that its conditioning
           screen cleared; only ``xfer._point_solve`` reads or fills it.
         """
-        A, B, C, D, inputs, outputs = [fields[k] if k in fields else getattr(parent, k)
-                                       for k in ("A", "B", "C", "D", "inputs", "outputs")]
+        A = parent.A if A is None else _sealed("A", A)
+        B = parent.B if B is None else _sealed("B", B)
+        C = parent.C if C is None else _sealed("C", C)
+        D = parent.D if D is None else _sealed("D", D)
+        inputs = parent.inputs if inputs is None else inputs
+        outputs = parent.outputs if outputs is None else outputs
         n = A.shape[0]
         if (A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n
                 or D.shape != (C.shape[0], B.shape[1])
@@ -364,8 +357,6 @@ class StateSpaceModel:
             raise ShapeError(f"inconsistent realization: A {A.shape}, B {B.shape}, "
                              f"C {C.shape}, D {D.shape}, ports {inputs.total} in, "
                              f"{outputs.total} out")
-        for arr in (A, B, C, D):
-            arr.setflags(write=False)
         model = object.__new__(cls)
         model.__dict__.update(A=A, B=B, C=C, D=D, inputs=inputs, outputs=outputs, _memo={})
         inputs._held = outputs._held = True
@@ -399,8 +390,7 @@ class StateSpaceModel:
         """Realization in the coordinates x' = T^{-1} x (ports unchanged)."""
         T = _as_matrix("T", T, rows=self.nstates, cols=self.nstates)
         Tinv = np.linalg.inv(T)
-        return self._derive(self, A=_sealed("A", Tinv @ self.A @ T),
-                            B=_sealed("B", Tinv @ self.B), C=_sealed("C", self.C @ T))
+        return self._derive(self, A=Tinv @ self.A @ T, B=Tinv @ self.B, C=self.C @ T)
 
 
 @lru_cache(maxsize=None)
@@ -663,7 +653,7 @@ class QuantumLinearSystem:
         """
         B = self.B
         m = self.m
-        labels = tuple([ch.label for ch in self.channels])
+        labels = tuple(ch.label for ch in self.channels)
         force = self.force is not None
         if split is None:
             inputs, outputs, D = _layout("raw", labels, force)
@@ -684,8 +674,8 @@ class QuantumLinearSystem:
         D[m:2 * m, m:2 * m] = np.eye(m)            # ybar carries the conjugate
         D[2 * m:, :m] = M1.T
         D[2 * m:, m:2 * m] = M2.T
-        return StateSpaceModel._derive(self, B=_sealed("B", Bfull), C=_sealed("C", Cfull), D=D,
-                                       inputs=inputs, outputs=outputs)
+        return StateSpaceModel._derive(self, B=Bfull, C=Cfull, D=D, inputs=inputs,
+                                       outputs=outputs)
 
 
 @lru_cache(maxsize=128)

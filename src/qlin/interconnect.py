@@ -29,7 +29,6 @@ from .core import (
     _as_matrix,
     _hamiltonian,
     _layout,
-    _sealed,
     sigma,
 )
 
@@ -201,9 +200,8 @@ def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
     Ae[:n, n:] = B @ EC
     Ae[n:, :n] = B_K @ C[y]
     Ae[n:, n:] = ctrl.A_K + B_K @ D[y] @ EC
-    return StateSpaceModel._derive(open_loop, A=_sealed("A", Ae),
-                                   B=_sealed("B", np.vstack([B, B_K @ D[y]])),
-                                   C=_sealed("C", np.hstack([C, D @ EC])))
+    return StateSpaceModel._derive(open_loop, A=Ae, B=np.vstack([B, B_K @ D[y]]),
+                                   C=np.hstack([C, D @ EC]))
 
 
 def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -268,8 +266,8 @@ def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
     D[:m1, :2 * m1] = M
     D[m1 + m2 + 2 * m1:, 2 * m1:2 * m1 + m2] = M1e.T
     D[m1 + m2 + 2 * m1:, 2 * m1 + m2:2 * m1 + 2 * m2] = M2e.T
-    return StateSpaceModel._derive(plant, B=_sealed("B", np.hstack(cols)), C=_sealed("C", C),
-                                   D=D, inputs=inputs, outputs=outputs)
+    return StateSpaceModel._derive(plant, B=np.hstack(cols), C=C, D=D, inputs=inputs,
+                                   outputs=outputs)
 
 
 def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,

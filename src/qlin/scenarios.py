@@ -100,10 +100,19 @@ def optomech_full(m: float = 1.0, omega: float = 1.0, kappa: float = 1.0,
                         force=[0.0, 1.0, 0.0, 0.0], mode_labels=("osc", "cavity"))
 
 
-#: The fixed parts of :func:`michelson`, built once.
+#: The fixed parts of :func:`michelson`, built once.  Its coupling is
+#: ``sqrt(lam)`` times ``_MICHELSON_ARMS``: W1 reads the common and W2 the
+#: differential position of the two arms.
 _MICHELSON_CHANNELS = (Channel("W1", "feedback"), Channel("W2", "evaluation"))
 _MICHELSON_FORCE = np.array([0.0, 1.0, 0.0, -1.0])
+_MICHELSON_ARMS = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, -1.0, 0.0],
+])
 _MICHELSON_FORCE.setflags(write=False)
+_MICHELSON_ARMS.setflags(write=False)
 _MICHELSON_MODES = ("osc1", "osc2")
 
 
@@ -114,14 +123,8 @@ def michelson(p: MichelsonParams = MichelsonParams()) -> QuantumLinearSystem:
     port; the force appears only in the differential mode.
     """
     m, w, lam = p.m, p.omega, p.lam
-    # filled entry by entry: cheaper than np.diag or a nested list
-    G = np.zeros((4, 4))
-    G[0, 0] = G[2, 2] = m * w ** 2
-    G[1, 1] = G[3, 3] = 1.0 / m
-    rl = np.sqrt(lam)
-    C = np.zeros((4, 4))
-    C[1, 0] = C[1, 2] = C[3, 0] = rl
-    C[3, 2] = -rl
+    G = np.diag([m * w ** 2, 1.0 / m, m * w ** 2, 1.0 / m])
+    C = np.sqrt(lam) * _MICHELSON_ARMS
     return build_system(G, C, channels=_MICHELSON_CHANNELS, force=_MICHELSON_FORCE,
                         mode_labels=_MICHELSON_MODES)
 

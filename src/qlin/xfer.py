@@ -18,15 +18,14 @@ the goal probes never read it.  Registries are built once per channel
 layout (``core._layout``), the ``"gw"`` one once per parent registry.
 
 Validate once: each array is checked where it enters (a public
-constructor) or where arithmetic makes it (``core._sealed``: the drift,
-the noise input, the scaled ``"gw"`` row).  An array that only rearranges
-checked arrays (``[B | force]``, ``[C; gw row]``, a slice) is frozen without
-a second check (``StateSpaceModel._derive``).  Along the SQL chain the
-sealed registries keep each port's slice and the vacuum-variance vector,
-and a one-point solve builds ``sI - A`` and ``[B | I]`` from one identity
-per state count (``structural._eye``) and screens both Frobenius norms with
-one reduction.  A noise power that is not finite is a ``ValidationError``
-that names the frequency, computed without a RuntimeWarning.
+constructor) or where the package makes it (``core._sealed``, which
+``StateSpaceModel._derive`` applies to every new array: the drift, the
+noise input, ``[C; gw row]``); a frozen array is already validated and is
+shared without a second check.  A one-point solve builds ``sI - A`` and
+``[B | I]`` from one identity per state count (``structural._eye``) and
+screens both Frobenius norms with one reduction.  A noise power that is
+not finite is a ``ValidationError`` that names the frequency, computed
+without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (ShapeError, StateSpaceModel, ValidationError, _all_finite, _finite_positive,
-                   _frozen, _sealed)
+from .core import ShapeError, StateSpaceModel, ValidationError, _all_finite, _finite_positive
 from .structural import _eye, reduce_pair
 
 __all__ = [
@@ -298,24 +296,16 @@ class SpectrumCurve:
 def _column_variances(model: StateSpaceModel,
                       variances: Optional[Mapping[str, float]],
                       exclude: Sequence[str]) -> np.ndarray:
-    """The noise variance of each input column: ``VACUUM_VARIANCE``, the
-    value ``variances`` gives a port, and zero on the ports in ``exclude``.
-    Without ``variances`` it depends on the sealed registry only, which
-    keeps it, read-only, per ``exclude``."""
-    ports, key = model.inputs, ("vacuum", tuple(exclude))
-    if not variances and key in ports._memo:
-        return ports._memo[key]
-    var = np.full(ports.total, VACUUM_VARIANCE)
-    for port, v in (variances or {}).items():
-        if not 0 <= v < np.inf:
-            raise ValidationError(
-                f"variance of {port!r} must be finite and nonnegative, got {v!r}")
-        var[ports._select(port)] = v
+    var = np.full(model.B.shape[1], VACUUM_VARIANCE)
+    if variances:
+        for port, v in variances.items():
+            if not 0 <= v < np.inf:
+                raise ValidationError(
+                    f"variance of {port!r} must be finite and nonnegative, got {v!r}")
+            var[model.inputs._select(port)] = v
     for port in exclude:
-        if port in ports:
-            var[ports.slice(port)] = 0.0
-    if not variances:
-        ports._memo[key] = var = _frozen(var)
+        if port in model.inputs:
+            var[model.inputs.slice(port)] = 0.0
     return var
 
 
@@ -387,11 +377,8 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
         raise ShapeError("output must be a scalar port")
     # in Python floats, so that an overflow reads inf (and is rejected) silently
     scale = 1.0 / _finite_positive(2.0 * math.sqrt(lam) * L, "2 sqrt(lam) L")
-    # the one arithmetic result, checked once; the rest only stacks rows
-    row = _sealed('the "gw" row', scale * np.concatenate((C, D), axis=1))
-    n = model.nstates
-    model2 = StateSpaceModel._derive(model, C=np.concatenate((model.C, row[:, :n])),
-                                     D=np.concatenate((model.D, row[:, n:])),
+    model2 = StateSpaceModel._derive(model, C=np.concatenate((model.C, scale * C)),
+                                     D=np.concatenate((model.D, scale * D)),
                                      outputs=model.outputs._plus("gw", 1))
     return TransferFunction(model2, "F", "gw")
 

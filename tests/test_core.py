@@ -476,6 +476,21 @@ def test_derived_realizations_match_the_checked_constructor():
     assert models[2].A is raw.A and models[2].B is raw.B and models[2].inputs is raw.inputs
 
 
+def test_derive_checks_every_new_array_and_shares_the_rest():
+    # the one check of the package's own realizations: a new (writable)
+    # array is checked and frozen in place, a parent's array is shared
+    raw = random_system(np.random.default_rng(9), 2, 2, force=True).to_state_space()
+    for name in "ABCD":
+        bad = np.array(getattr(raw, name))
+        bad[0, 0] = np.inf
+        with pytest.raises(ValidationError, match=f"^{name} contains non-finite entries"):
+            StateSpaceModel._derive(raw, **{name: bad})
+    C = np.array(raw.C)
+    model = StateSpaceModel._derive(raw, C=C)
+    assert model.C is C and not C.flags.writeable
+    assert model.A is raw.A and model.B is raw.B and model.D is raw.D
+
+
 def test_system_json_roundtrip():
     rng = np.random.default_rng(6)
     sys = random_system(rng, 2, 2, force=True)

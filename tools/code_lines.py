@@ -7,8 +7,8 @@ spans several lines counts each of them.
 
 Usage::
 
-    python tools/code_lines.py src/                      # total over a tree
-    python tools/code_lines.py src/qlin/goals.py src/qlin/structural.py -v
+    python tools/code_lines.py src/       # total over a tree
+    python tools/code_lines.py src/qlin/goals.py src/qlin/structural.py
 """
 
 from __future__ import annotations
@@ -61,15 +61,11 @@ def python_files(paths: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="+", help="files or directories")
-    parser.add_argument("-v", "--verbose", action="store_true", help="print each file's count")
     args = parser.parse_args(argv)
     total = 0
     for path in python_files(args.paths):
         with open(path, encoding="utf-8") as fh:
-            n = count_source(fh.read())
-        total += n
-        if args.verbose:
-            print(f"{n:6d} {path}")
+            total += count_source(fh.read())
     print(total)
     return 0
 
