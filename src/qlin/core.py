@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -85,6 +86,25 @@ def _all_finite(arr: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
+def _frobenius(x: np.ndarray):
+    """``|x|_F`` of a matrix, or the array of ``|x_t|_F`` of each matrix of a
+    stack ``(T, rows, cols)``, rounded as ``np.linalg.norm`` rounds one
+    matrix alone: the root of the dot of its entries in memory order (one
+    ``np.vdot`` per member, which sets no overflow warning).  Where that is
+    inf, or 0 on a nonzero matrix, it is recomputed as ``m |x / m|_F`` with
+    ``m = max |x|``, so in-range norms keep their bits and none warns."""
+    stack = x if x.ndim == 3 else x[None]
+    # each member's entries in memory order, copied to unit stride: a strided
+    # dot rounds apart
+    flat = np.ascontiguousarray(stack.swapaxes(1, 2) if stack.strides[2] > stack.strides[1]
+                                else stack).reshape(len(stack), -1 if stack.size else 0)
+    out = [math.sqrt(np.vdot(entries, entries)) for entries in flat]
+    for t in [t for t, norm in enumerate(out) if not 0 < norm < math.inf]:
+        if 0 < (m := np.abs(flat[t]).max(initial=0.0)) < math.inf:
+            out[t] = m * math.sqrt(np.vdot(flat[t] / m, flat[t] / m))
+    return np.array(out) if x.ndim == 3 else out[0]
+
+
 def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] = None,
                bound: Optional[float] = None) -> np.ndarray:
     """``arr`` as a 2-D float matrix with the given shape and finite entries,
@@ -143,7 +163,7 @@ def _hamiltonian(name: str, G) -> np.ndarray:
         raise ShapeError(f"{name} must be square with even size, got {G.shape}")
     if G.tobytes() == G.T.tobytes():
         return _frozen(G)
-    if np.linalg.norm(G - G.T) > SYMMETRY_RTOL * max(np.linalg.norm(G), 1.0):
+    if _frobenius(G - G.T) > SYMMETRY_RTOL * max(_frobenius(G), 1.0):
         raise ValidationError(
             f"{name} is not symmetric within tolerance; refusing to symmetrise "
             "an asymmetric Hamiltonian matrix")
@@ -361,6 +381,19 @@ class StateSpaceModel:
         model.__dict__.update(A=A, B=B, C=C, D=D, inputs=inputs, outputs=outputs, _memo={})
         inputs._held = outputs._held = True
         return model
+
+    @classmethod
+    def _derive_each(cls, parent, inputs: Ports, outputs: Ports,
+                     stacks: dict) -> list["StateSpaceModel"]:
+        """:meth:`_derive` of each member of the stacks of new arrays
+        ``stacks`` (``A``, ``B``, ``C`` or ``D``, each of shape ``(T, ., .)``),
+        with the ports ``inputs`` and ``outputs``.  Each stack is checked
+        finite and frozen once, so its members, read-only views, are shared
+        without a second check."""
+        for name, stack in stacks.items():
+            _sealed(name, stack)
+        return [cls._derive(parent, inputs=inputs, outputs=outputs, **dict(zip(stacks, member)))
+                for member in zip(*stacks.values())]
 
     @property
     def nstates(self) -> int:
@@ -608,9 +641,11 @@ class QuantumLinearSystem:
     @cached_property
     def _memo(self) -> dict:
         """Private memo of results that depend on this immutable system only:
-        under ``"roles"`` its :meth:`role_partition`, and under ``"mf2"`` the
+        under ``"roles"`` its :meth:`role_partition`, under ``"mf2"`` the
         parts of its type-2 open loop that no split changes, which only
-        ``interconnect._mf2_parts`` reads or fills."""
+        ``interconnect._mf2_parts`` reads or fills, and under
+        ``("nogo", goal, scheme, base)`` its own verdict under the canonical
+        splits, which only ``nogo.verify_nogo`` reads or fills."""
         return {}
 
     def role_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -651,31 +686,37 @@ class QuantumLinearSystem:
 
         The classical force enters through port ``"F"`` when present.
         """
-        B = self.B
-        m = self.m
-        labels = tuple(ch.label for ch in self.channels)
+        if split is not None:
+            return StateSpaceModel._derive_each(self, *self._split_stacks(split.M1[None],
+                                                                        split.M2[None]))[0]
         force = self.force is not None
-        if split is None:
-            inputs, outputs, D = _layout("raw", labels, force)
-            Bfull = np.concatenate((B, self.force[:, None]), axis=1) if force else B
-            return StateSpaceModel._derive(self, B=Bfull, D=D, inputs=inputs, outputs=outputs)
+        inputs, outputs, D = _layout("raw", tuple(ch.label for ch in self.channels), force)
+        B = np.concatenate((self.B, self.force[:, None]), axis=1) if force else self.B
+        return StateSpaceModel._derive(self, B=B, D=D, inputs=inputs, outputs=outputs)
 
-        if split.m != m:
-            raise ShapeError(f"split has {split.m} channels, system has {m}")
-        M1, M2 = split.M1, split.M2
-        inputs, outputs, _ = _layout("split", labels, force)
-        cols = [B @ M1.T, B @ M2.T]
+    def _split_stacks(self, M1: np.ndarray, M2: np.ndarray):
+        """The ports and the stacks ``B``, ``C``, ``D`` of ``to_state_space``
+        under each split of the stacks ``M1`` and ``M2`` (shape ``(T, m, 2m)``,
+        C-ordered members), each product made per member as for one split;
+        the drift is the system's own."""
+        T, m, n2 = len(M1), self.m, 2 * self.n
+        if M1.shape[1] != m:
+            raise ShapeError(f"split has {M1.shape[1]} channels, system has {m}")
+        force = self.force is not None
+        inputs, outputs, _ = _layout("split", tuple(ch.label for ch in self.channels), force)
+        B = np.empty((T, n2, 2 * m + force))
+        B[:, :, :m] = self.B @ M1.swapaxes(1, 2)
+        B[:, :, m:2 * m] = self.B @ M2.swapaxes(1, 2)
         if force:
-            cols.append(self.force.reshape(-1, 1))
-        Bfull = np.hstack(cols) if cols else np.zeros((2 * self.n, 0))
-        Cfull = np.vstack([M1 @ self.C, M2 @ self.C, self.C])
-        D = np.zeros((4 * m, Bfull.shape[1]))
-        D[:m, :m] = np.eye(m)                      # y carries the measured noise
-        D[m:2 * m, m:2 * m] = np.eye(m)            # ybar carries the conjugate
-        D[2 * m:, :m] = M1.T
-        D[2 * m:, m:2 * m] = M2.T
-        return StateSpaceModel._derive(self, B=Bfull, C=Cfull, D=D, inputs=inputs,
-                                       outputs=outputs)
+            B[:, :, -1] = self.force
+        C = np.empty((T, 4 * m, n2))
+        C[:, :m] = M1 @ self.C
+        C[:, m:2 * m] = M2 @ self.C
+        C[:, 2 * m:] = self.C
+        D = np.zeros((T, 4 * m, 2 * m + force))
+        D[:, :2 * m, :2 * m] = np.eye(2 * m)  # y and ybar carry the noise they measure
+        D[:, 2 * m:, :2 * m] = np.concatenate([M1, M2], axis=1).swapaxes(1, 2)
+        return inputs, outputs, {"B": B, "C": C, "D": D}
 
 
 @lru_cache(maxsize=128)

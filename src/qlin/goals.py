@@ -34,11 +34,14 @@ resolvent entry, which belongs to :mod:`qlin.xfer` alone.
 
 The engines take stacks: ``_verdict`` judges a list of same-dimension models
 (``find_qnd`` and ``find_dfs`` pass a list of one) with one stacked
-staircase per side, one stacked witness SVD per group of equal subspace
-dimensions and one ``_probe`` per group of equal witness counts, so one
-verdict makes one ``_probe`` call and a group of no-go loops makes one.
-Each stack keeps the memory layout of the one-model operands, so every
-verdict has the bits it has alone.
+staircase per side, one stacked intersection with ``restrict_to`` per
+observable dimension (``structural._intersects``), one stacked witness SVD
+per group of equal subspace dimensions and one ``_probe`` per group of
+equal witness counts, so one verdict makes one ``_probe`` call and a group
+of no-go loops makes one.  ``_probe`` builds every ``sI - A`` of its stack
+in one broadcast and takes each leg as one stacked product with one pass of
+threshold norms.  Each stack keeps the memory layout of the one-model
+operands, so every verdict has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -49,19 +52,19 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import StateSpaceModel, _finite_positive
+from .core import StateSpaceModel, _finite_positive, _frobenius
 from .structural import (
     Subspace,
     _reduced_pair,
     _eye,
-    _hstacked,
+    _groups,
+    _intersects,
     _members,
     _stacked,
     _take,
     _subspace,
     _subspaces,
     controllability_matrix,  # noqa: F401  (the benchmark tracer restores this binding)
-    intersect,
     largest_markov,
 )
 
@@ -148,10 +151,11 @@ def residual_tolerance(model: StateSpaceModel, input_port: PortArg,
                       model._norm_A)
 
 
-def _threshold(base: float, first: np.ndarray, second: np.ndarray, norm_A: float) -> float:
+def _threshold(base: float, first: np.ndarray, second: np.ndarray, norm_A):
     """The probe zero threshold ``base * |first|_F |second|_F / (|A|_F + 1)``,
-    multiplied in that order."""
-    return base * np.linalg.norm(first) * np.linalg.norm(second) / (norm_A + 1.0)
+    multiplied in that order, of one model or of each member of a stack
+    (``norm_A`` then an array)."""
+    return base * _frobenius(first) * _frobenius(second) / (norm_A + 1.0)
 
 
 @cache
@@ -164,8 +168,7 @@ def _probe_units() -> np.ndarray:
     return units
 
 
-def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float,
-           norms: Sequence[float]):
+def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float, norms):
     """Cross-check the staircase's claim on resolvent probes, for one model
     or for a stack of models whose legs have the same shapes.
 
@@ -182,33 +185,30 @@ def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float,
     (``StateSpaceModel._norm_A``).
 
     The points lie on the circle ``|s| = R = 2 |A|_F + 1``, at distance at
-    least ``R - |A|_F`` from the spectrum, so ``cond(sI - A) <= 3`` and one
-    stacked solve serves every member, point and leg.
+    least ``R - |A|_F`` from the spectrum, so ``cond(sI - A) <= 3``.  One
+    broadcast build gives every ``sI - A``, one stacked solve serves every
+    member, point and leg, and each leg is one stacked ``left @ X`` with one
+    stacked threshold, each with the bits of one model alone.
     """
-    lead, n = A.shape[:-2], A.shape[-1]
-    legs = zero + shown
-    rights = np.concatenate([right for _, right in legs], axis=-1)
-    # sI - A member by member, so no temporary is larger than one member's
-    M = np.empty(lead + (PROBE_COUNT, n, n), dtype=complex)
-    for M_i, A_i, norm in zip(M.reshape(-1, PROBE_COUNT, n, n), _members(A), norms):
-        np.multiply(((2.0 * norm + 1.0) * _probe_units())[:, None, None], _eye(n), out=M_i)
-        M_i -= A_i
-    # the right-hand sides broadcast over the points, as a stack of matrices
-    X = np.linalg.solve(M, rights[..., None, :, :])
-    legs = [(_members(left), _members(right)) for left, right in legs]
-    out = []
-    for i, X_i in enumerate(X.reshape((-1,) + X.shape[-3:])):
-        probed, col = [], 0
-        for left, right in legs:
-            vals = left[i] @ X_i[:, :, col:col + right.shape[2]]
-            col += right.shape[2]
-            probed.append((float(np.max(np.abs(vals))) if vals.size else 0.0,
-                           _threshold(base, left[i], right[i], norms[i])))
-        zeros = probed[:len(zero)]
-        agree = (all(w <= t for w, t in zeros) == vanishes
-                 and all(w > t for w, t in probed[len(zero):]))
-        out.append((agree, max(zeros)))
-    return out if lead else out[0]
+    one, A, norms = A.ndim == 2, _members(A), np.asarray(norms)
+    (T, n), P = A.shape[:2], PROBE_COUNT
+    M = ((2.0 * norms + 1.0)[:, None] * _probe_units())[:, :, None, None] * _eye(n)
+    M -= A[:, None]
+    legs = [(_members(left), _members(right)) for left, right in zero + shown]
+    # every point of a member solves against its right-hand sides: one 3-D
+    # stack of right-hand sides, which every numpy reads alike
+    rights = np.repeat(np.concatenate([right for _, right in legs], axis=-1), P, axis=0)
+    X = np.linalg.solve(M.reshape(T * P, n, n), rights).reshape(T, P, n, -1)
+    probed, col = [], 0
+    for left, right in legs:
+        vals = left[:, None] @ X[..., col:col + right.shape[2]]
+        col += right.shape[2]
+        worst = np.abs(vals.reshape(T, -1)).max(axis=1) if vals.size else np.zeros(T)
+        probed.append(zip(worst.tolist(), _threshold(base, left, right, norms).tolist()))
+    z = len(zero)  # each member's (value, threshold) pairs: its zero legs, then its shown ones
+    out = [(all(w <= t for w, t in legs[:z]) == vanishes and all(w > t for w, t in legs[z:]),
+            max(legs[:z])) for legs in zip(*probed)]
+    return out[0] if one else out
 
 
 def _normalize_witness(v: np.ndarray) -> np.ndarray:
@@ -325,12 +325,13 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
     candidate direction must not vanish along all of those legs.
 
     The subspaces come from one stacked staircase per side
-    (``structural._subspaces``).  The models whose subspace and candidate
-    dimensions agree share one stacked witness SVD, and those whose witness
-    counts then agree share one ``_probe``.  The stacks are built and split
-    by ``structural._stacked``, ``_hstacked`` and ``_take``, so every verdict
-    has the bits it has alone; one model is a stack of one, run on its own
-    matrices.
+    (``structural._subspaces``), and the QND candidates from one stacked
+    intersection with ``restrict_to`` (``structural._intersects``).  The
+    models whose subspace and candidate dimensions agree share one stacked
+    witness SVD, and those whose witness counts then agree share one
+    ``_probe``.  The stacks are built and split by ``structural._stacked``,
+    ``np.concatenate`` and ``_take``, so every verdict has the bits it has
+    alone; one model is a stack of one, run on its own matrices.
     """
     n = models[0].nstates
     ctrls = _subspaces(models, "in", noise_ports)
@@ -340,12 +341,9 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
     elif restrict_to is None:
         cands = obss
     else:
-        cands = [intersect(obs, restrict_to, INTERSECT_RTOL) for obs in obss]
+        cands = _intersects(obss, restrict_to, INTERSECT_RTOL)
     verdicts: list = [None] * len(models)
-    groups: dict = {}
-    for t, (ctrl, obs, cand) in enumerate(zip(ctrls, obss, cands)):
-        groups.setdefault((ctrl.dim, obs.dim, cand.dim), []).append(t)
-
+    groups = _groups((ctrl.dim, obs.dim, cand.dim) for ctrl, obs, cand in zip(ctrls, obss, cands))
     for (reached, seen, free), members in groups.items():
         dims = {"uncontrollable": n - reached,
                 **({"observable": seen} if goal == "QND" else {"unobservable": n - seen})}
@@ -355,23 +353,23 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
                                           dims={"witness": 0, **dims})
             continue
         A = _stacked([models[t].A for t in members])
-        norms = [models[t]._norm_A for t in members]
+        norms = np.array([models[t]._norm_A for t in members])
         B = _stacked([models[t].b(noise_ports) for t in members])
         C = _stacked([models[t].c(output) for t in members])
         parts = [B, A @ _stacked([ctrls[t].basis for t in members])]
         if goal == "DFS":
             parts += [C.swapaxes(-1, -2),
                       A.swapaxes(-1, -2) @ _stacked([obss[t].basis for t in members])]
-        drive = _hstacked(parts)
+        # each member has the layout of its one-model np.hstack
+        drive = np.concatenate(parts, axis=-1)
         cand = _stacked([cands[t].basis for t in members])
         # min(columns of drive, free) values per member; s[i][-1] is read
         # only without witnesses, where drive has at least free columns
         _, s, Vt = np.linalg.svd(drive.swapaxes(-1, -2) @ cand, full_matrices=True)
         s = s.reshape(len(members), -1)
-        cutoffs = [INTERSECT_RTOL * float(np.linalg.norm(d)) for d in _members(drive)]
-        counts = [int(np.count_nonzero(s_t > c)) for s_t, c in zip(s, cutoffs)]
-        for k in dict.fromkeys(counts):  # the members with k witnesses share one probe
-            part = [i for i, count in enumerate(counts) if count == k]
+        cutoffs = INTERSECT_RTOL * _frobenius(_members(drive))
+        counts = (s > cutoffs[:, None]).sum(axis=1)
+        for k, part in _groups(counts.tolist()).items():  # those with k witnesses share one probe
             A_k, B_k, C_k, cand_k, Vt_k = (_take(x, part) for x in (A, B, C, cand, Vt))
             W = cand_k @ Vt_k[..., k:, :].swapaxes(-1, -2)
             found = k < free
@@ -379,7 +377,7 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
             V = W if found else cand_k @ Vt_k[..., -1:, :].swapaxes(-1, -2)
             zero = [(V.swapaxes(-1, -2), B_k)] + ([(C_k, V)] if goal == "DFS" else [])
             shown = [(C_k, W[..., j:j + 1]) for j in range(free - k)] if goal == "QND" else []
-            probes = _probe(A_k, found, zero, shown, base, [norms[i] for i in part])
+            probes = _probe(A_k, found, zero, shown, base, norms[part])
             for i, W_i, (agree, (worst, tol)) in zip(part, _members(W),
                                                      probes if W.ndim == 3 else [probes]):
                 verdicts[members[i]] = GoalVerdict(

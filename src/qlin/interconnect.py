@@ -6,7 +6,10 @@ differ only in that realization and in its field outputs (type 1:
 ``"Wout"``; type 2: ``"W1out"``, ``"W2out"``).  The controller displaces
 the input fields, so its input map is ``E = D_W^T``, the transpose of the
 open loop's feedthrough ``D_W`` onto those field outputs: that feedthrough
-is orthogonal, so ``D_W E = I``.  Both coherent loops are one SLH series
+is orthogonal, so ``D_W E = I``.  One function,
+``_classical_feedback``, assembles the open and closed loops of stacks of
+controllers and splits with the bits of one loop each; ``mf_type1`` and
+``mf_type2`` are a stack of one.  Both coherent loops are one SLH series
 product of field stages over the joint plant/controller state, and the
 only algebraic loop in scope (ideal direct feedback, ``tau = 0``) is
 eliminated in closed form.
@@ -166,13 +169,17 @@ def _split_widths(plant: QuantumLinearSystem, scheme: str) -> tuple[int, ...]:
     raise ValidationError(f"unknown scheme {scheme!r}; expected 'mf1' or 'mf2'")
 
 
-def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
-                        C_K: Optional[np.ndarray], fields) -> StateSpaceModel:
-    """Close a classical controller around the measured port ``"y"``.
+def _classical_feedback(plant: QuantumLinearSystem, scheme: str, A_K: np.ndarray,
+                        B_K: np.ndarray, gains: list, *splits) -> list[StateSpaceModel]:
+    """Close a classical controller around the measured port ``"y"`` of each
+    open loop of a stack: the measurement-feedback loops of ``scheme``.
 
-    With ``y = C_y x + D_y w`` the controller obeys
-    ``dx_K/dt = A_K x_K + B_K y``, and its output ``u = C_K x_K`` displaces
-    the input fields whose outputs are the ports ``fields``.  With ``D_W``
+    The controllers are the stacks ``A_K``, ``B_K`` and one stack per gain of
+    ``_GAINS[scheme]``; the open loops are those of one ``(M1, M2)`` pair of
+    stacks per split the scheme takes (``_split_widths``).  With
+    ``y = C_y x + D_y w`` the controller obeys ``dx_K/dt = A_K x_K + B_K y``,
+    and its output ``u = C_K x_K`` displaces the input fields whose outputs
+    are the field ports (``"Wout"``; ``"W1out"``, ``"W2out"``).  With ``D_W``
     the open loop's feedthrough onto those ports (orthogonal rows, so
     ``D_W D_W^T = I``), the map of ``u`` onto the input columns is
     ``E = D_W^T``.  The extended state is ``[x; x_K]``::
@@ -180,28 +187,36 @@ def _classical_feedback(open_loop: StateSpaceModel, ctrl: ClassicalController,
         A = [[A, B E C_K], [B_K C_y, A_K + B_K D_y E C_K]]
         B = [B; B_K D_y],  C = [C, D E C_K],  D = D
 
-    and the ports are those of the open loop.  A controller without states
-    may leave ``B_K`` and ``C_K`` empty.
+    and the ports are those of the open loop.  Each product is made per
+    member with the memory layout of one loop, so each loop has the bits
+    it has alone.  A controller without states may leave ``B_K`` and the
+    gains empty.
     """
-    y = open_loop.outputs.slice("y")
+    inputs, outputs, open_loop = (plant._split_stacks(*splits[0]) if scheme == "mf1"
+                                  else _mf2_stacks(plant, splits[0][0], *splits[1]))
+    B, C, D = open_loop["B"], open_loop["C"], open_loop["D"]
+    y = outputs.slice("y")
+    fields = outputs._select("Wout" if scheme == "mf1" else ["W1out", "W2out"])
     # a contiguous copy: the layout of E fixes the rounding of E @ C_K
-    E = np.ascontiguousarray(open_loop.D[open_loop.outputs._select(fields)].T)
-    k, ny, nu = ctrl.dim, y.stop - y.start, E.shape[1]
-    if k and ctrl.B_K.shape[1] != ny:
+    E = np.ascontiguousarray(D[:, fields].swapaxes(1, 2))
+    T, n, k, ny, nu = len(A_K), B.shape[1], A_K.shape[-1], y.stop - y.start, E.shape[2]
+    # C_K1 drives the raw feedback fields; C_K2 drives W2 = M1e^T Q2 + M2e^T P2
+    C_K = (np.concatenate(gains, axis=1) if len(gains) > 1 else gains[0]) if k else None
+    if k and B_K.shape[-1] != ny:
         raise ShapeError(f"B_K must have {ny} columns (one per measured signal)")
-    if k and C_K.shape[0] != nu:
-        raise ShapeError(f"controller output must have {nu} rows, got {C_K.shape[0]}")
-    B_K = ctrl.B_K.reshape(k, ny)
-    EC = E @ (C_K if k else np.zeros((nu, 0)))
-    A, B, C, D = open_loop.A, open_loop.B, open_loop.C, open_loop.D
-    n = A.shape[0]
-    Ae = np.empty((n + k, n + k))
-    Ae[:n, :n] = A
-    Ae[:n, n:] = B @ EC
-    Ae[n:, :n] = B_K @ C[y]
-    Ae[n:, n:] = ctrl.A_K + B_K @ D[y] @ EC
-    return StateSpaceModel._derive(open_loop, A=Ae, B=np.vstack([B, B_K @ D[y]]),
-                                   C=np.hstack([C, D @ EC]))
+    if k and C_K.shape[-2] != nu:
+        raise ShapeError(f"controller output must have {nu} rows, got {C_K.shape[-2]}")
+    B_K = B_K.reshape(T, k, ny)
+    EC = E @ (C_K if k else np.zeros((T, nu, 0)))
+    BK_Dy = B_K @ D[:, y]
+    A = np.empty((T, n + k, n + k))
+    A[:, :n, :n] = plant.A
+    A[:, :n, n:] = B @ EC
+    A[:, n:, :n] = B_K @ C[:, y]
+    A[:, n:, n:] = A_K + BK_Dy @ EC
+    return StateSpaceModel._derive_each(plant, inputs, outputs, {
+        "A": A, "B": np.concatenate([B, BK_Dy], axis=1),
+        "C": np.concatenate([C, D @ EC], axis=2), "D": D})
 
 
 def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -216,15 +231,16 @@ def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
     """
     if ctrl.dim and ctrl.C_K is None:
         raise ValidationError("type-1 controller needs C_K")
-    return _classical_feedback(plant.to_state_space(split), ctrl, ctrl.C_K, "Wout")
+    gains = [ctrl.C_K[None]] if ctrl.dim else []
+    return _classical_feedback(plant, "mf1", ctrl.A_K[None], ctrl.B_K[None], gains,
+                               (split.M1[None], split.M2[None]))[0]
 
 
 def _mf2_parts(plant: QuantumLinearSystem):
     """The parts of the plant's type-2 open loop that no split changes, built
     once per plant and kept read-only in its memo: the group widths
     ``m1``/``m2``, the feedback and evaluation columns of ``B`` and rows of
-    ``C``, the sealed port registries, and the feedthrough with its fixed
-    identity blocks in place (the split blocks are zero)."""
+    ``C``, and the sealed port registries."""
     memo = plant._memo
     if "mf2" not in memo:
         fb, ev = plant.role_partition()
@@ -234,13 +250,38 @@ def _mf2_parts(plant: QuantumLinearSystem):
         B1, B2 = plant.B[:, fb_rows], plant.B[:, ev_rows]
         inputs, outputs, _ = _layout("mf2", tuple(plant.channels[i].label for i in fb + ev),
                                      plant.force is not None, m1)
-        D = np.zeros((3 * (m1 + m2), inputs.total))
-        D[m1:m1 + m2, 2 * m1:2 * m1 + m2] = np.eye(m2)
-        D[m1 + m2:m1 + m2 + 2 * m1, :2 * m1] = np.eye(2 * m1)
-        for arr in (C1, C2, B1, B2, D):
+        for arr in (C1, C2, B1, B2):
             arr.setflags(write=False)
-        memo["mf2"] = (m1, m2, B1, B2, C1, C2, inputs, outputs, D)
+        memo["mf2"] = (m1, m2, B1, B2, C1, C2, inputs, outputs)
     return memo["mf2"]
+
+
+def _mf2_stacks(plant: QuantumLinearSystem, M: np.ndarray, M1e: np.ndarray, M2e: np.ndarray):
+    """The ports and the stacks ``B``, ``C``, ``D`` of the type-2 open loops
+    of the stacks of feedback selectors ``M`` and evaluation splits
+    ``M1e``/``M2e`` (C-ordered members), each product made per member as
+    for one pair of splits; the drift is the plant's own."""
+    m1, m2, B1, B2, C1, C2, inputs, outputs = _mf2_parts(plant)
+    if M.shape[1] != m1 or M1e.shape[1] != m2:
+        raise ShapeError("measurement splits do not match the channel partition")
+    T, n, e = len(M), plant.A.shape[0], 2 * m1  # e: the first evaluation input
+    # column-major members, as the columns of B that pick the groups are
+    B = np.empty((T, inputs.total, n)).swapaxes(1, 2)
+    B[:, :, :e] = B1
+    B[:, :, e:e + m2] = B2 @ M1e.swapaxes(1, 2)
+    B[:, :, e + m2:e + 2 * m2] = B2 @ M2e.swapaxes(1, 2)
+    if plant.force is not None:
+        B[:, :, -1] = plant.force
+    C = np.empty((T, outputs.total, n))
+    C[:, :m1] = M @ C1
+    C[:, m1:m1 + m2] = M1e @ C2
+    C[:, m1 + m2:] = np.concatenate([C1, C2])
+    D = np.zeros((T, outputs.total, inputs.total))
+    D[:, :m1, :e] = M
+    D[:, m1:m1 + m2, e:e + m2] = np.eye(m2)  # z carries the measured evaluation noise
+    D[:, m1 + m2:m1 + m2 + e, :e] = np.eye(e)
+    D[:, m1 + m2 + e:, e:e + 2 * m2] = np.concatenate([M1e, M2e], axis=1).swapaxes(1, 2)
+    return inputs, outputs, {"B": B, "C": C, "D": D}
 
 
 def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
@@ -252,22 +293,8 @@ def mf_type2_open_loop(plant: QuantumLinearSystem, fb_split: MeasurementSplit,
     feedback signal ``y = M W1_out`` (fb_split), the evaluation signal
     ``z = M1 W2_out`` (eval_split) and the fields ``W1out``/``W2out``.
     """
-    m1, m2, B1, B2, C1, C2, inputs, outputs, D = _mf2_parts(plant)
-    if fb_split.m != m1 or eval_split.m != m2:
-        raise ShapeError("measurement splits do not match the channel partition")
-    M = fb_split.M1
-    M1e, M2e = eval_split.M1, eval_split.M2
-
-    cols = [B1, B2 @ M1e.T, B2 @ M2e.T]
-    if plant.force is not None:
-        cols.append(plant.force.reshape(-1, 1))
-    C = np.vstack([M @ C1, M1e @ C2, C1, C2])
-    D = D.copy()
-    D[:m1, :2 * m1] = M
-    D[m1 + m2 + 2 * m1:, 2 * m1:2 * m1 + m2] = M1e.T
-    D[m1 + m2 + 2 * m1:, 2 * m1 + m2:2 * m1 + 2 * m2] = M2e.T
-    return StateSpaceModel._derive(plant, B=np.hstack(cols), C=C, D=D, inputs=inputs,
-                                   outputs=outputs)
+    return StateSpaceModel._derive_each(plant, *_mf2_stacks(
+        plant, fb_split.M1[None], eval_split.M1[None], eval_split.M2[None]))[0]
 
 
 def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -280,15 +307,15 @@ def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,
     the evaluation modulation is not modeled; it changes no structural
     verdict.
     """
-    open_loop = mf_type2_open_loop(plant, fb_split, eval_split)
-    C_K = None
+    gains = []
     if ctrl.dim:
         if ctrl.C_K1 is None or ctrl.C_K2 is None:
             raise ValidationError("type-2 controller needs C_K1 and C_K2")
-        C_K = np.vstack([_as_matrix("C_K1", ctrl.C_K1, rows=2 * fb_split.m),
-                         _as_matrix("C_K2", ctrl.C_K2, rows=2 * eval_split.m)])
-    # C_K1 drives the raw feedback fields; C_K2 drives W2 = M1e^T Q2 + M2e^T P2
-    return _classical_feedback(open_loop, ctrl, C_K, ["W1out", "W2out"])
+        gains = [_as_matrix("C_K1", ctrl.C_K1, rows=2 * fb_split.m)[None],
+                 _as_matrix("C_K2", ctrl.C_K2, rows=2 * eval_split.m)[None]]
+    return _classical_feedback(plant, "mf2", ctrl.A_K[None], ctrl.B_K[None], gains,
+                               (fb_split.M1[None], fb_split.M2[None]),
+                               (eval_split.M1[None], eval_split.M2[None]))[0]
 
 
 def _series(plant: QuantumLinearSystem, qctrl: QuantumController, channels,

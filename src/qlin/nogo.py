@@ -2,20 +2,25 @@
 
 For a plant that lacks a goal (BAE, QND, or DFS), no sampled classical
 controller may produce a closed loop that achieves it.  The harness samples
-stabilized controllers and random homodyne selectors, rebuilds the loop per
-trial, and counts violations (expected: zero).  A trial's splits and gain
-shapes follow ``interconnect._split_widths``, and ``mf_type1``/``mf_type2``
-read the controller's input map from the open loop.
+stabilized controllers and random homodyne selectors, builds each trial's
+loop, and counts violations (expected: zero).  A trial's splits and gain
+shapes follow ``interconnect._split_widths``, and the loop assembly
+(``interconnect._classical_feedback``) reads the controller's input map
+from the open loop.
 
 Draws come first: each trial's stream gives the Gaussian matrix of each of
-its splits, then its controller, in that order.  The splits of one width
-are then built from all trials' draws as one stack (one QR, one phase fix,
-one realification) and checked as one stack against the split identities
-(``MeasurementSplit._stack``).  :func:`random_orthosymplectic` and
-:func:`random_split` are the same build on a stack of one.  Every trial's
-loop is then assembled, and the loops of one state dimension are judged
-together: one stacked staircase per side, and for QND/DFS one stacked
-witness SVD and one probe (``goals._verdict``).
+its splits, then its controller's dimension and matrices, in that order.
+The splits of one width are then built from all trials' draws as one stack
+(one QR, one phase fix, one realification) and checked as one stack
+against the split identities (``MeasurementSplit._stack``).  The trials of
+one controller dimension, so of one loop dimension, are then one stack:
+one stacked ``eigvals`` shifts their controllers stable (it consumes no
+random numbers, so it may follow the draws), one stacked assembly builds
+their open and closed loops, and one ``_judge`` judges them (one stacked
+staircase per side, and for QND/DFS one stacked intersection, witness SVD
+and probe in ``goals._verdict``).  :func:`random_orthosymplectic`,
+:func:`random_split` and :func:`sample_classical_controller` are the same
+builds on a stack of one.
 
 One table names the noise ports and judged outputs of the six (scheme, goal)
 combinations.  Type-2 BAE (Theorem 4) is one joint zero transfer to the
@@ -41,9 +46,9 @@ from .core import (
     homodyne_split,
 )
 from .goals import GoalVerdict, _verdict, check_bae, checked_base
-from .interconnect import (_GAINS, ClassicalController, _split_widths, mf_type1, mf_type2,
+from .interconnect import (_GAINS, ClassicalController, _classical_feedback, _split_widths,
                            mf_type2_open_loop)
-from .structural import Subspace, _subspaces
+from .structural import Subspace, _eye, _groups, _subspaces
 
 __all__ = [
     "NogoReport",
@@ -170,17 +175,32 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
     Markov magnitudes); gain matrices are i.i.d. normal scaled by
     ``1/sqrt(dim)``.
     """
-    k = int(rng.choice(np.asarray(controller_dim_range, dtype=int)))
+    k, (A_K, B_K, *gains) = _draw(rng, _split_widths(plant, scheme),
+                                  np.asarray(controller_dim_range, dtype=int))
+    return ClassicalController._fresh(_stabilized(A_K[None])[0], B_K,
+                                      **dict(zip(_GAINS[scheme], gains)))
+
+
+def _draw(rng: np.random.Generator, widths: Sequence[int], dims) -> tuple:
+    """One controller's draws from ``rng``, in stream order: its dimension
+    ``k``, and the list of ``A_K`` before its shift, ``B_K`` and one gain
+    per split width, each scaled by ``1/sqrt(k)``."""
+    # the draw of rng.choice(dims), without its argument checks
+    k = int(dims[rng.integers(0, len(dims), dtype=np.int64)])
     scale = 1.0 / np.sqrt(max(k, 1))
-    A_K = rng.normal(size=(k, k)) * scale
-    if k:
-        shift = np.max(np.linalg.eigvals(A_K).real) + 0.5
-        A_K = A_K - shift * np.eye(k)
-    widths = _split_widths(plant, scheme)
-    B_K = rng.normal(size=(k, widths[0])) * scale
-    return ClassicalController._fresh(A_K, B_K, **{
-        name: rng.normal(size=(2 * width, k)) * scale
-        for name, width in zip(_GAINS[scheme], widths)})
+    shapes = [(k, k), (k, widths[0])] + [(2 * width, k) for width in widths]
+    return k, [rng.normal(size=shape) * scale for shape in shapes]
+
+
+def _stabilized(A_K: np.ndarray) -> np.ndarray:
+    """The stack ``A_K`` (shape ``(T, k, k)``), each member shifted by its
+    largest eigenvalue real part plus 1/2, from one stacked ``eigvals``; the
+    shift consumes no random numbers, so it may follow later draws."""
+    k = A_K.shape[-1]
+    if not k:
+        return A_K
+    shift = np.linalg.eigvals(A_K).real.max(axis=1) + 0.5
+    return A_K - shift[:, None, None] * _eye(k)
 
 
 def _judge(models: Sequence[StateSpaceModel], goal: str, scheme: str,
@@ -237,10 +257,13 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         counter-based generator, so reports are reproducible and trials
         independent.  Every trial draws first (its splits' Gaussian
         matrices, then its controller); the splits of each width are then
-        built and checked as one stack.  Next every trial's loop is
-        assembled; the loops are judged once per state dimension (QND/DFS
-        as one stacked verdict, BAE per loop after one stacked staircase
-        per side), and the report is tallied in trial order.
+        built and checked as one stack.  Next the trials of each
+        controller dimension are one stack: their controllers are shifted
+        stable and their loops assembled and judged together (QND/DFS as
+        one stacked verdict, BAE per loop after one stacked staircase per
+        side), and the report is tallied in trial order.  The plant's own
+        verdict under the canonical splits is judged once per goal, scheme
+        and base and kept in the plant's memo.
     controller_dim_range : sequence of int, optional
         Controller state dimensions to sample (default 0 .. 2n+2); a
         nonempty sequence of nonnegative integers, checked before any draw.
@@ -264,53 +287,50 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         controller_dim_range = _dim_range(controller_dim_range)
 
     widths = _split_widths(plant, scheme)
-    canonical = [homodyne_split(width, "P") for width in widths]
-    pre = _judge([_open_loop(plant, scheme, canonical)], goal, scheme, None, base)[0]
-    if pre.achieved:
+    # the plant's own verdict under the canonical splits depends on the
+    # immutable plant only, so it is judged once per (goal, scheme, base)
+    key = ("nogo", goal, scheme, base)
+    if key not in plant._memo:
+        bare = _open_loop(plant, scheme, [homodyne_split(width, "P") for width in widths])
+        plant._memo[key] = _judge([bare], goal, scheme, None, base)[0]
+    if plant._memo[key].achieved:
         raise ValidationError(
             f"plant already achieves {goal.upper()} standalone; the no-go "
             "hypothesis is unmet")
 
-    violations = 0
-    disagreements = 0
-    near = 0
-    skips = 0
+    violations = disagreements = near = skips = 0
     worst_gap = float("inf")
-    assemble = mf_type1 if scheme == "mf1" else mf_type2
     draws = [np.empty((trials, width, width), dtype=complex) for width in widths]
-    ctrls = []
+    dims, ctrls = np.asarray(controller_dim_range, dtype=int), []
     for t, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.Generator(np.random.Philox(ss))
         for Z, width in zip(draws, widths):
             Z[t] = _gaussian(rng, width)
-        ctrls.append(sample_classical_controller(rng, plant, scheme, controller_dim_range))
-    stacks = [MeasurementSplit._stack(width, _orthosymplectic(Z))
-              for width, Z in zip(widths, draws)]
-    loops = [assemble(plant, ctrl, *splits) for ctrl, *splits in zip(ctrls, *stacks)]
-    groups: dict[int, list[int]] = {}
-    for t, loop in enumerate(loops):
-        groups.setdefault(loop.nstates, []).append(t)
+        ctrls.append(_draw(rng, widths, dims))
+    Os = [_orthosymplectic(Z) for Z in draws]
+    stacks = [MeasurementSplit._stack(width, O) for width, O in zip(widths, Os)]
     verdicts: list = [None] * trials
-    for n, members in groups.items():
-        judged = _judge([loops[t] for t in members], goal, scheme, _plant_block(n, plant.n), base)
+    for k, members in _groups(ctrl[0] for ctrl in ctrls).items():
+        # the loops of one controller dimension, so of one state dimension
+        A_K, B_K, *gains = (np.array(draw) for draw in zip(*(ctrls[t][1] for t in members)))
+        loops = _classical_feedback(plant, scheme, _stabilized(A_K), B_K, gains,
+                                    *((np.ascontiguousarray(O[members, 0::2]),
+                                       np.ascontiguousarray(O[members, 1::2])) for O in Os))
+        judged = _judge(loops, goal, scheme, _plant_block(loops[0].nstates, plant.n), base)
         for t, verdict in zip(members, judged):
             verdicts[t] = verdict
     for closed, *splits in zip(verdicts, *stacks):
-        if not closed.method_agreement:
-            disagreements += 1
+        disagreements += not closed.method_agreement
         if closed.achieved:
             # the theorem only forbids this when the plant fails under the
             # same measurement choice
             bare = _open_loop(plant, scheme, splits)
             plant_v = _judge([bare], goal, scheme, _plant_block(bare.nstates, plant.n), base)[0]
-            if plant_v.achieved:
-                skips += 1
-                continue
-            violations += 1
+            skips += plant_v.achieved
+            violations += not plant_v.achieved
             continue
         worst_gap = min(worst_gap, closed.residual)
-        if closed.tolerance > 0 and closed.residual < 10.0 * closed.tolerance:
-            near += 1
+        near += closed.tolerance > 0 and closed.residual < 10.0 * closed.tolerance
 
     return NogoReport(
         theorem=THEOREM_INDEX[(scheme, goal)],

@@ -166,16 +166,40 @@ def complement(s: Subspace) -> Subspace:
 
 def intersect(a: Subspace, b: Subspace, rtol: Optional[float] = None) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ShapeError(
-            f"ambient mismatch: {a.ambient_dim} vs {b.ambient_dim}")
-    if a.dim == 0 or b.dim == 0:
-        return _empty(a.ambient_dim)
-    # x = Qa alpha = Qb beta  <=>  [Qa, -Qb] [alpha; beta] = 0
-    null = kernel(np.hstack([a.basis, -b.basis]), rtol=rtol).basis
-    if null.shape[1] == 0:
-        return _empty(a.ambient_dim)
-    return span_of(a.basis @ null[:a.dim, :], ambient_dim=a.ambient_dim, rtol=rtol)
+    return _intersects([a], b, rtol)[0]
+
+
+def _intersects(subs: Sequence[Subspace], b: Subspace,
+                rtol: Optional[float] = None) -> list[Subspace]:
+    """:func:`intersect` of each of ``subs`` with ``b``.  The subspaces of one
+    dimension make one stacked kernel SVD of ``[Q, -Q_b]``, and those of one
+    kernel dimension then one stacked span SVD; each member has the bits it
+    has alone (the stacked SVDs make the one-pair LAPACK call per member, and
+    each product keeps its one-pair layout)."""
+    n = b.ambient_dim
+    if (bad := next((a.ambient_dim for a in subs if a.ambient_dim != n), None)) is not None:
+        raise ShapeError(f"ambient mismatch: {bad} vs {n}")
+    out = [_empty(n)] * len(subs)
+    for d, members in _groups(a.dim if b.dim else 0 for a in subs).items():
+        if d == 0:
+            continue
+        # x = Qa alpha = Qb beta  <=>  [Qa, -Qb] [alpha; beta] = 0
+        Q = _members(_stacked([subs[t].basis for t in members]))
+        pair = np.empty((len(Q), n, d + b.dim))
+        pair[:, :, :d], pair[:, :, d:] = Q, -b.basis
+        _, s, Vt = np.linalg.svd(pair, full_matrices=True)
+        ranks = (s > (max(n, d + b.dim) * _EPS if rtol is None else rtol) * s[:, :1]).sum(1)
+        for r, part in _groups(ranks.tolist()).items():
+            if r == d + b.dim:  # no kernel
+                continue
+            # the kernel basis Vt[r:]^T, column-major as the one-pair copy is
+            span = _take(Q, part) @ _take(Vt, part)[:, r:, :d].swapaxes(1, 2)
+            U, sv, _ = np.linalg.svd(span, full_matrices=False)
+            dims = (sv > (max(span.shape[1:]) * _EPS if rtol is None else rtol) * sv[:, :1]).sum(1)
+            for dim, same in _groups(dims.tolist()).items():
+                for i, meet in zip(same, Subspace._stack(n, U[same][:, :, :dim])):
+                    out[members[part[i]]] = meet
+    return out
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
@@ -271,10 +295,13 @@ def _members(stack: np.ndarray) -> np.ndarray:
     return stack if stack.ndim == 3 else stack[None]
 
 
-def _hstacked(parts: Sequence[np.ndarray]) -> np.ndarray:
-    """``np.hstack`` of stacks of the same depth, member by member: each
-    member has the layout of its one-model ``np.hstack`` (:func:`_stacked`)."""
-    return _stacked([np.hstack(member) for member in zip(*map(_members, parts))])
+def _groups(keys) -> dict:
+    """The positions of equal keys, in order of first appearance:
+    ``{key: [i, ...]}``."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
 
 
 def _take(stack: np.ndarray, part: Sequence[int]) -> np.ndarray:
@@ -315,8 +342,7 @@ def _staircase(A: np.ndarray, B: np.ndarray, cutoff: Sequence[float]) -> list[Su
                 counts = ([int(np.count_nonzero(above))] if above.ndim == 1
                           else above.sum(1).tolist())
             if counts.count(counts[0]) < len(counts):  # the members part: each goes on apart
-                for c in set(counts):
-                    part = [i for i, c_i in enumerate(counts) if c_i == c]
+                for part in _groups(counts).values():
                     todo.append(([members[i] for i in part], _take(A, part), _take(Q, part),
                                  _take(block, part), cut[part], hi))
                 break

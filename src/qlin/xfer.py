@@ -228,7 +228,10 @@ def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
         If (sI - A) restricted to the signal path has condition number
         above 1e12; the message names the offending eigenvalue.
     """
-    return _response(tf.realization, tf.output_port, tf.input_port, _finite(np.array([s])))[0]
+    points = _finite(np.array([s]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _response(tf.realization, tf.output_port, tf.input_port, points)
+    return _checked(out, "response", "s", points)[0]
 
 
 def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndarray:
@@ -240,8 +243,22 @@ def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndar
     one of :func:`evaluate`, with the exact SVD kept for points that the
     Frobenius-norm bound cannot clear.
     """
-    points = 1j * _finite(np.asarray(omegas, dtype=float).reshape(-1))
-    return _response(tf.realization, tf.output_port, tf.input_port, points)
+    om = _finite(np.asarray(omegas, dtype=float).reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _response(tf.realization, tf.output_port, tf.input_port, 1j * om)
+    return _checked(out, "response", "omega", om)
+
+
+def _checked(values: np.ndarray, what: str, name: str, at: np.ndarray) -> np.ndarray:
+    """``values``, one entry or block per point of ``at``, or a
+    ``ValidationError`` naming ``what``, the first point ``name=at[k]`` whose
+    block is not finite and its first such entry."""
+    if _all_finite(values):
+        return values
+    flat = values.reshape(len(at), -1)
+    k, j = np.argwhere(~np.isfinite(flat))[0]
+    raise ValidationError(f"{what} is not finite at {name}={at[k].item()!r} "
+                          f"({flat[k, j].item()!r}): the response is too large to evaluate")
 
 
 def _finite(points: np.ndarray) -> np.ndarray:
@@ -334,10 +351,7 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
     with np.errstate(over="ignore", invalid="ignore"):
         row = _response(model, signal_output, None, points)
         power = np.add.reduce(np.abs(row[:, 0]) ** 2 * var, axis=-1)
-    if not _all_finite(power):
-        k = int(np.flatnonzero(~np.isfinite(power))[0])
-        raise ValidationError(f"noise power is not finite at omega={float(om.flat[k])!r} "
-                              f"({float(power[k])!r}): the response is too large to evaluate")
+    power = _checked(power, "noise power", "omega", om.reshape(-1))
     return float(power[0]) if om.ndim == 0 else power.reshape(om.shape)
 
 

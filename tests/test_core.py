@@ -341,6 +341,37 @@ def test_overflowing_symmetrisation_is_rejected():
 
 
 @pytest.mark.filterwarnings("error")
+def test_symmetry_test_of_large_hamiltonians_does_not_overflow():
+    # |G - G^T|_F and |G|_F square entries of 1e200, which overflow; the
+    # overflow-safe norm rescales them, so an antisymmetric G is rejected
+    # rather than symmetrised to zero, and nothing warns
+    with pytest.raises(ValidationError, match="not symmetric within tolerance"):
+        build_system([[0, 1e200], [-1e200, 0]], np.zeros((0, 2)))
+    G = [[1e200, 3e199], [3e199, 1e200]]
+    assert np.array_equal(build_system(G, np.zeros((0, 2))).G, G)
+    tilted = np.array(G)
+    tilted[0, 1] *= 1.0 + 2.0 ** -52  # asymmetric within rounding: symmetrised
+    assert build_system(tilted, np.zeros((0, 2))).G[0, 1] == np.mean([tilted[0, 1], 3e199])
+
+
+def test_overflow_safe_norm_keeps_the_bits_of_np_linalg_norm():
+    from qlin.core import _frobenius
+
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        x = rng.normal(size=tuple(rng.integers(0, 7, 2))) * 10.0 ** rng.integers(-30, 30)
+        for y in (x, x.T, np.asfortranarray(x), x[:, :1], x[::2]):
+            assert _frobenius(y) == np.linalg.norm(y)
+        stack = np.array([x, 2.0 * x, -x])
+        assert _frobenius(stack).tolist() == [np.linalg.norm(m) for m in stack]
+        assert _frobenius(stack.swapaxes(1, 2)).tolist() == [np.linalg.norm(m.T) for m in stack]
+    # out of range, the rescaled norm: no overflow to inf, no underflow to 0
+    assert _frobenius(np.array([[3e200, 4e200]])) == pytest.approx(5e200, rel=1e-15)
+    assert _frobenius(np.array([[3e-200], [4e-200]])) == pytest.approx(5e-200, rel=1e-15)
+    assert _frobenius(np.zeros((2, 2))) == 0.0 and np.isnan(_frobenius(np.array([[np.nan]])))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("G", [
     [[1e308, 0], [0, 1]], [[-1e308, 0], [0, 1]], [[1, 1e308], [1e308, 1]],
     [[1, -1e308], [-1e308, 1]], [[0, 1e308], [-1e308, 0]],

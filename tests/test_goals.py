@@ -474,3 +474,24 @@ def test_candidate_spaces_wider_than_the_drive_keep_their_verdicts():
     for v, model in zip(goals._verdict("QND", models, "W", "Y", None, 1e-9), models):
         assert same_verdict(v, find_qnd(wide_model(model.A, model.B, model.C), "W", "Y"))
     assert not find_qnd(tall, "W", "Y").achieved
+
+
+def test_stacked_restricted_verdicts_equal_one_at_a_time():
+    # QND restricted to a block intersects each observable subspace with it
+    # once per group of equal observable dimensions: observable dimensions 3
+    # and 1 side by side, an empty intersection (span(e3) with span(e1, e2)),
+    # and a drive [B, A Q] of 2 columns beside a candidate space of 3
+    shift = np.eye(3, k=1)
+    models = [wide_model(shift, np.eye(3)[:, :1], np.eye(3)[:1]),
+              wide_model(shift, np.eye(3)[:, 2:], np.eye(3)[:1]),
+              wide_model(shift, np.eye(3)[:, :1], np.eye(3)[2:]),
+              wide_model(2.0 * shift, np.eye(3)[:, :1], np.eye(3)[:1]),
+              wide_model(shift, np.eye(3)[:, 1:2], np.eye(3)[2:])]
+    seen = set()
+    for restrict in (Subspace(3, np.eye(3)), Subspace(3, np.eye(3)[:, :2])):
+        fresh = [wide_model(m.A, m.B, m.C) for m in models]
+        for v, model in zip(goals._verdict("QND", fresh, "W", "Y", restrict, 1e-9), models):
+            one = find_qnd(wide_model(model.A, model.B, model.C), "W", "Y", restrict_to=restrict)
+            assert same_verdict(v, one)
+            seen.add((v.dims["observable"], v.dims["witness"], v.achieved))
+    assert {(3, 2, True), (1, 0, False), (3, 0, False)} <= seen

@@ -414,3 +414,73 @@ def test_direct_mf_small_tau_bound():
 def test_direct_mf_rejects_negative_tau():
     with pytest.raises(ValidationError):
         direct_mf(1.0, -0.1)
+
+
+def _one_loop(plant, scheme, A_K, B_K, gains, *splits):
+    """(A, B, C, D) of one measurement-feedback loop, built as one loop is:
+    the open loop by ``np.hstack``/``np.vstack`` of its blocks, then the
+    closed-loop blocks; a stacked assembly must give these bits and layouts."""
+    rows = lambda group: np.array([r for j in group for r in (2 * j, 2 * j + 1)])  # noqa: E731
+    force = [] if plant.force is None else [plant.force.reshape(-1, 1)]
+    if scheme == "mf1":
+        (M1, M2), = splits
+        m = plant.m
+        B = np.hstack([plant.B @ M1.T, plant.B @ M2.T] + force)
+        C = np.vstack([M1 @ plant.C, M2 @ plant.C, plant.C])
+        D = np.zeros((4 * m, B.shape[1]))
+        D[:2 * m, :2 * m] = np.eye(2 * m)
+        D[2 * m:, :m], D[2 * m:, m:2 * m] = M1.T, M2.T
+        ny, fields, C_K = m, slice(2 * m, 4 * m), gains[0] if gains else None
+    else:
+        (M, _), (M1e, M2e) = splits
+        fb, ev = plant.role_partition()
+        m1, m2 = len(fb), len(ev)
+        B1, B2 = plant.B[:, rows(fb)], plant.B[:, rows(ev)]
+        C1, C2 = plant.C[rows(fb), :], plant.C[rows(ev), :]
+        B = np.hstack([B1, B2 @ M1e.T, B2 @ M2e.T] + force)
+        C = np.vstack([M @ C1, M1e @ C2, C1, C2])
+        D = np.zeros((3 * (m1 + m2), B.shape[1]))
+        D[:m1, :2 * m1] = M
+        D[m1:m1 + m2, 2 * m1:2 * m1 + m2] = np.eye(m2)
+        D[m1 + m2:3 * m1 + m2, :2 * m1] = np.eye(2 * m1)
+        D[3 * m1 + m2:, 2 * m1:2 * m1 + m2], D[3 * m1 + m2:, 2 * m1 + m2:2 * m1 + 2 * m2] = \
+            M1e.T, M2e.T
+        ny, fields, C_K = m1, slice(m1 + m2, 3 * (m1 + m2)), np.vstack(gains) if gains else None
+    E = np.ascontiguousarray(D[fields].T)
+    n, k = plant.A.shape[0], A_K.shape[0]
+    EC = E @ (C_K if k else np.zeros((E.shape[1], 0)))
+    A = np.empty((n + k, n + k))
+    A[:n, :n], A[:n, n:] = plant.A, B @ EC
+    A[n:, :n], A[n:, n:] = B_K @ C[:ny], A_K + B_K @ D[:ny] @ EC
+    return A, np.vstack([B, B_K @ D[:ny]]), np.hstack([C, D @ EC]), D
+
+
+def test_stacked_loops_equal_one_at_a_time():
+    # the loops of stacks of controllers and splits, and the public one-loop
+    # assembly, have the bits and memory layouts of loops built one at a time
+    from qlin.interconnect import _GAINS, _classical_feedback, _split_widths
+
+    rng = np.random.default_rng(41)
+    for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf1"),
+                          (sc.michelson(), "mf2")):
+        widths = _split_widths(plant, scheme)
+        for k in (0, 1, 3):
+            ctrls = [sample_classical_controller(rng, plant, scheme, [k]) for _ in range(4)]
+            splits = [[random_split(rng, width) for width in widths] for _ in ctrls]
+            gains = [np.array([getattr(c, name) for c in ctrls]) for name in _GAINS[scheme]]
+            loops = _classical_feedback(
+                plant, scheme, np.array([c.A_K for c in ctrls]), np.array([c.B_K for c in ctrls]),
+                gains if k else [], *((np.array([s[i].M1 for s in splits]),
+                                      np.array([s[i].M2 for s in splits]))
+                                     for i in range(len(widths))))
+            for ctrl, split, loop in zip(ctrls, splits, loops):
+                one = (mf_type1 if scheme == "mf1" else mf_type2)(plant, ctrl, *split)
+                want = _one_loop(plant, scheme, ctrl.A_K, ctrl.B_K,
+                                 [getattr(ctrl, name) for name in _GAINS[scheme]] if k else [],
+                                 *((s.M1, s.M2) for s in split))
+                for got in (loop, one):
+                    for name, ref in zip("ABCD", want):
+                        arr = getattr(got, name)
+                        assert np.array_equal(arr, ref) and arr.strides == ref.strides, \
+                            (scheme, k, name)
+                        assert not arr.flags.writeable

@@ -131,18 +131,22 @@ def test_verify_nogo_small_runs_clean():
 
 
 def test_verify_nogo_assembles_one_loop_per_trial(monkeypatch):
+    # the loops of one controller dimension are assembled as one stack, and
+    # every trial's loop once
     import qlin.nogo as nogo
 
-    calls = []
-    for name in ("mf_type1", "mf_type2"):
-        def counted(*args, _assemble=getattr(nogo, name), **kwargs):
-            calls.append(1)
-            return _assemble(*args, **kwargs)
-        monkeypatch.setattr(nogo, name, counted)
+    built = []
+
+    def counted(*args, _assemble=nogo._classical_feedback, **kwargs):
+        loops = _assemble(*args, **kwargs)
+        built.append(len(loops))
+        return loops
+
+    monkeypatch.setattr(nogo, "_classical_feedback", counted)
     for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf2")):
-        calls.clear()
+        built.clear()
         verify_nogo(plant, "qnd", scheme, trials=7, seed=4)
-        assert len(calls) == 7
+        assert sum(built) == 7 and len(built) < 7
 
 
 def test_verify_nogo_counts_violations_skips_and_near_misses(monkeypatch):
@@ -370,28 +374,42 @@ def test_verify_nogo_judges_each_dimension_group_once(monkeypatch):
     import qlin.structural as structural
 
     calls = Counter()
-    for owner, name in ((structural, "_staircase"), (goals, "_probe")):
+    for owner, name in ((structural, "_staircase"), (goals, "_probe"), (goals, "_intersects"),
+                        (np.linalg, "eigvals")):
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls.update([_name])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
-    dims = []
-    for name in ("mf_type1", "mf_type2"):
-        def assemble(*args, _fn=getattr(nogo, name), **kwargs):
-            loop = _fn(*args, **kwargs)
-            dims.append(loop.nstates)
-            return loop
-        monkeypatch.setattr(nogo, name, assemble)
+    groups = []  # (controller dimension, loops) of each stacked assembly
+
+    def assemble(plant, scheme, A_K, *args, _fn=nogo._classical_feedback):
+        loops = _fn(plant, scheme, A_K, *args)
+        groups.append((A_K.shape[-1], len(loops)))
+        return loops
+
+    monkeypatch.setattr(nogo, "_classical_feedback", assemble)
     for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf2")):
         for goal in ("qnd", "dfs"):
             calls.clear()
-            dims.clear()
+            groups.clear()
             verify_nogo(plant, goal, scheme, trials=40, seed=3)
-            groups = len(set(dims))
-            assert len(dims) == 40 and groups < 20
-            # one staircase per side and one probe per group, and those of
-            # the plant's own pre-check
-            assert calls == {"_staircase": 2 * groups + 2, "_probe": groups + 1}, (scheme, goal)
+            dims = [k for k, _ in groups]
+            assert sum(count for _, count in groups) == 40
+            assert len(set(dims)) == len(groups) < 20
+            # one staircase per side, one probe per group and, for QND, one
+            # intersection with the plant block per group, besides the two
+            # staircases and the probe of the plant's own pre-check; one
+            # eigvals per sampled controller dimension with states
+            assert calls == {"_staircase": 2 * len(groups) + 2, "_probe": len(groups) + 1,
+                             "eigvals": sum(k > 0 for k in dims),
+                             **({"_intersects": len(groups)} if goal == "qnd" else {})}, \
+                (scheme, goal)
+            # another run on the same plant reads the plant's own verdict from
+            # the plant's memo
+            calls.clear()
+            groups.clear()
+            verify_nogo(plant, goal, scheme, trials=40, seed=4)
+            assert (calls["_staircase"], calls["_probe"]) == (2 * len(groups), len(groups))
 
 
 @pytest.mark.parametrize("dims", [[-1], [], [2.5], [1, None], 3, "12"])

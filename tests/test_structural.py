@@ -5,6 +5,7 @@ import scipy.linalg
 from conftest import random_orthogonal, random_system
 from qlin import (
     Ports,
+    ShapeError,
     StateSpaceModel,
     Subspace,
     classical_subsystem,
@@ -342,3 +343,42 @@ def test_stacked_staircase_equals_one_at_a_time():
         assert [sub.dim for sub in stacked] == [6, 4, 2]
         for a, b, c, got in zip(side_A, B, cutoffs, stacked):
             assert np.array_equal(got.basis, _one_pair_staircase(a, b, c).basis)
+
+
+def _one_pair_intersect(a, b, rtol):
+    """The basis of the one-pair intersection: a kernel, then a span."""
+    if a.dim == 0 or b.dim == 0:
+        return np.zeros((a.ambient_dim, 0))
+    null = kernel(np.hstack([a.basis, -b.basis]), rtol=rtol).basis
+    if null.shape[1] == 0:
+        return np.zeros((a.ambient_dim, 0))
+    return span_of(a.basis @ null[:a.dim, :], ambient_dim=a.ambient_dim, rtol=rtol).basis
+
+
+def test_stacked_intersect_equals_one_at_a_time():
+    from qlin.structural import _intersects
+
+    rng = np.random.default_rng(31)
+    n, block = 8, Subspace(8, np.eye(8, 4))  # a plant block
+    eye = np.eye(n)
+
+    def orthonormal(M):
+        return Subspace(n, np.linalg.qr(M)[0])
+
+    # mixed dimensions; within dimension 2 an empty, a one- and a two-dimensional
+    # intersection, so the kernel ranks part; empty ones beside
+    subs = [orthonormal(rng.normal(size=(n, d))) for d in (1, 2, 3, 3, 5, 6, 6)]
+    subs += [Subspace(n, eye[:, 1:3]), orthonormal(np.column_stack([eye[:, 0], rng.normal(size=n)])),
+             complement(block), Subspace(n, np.zeros((n, 0))), Subspace(n, eye[:, 5:7])]
+    for rtol in (None, 1e-8):
+        stacked = _intersects(subs, block, rtol)
+        dims = set()
+        for a, got in zip(subs, stacked):
+            want = _one_pair_intersect(a, block, rtol)
+            assert got.basis.shape == want.shape and np.array_equal(got.basis, want)
+            assert np.array_equal(intersect(a, block, rtol).basis, want)
+            dims.add((a.dim, got.dim))
+        assert {(2, 0), (2, 1), (2, 2), (4, 0), (5, 1), (6, 2)} <= dims
+    assert [sub.dim for sub in _intersects(subs, Subspace(n, np.zeros((n, 0))))] == [0] * len(subs)
+    with pytest.raises(ShapeError, match="ambient mismatch: 3 vs 8"):
+        _intersects(subs + [Subspace(3, np.eye(3))], block)

@@ -1,5 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,11 +29,15 @@ class K:
 '''
 
 
-def _code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _code_lines():
+    return _tool("code_lines")
 
 
 def test_code_line_counter_leaves_out_docstrings_comments_and_blanks(tmp_path, capsys):
@@ -43,3 +50,42 @@ def test_code_line_counter_leaves_out_docstrings_comments_and_blanks(tmp_path, c
     (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
     assert code_lines.main([str(tmp_path / "pkg")]) == 0
     assert capsys.readouterr().out == "9\n"
+
+
+def test_compare_arithmetic_on_synthetic_pairs():
+    compare = _tool("compare")
+    parent = [100.0, 120.0, 90.0, 110.0, 80.0]
+    change = [130.0, 150.0, 99.0, 100.0, 120.0]
+    got = compare.summarize(parent, change)
+    # ratios 1.3, 1.25, 1.1, 10/11, 1.5: the median is 1.25 and four win
+    assert got["ratios"] == pytest.approx([1.3, 1.25, 1.1, 10 / 11, 1.5])
+    assert got["median_ratio"] == pytest.approx(1.25)
+    assert got["wins"] == 4 and got["pairs"] == 5
+    assert got["parent_median"] == 100.0 and got["change_median"] == 120.0
+    # inclusive quartiles of 80, 90, 100, 110, 120: 90 and 110
+    assert got["parent_iqr"] == pytest.approx(20.0)
+    # one pair: its own quartiles, so no spread; a tie wins neither way
+    one = compare.summarize([50.0], [50.0])
+    assert (one["parent_iqr"], one["median_ratio"], one["wins"]) == (0.0, 1.0, 0)
+    assert compare.summarize([4.0, 6.0], [5.0, 3.0])["parent_iqr"] == pytest.approx(1.0)
+
+
+
+def test_compare_alternates_the_trees_and_prints_one_json(monkeypatch, capsys):
+    compare = _tool("compare")
+    order = []
+    speed = {"p": iter([100.0, 90.0, 110.0]), "c": iter([120.0, 99.0, 121.0])}
+
+    def fake_run(tree, workload, seed, seconds):
+        order.append(tree)
+        return {"correct": True, "metrics": {"ops_per_s": {"value": next(speed[tree])},
+                                             "peak_rss_mb": {"value": 40.0}}}
+
+    monkeypatch.setattr(compare, "run_once", fake_run)
+    assert compare.main(["--parent", "p", "--change", "c", "--workload", "nogo",
+                         "--pairs", "3", "--seconds", "1"]) == 0
+    assert order == ["p", "c", "c", "p", "p", "c"]
+    out = json.loads(capsys.readouterr().out)
+    assert (out["wins"], out["median_ratio"]) == (3, pytest.approx(1.1))
+    assert out["parent"] == [100.0, 90.0, 110.0] and out["correct"] is True
+    assert out["runs"]["change"][0] == {"ops_per_s": 120.0, "peak_rss_mb": 40.0}

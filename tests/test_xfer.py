@@ -541,3 +541,22 @@ def test_spectrum_csv_matches_the_row_renderer():
                        (SpectrumCurve(omegas[:1], values[:1]), None),
                        (SpectrumCurve([], []), None)):
         assert spectrum_csv(curve, sql) == rows(curve, sql)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_response_that_overflows_is_rejected():
+    # C[1][0] = 1e160 of optomech_reduced: the response overflows, which used
+    # to return inf with an overflow warning; now a ValidationError names the
+    # first point, as noise_power names its frequency, and nothing warns
+    from qlin.serialize import system_from_dict, system_to_dict
+
+    doc = system_to_dict(sc.optomech_reduced())
+    doc["C"][1][0] = 1e160
+    tf = TransferFunction(system_from_dict(doc).to_state_space(), "W.Q", "W.out.P")
+    with pytest.raises(ValidationError, match=r"^response is not finite at s=0\.5j \("):
+        evaluate(tf, 0.5j)
+    with pytest.raises(ValidationError, match=r"^response is not finite at omega=0\.5 \("):
+        frequency_response(tf, [0.5, 2.0])
+    # a finite response of the same model is returned as before
+    fine = TransferFunction(sc.optomech_reduced().to_state_space(), "W.Q", "W.out.P")
+    assert np.array_equal(frequency_response(fine, [0.5, 2.0])[0], evaluate(fine, 0.5j))
