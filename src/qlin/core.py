@@ -557,8 +557,7 @@ def realizability_defect(A: np.ndarray, C: np.ndarray) -> float:
     n2 = A.shape[0]
     m2 = C.shape[0]
     G = sigma(n2 // 2).T @ A - C.T @ sigma(m2 // 2) @ C / 2.0
-    scale = max(np.linalg.norm(G), 1.0)
-    return float(np.linalg.norm(G - G.T) / scale)
+    return float(_frobenius(G - G.T) / max(_frobenius(G), 1.0))
 
 
 @dataclass(frozen=True)
@@ -855,7 +854,7 @@ def complex_to_quadrature(complex_drift, complex_couplings,
     A = _realify(F)
     C = _realify(np.array(couplings, dtype=complex).reshape(len(couplings), n))
     defect = realizability_defect(A, C)
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ValidationError(
             "complex description converts to a non-realizable drift "
             f"(asymmetry {defect:.3e})")
@@ -875,18 +874,19 @@ def quadrature_to_complex(sys: QuantumLinearSystem, tol: float = 1e-10):
     n = sys.n
     re1, im1 = A[0::2, 0::2], A[1::2, 0::2]
     re2, im2 = A[1::2, 1::2], -A[0::2, 1::2]
-    scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(re1 - re2) > tol * scale or np.linalg.norm(im1 - im2) > tol * scale:
+    scale = max(_frobenius(A), 1.0)
+    if not (_frobenius(re1 - re2) <= tol * scale and _frobenius(im1 - im2) <= tol * scale):
         raise ValidationError("drift is not complex-linear; no annihilation-operator form")
     F = re1 + 1j * im1
     couplings = []
-    cscale = max(np.linalg.norm(sys.C), 1.0)
+    cscale = max(_frobenius(sys.C), 1.0)
     for j in range(sys.m):
         rq = sys.C[2 * j]
         rp = sys.C[2 * j + 1]
         l = rq[0::2] + 1j * rp[0::2]
-        if (np.linalg.norm(rq[1::2] + l.imag) > tol * cscale
-                or np.linalg.norm(rp[1::2] - l.real) > tol * cscale):
+        # each defect as a one-row matrix, the shape _frobenius takes
+        if not (_frobenius((rq[1::2] + l.imag)[None]) <= tol * cscale
+                and _frobenius((rp[1::2] - l.real)[None]) <= tol * cscale):
             raise ValidationError(f"channel {j} coupling is not complex-linear")
         couplings.append(l)
     return F, couplings

@@ -24,6 +24,18 @@ resolved.  Residuals are in probe units: the BAE residual is the largest
 scaled Markov term ``|C A^k B| / R^(k+1)``, which by Cauchy's estimate is at
 most ``max |C (sI - A)^{-1} B|`` on the probe circle.
 
+Every verdict is made by one engine, ``_verdict``, which judges a list of
+same-dimension models (``check_bae``, ``find_qnd`` and ``find_dfs`` pass a
+list of one; ``verify_nogo`` passes each group of no-go loops).  It reads
+both subspaces of every model once, from one stacked staircase per side.
+A BAE verdict then reads its model's reduced pair and makes one
+``transfer_zero_equivalence`` probe (:func:`_bae`).  QND/DFS verdicts make
+one stacked intersection with ``restrict_to`` per observable dimension
+(``structural._intersects``), one stacked witness SVD per group of equal
+subspace dimensions and one ``_probe`` per group of equal witness counts,
+so one verdict makes one ``_probe`` call and a group of no-go loops makes
+one.
+
 The staircase route reads the model's memo (``structural._subspaces`` and
 ``structural._reduced_pair``), so verdicts on one model share each
 controllable subspace, observable subspace and reduced pair: ``check_bae``
@@ -32,16 +44,10 @@ reduced pair), and ``transfer_zero_equivalence`` inside it none of its own.
 The probes are never shared between verdicts and never read the memo's
 resolvent entry, which belongs to :mod:`qlin.xfer` alone.
 
-The engines take stacks: ``_verdict`` judges a list of same-dimension models
-(``find_qnd`` and ``find_dfs`` pass a list of one) with one stacked
-staircase per side, one stacked intersection with ``restrict_to`` per
-observable dimension (``structural._intersects``), one stacked witness SVD
-per group of equal subspace dimensions and one ``_probe`` per group of
-equal witness counts, so one verdict makes one ``_probe`` call and a group
-of no-go loops makes one.  ``_probe`` builds every ``sI - A`` of its stack
-in one broadcast and takes each leg as one stacked product with one pass of
-threshold norms.  Each stack keeps the memory layout of the one-model
-operands, so every verdict has the bits it has alone.
+``_probe`` builds every ``sI - A`` of its stack in one broadcast and takes
+each leg as one stacked product with one pass of threshold norms.  Each
+stack keeps the memory layout of the one-model operands, so every verdict
+has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -116,7 +122,9 @@ class GoalVerdict:
     claim (:func:`_probe`): for BAE, whether they see ``C (sI - A)^{-1} B``
     vanish iff the reduced pair is empty; for QND/DFS without witnesses,
     whether they see the least-reached candidate direction driven (or, for
-    DFS, seen).
+    DFS, seen).  A QND/DFS verdict without candidate directions (``residual``
+    inf, ``null`` in JSON) has nothing to probe: it goes unprobed, so its
+    ``method_agreement`` is vacuously true.
     """
 
     goal: str
@@ -259,11 +267,19 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         direct term) of the pair vanish.  ``residual`` is in probe units
         (:class:`GoalVerdict`).
     """
-    ctrl = _subspace(model, "in", ba_port)
+    return _verdict("BAE", [model], ba_port, shot_output, None, checked_base(base))[0]
+
+
+def _bae(model: StateSpaceModel, ctrl: Subspace, obs: Subspace, ba_port: PortArg,
+         shot_output: PortArg, base: float) -> GoalVerdict:
+    """The BAE verdict of one model whose port pair has the controllable
+    subspace ``ctrl`` and observable subspace ``obs``: its reduced pair
+    (from the memo), direct term, probe threshold, scaled Markov residual
+    and one ``transfer_zero_equivalence`` probe."""
     Ar, Br, Cr = _reduced_pair(model, ba_port, shot_output)
     D = model.d(shot_output, ba_port)
     direct = float(np.max(np.abs(D))) if D.size else 0.0
-    tol = residual_tolerance(model, ba_port, shot_output, base)
+    tol = _threshold(base, model.b(ba_port), model.c(shot_output), model._norm_A)
     return GoalVerdict(
         goal="BAE",
         achieved=Ar.shape[0] == 0 and direct <= tol,
@@ -271,9 +287,7 @@ def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
         residual=max(largest_markov(Ar, Br, Cr, model.nstates,
                                     2.0 * model._norm_A + 1.0), direct),
         method_agreement=transfer_zero_equivalence(model, ba_port, shot_output, base=base),
-        dims={"controllable": ctrl.dim,
-              "observable": _subspace(model, "out", shot_output).dim,
-              "overlap": Ar.shape[0]},
+        dims={"controllable": ctrl.dim, "observable": obs.dim, "overlap": Ar.shape[0]},
         tolerance=tol,
     )
 
@@ -312,30 +326,41 @@ def _whole(n: int) -> Subspace:
 
 
 def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalVerdict]:
-    """QND/DFS verdicts of models with the same state dimension, on the
-    candidate directions that ``drive`` does not reach.
+    """BAE, QND or DFS verdicts of models with the same state dimension:
+    every goal verdict is made here.
+
+    Both subspaces of every model come from one stacked staircase per side
+    (``structural._subspaces``).  A BAE verdict then reads the model's
+    memoised reduced pair (:func:`_bae`); ``restrict_to`` does not apply to
+    it, since a zero transfer has no witnesses.  QND/DFS verdicts are made
+    on the candidate directions that ``drive`` does not reach.
 
     The columns of ``drive`` span what the goal forbids: ``[B, A Q]`` spans
     the controllable subspace ``Q`` of (A, B), and ``[C^T, A^T Q]`` the
     observable one.  The witnesses ``W`` are the null space of
-    ``drive^T @ candidate.basis`` at ``INTERSECT_RTOL * |drive|_F``.  Probe route:
-    ``W^T (sI - A)^{-1} B`` (and for DFS ``C (sI - A)^{-1} W``) must vanish,
-    and for QND each ``C (sI - A)^{-1} w`` must not.  Without witnesses the
-    gap (smallest singular value) is reported, and the least-reached
-    candidate direction must not vanish along all of those legs.
+    ``drive^T @ candidate.basis`` at ``INTERSECT_RTOL * |drive|_F``.  Probe
+    route: ``W^T (sI - A)^{-1} B`` (and for DFS ``C (sI - A)^{-1} W``) must
+    vanish, and for QND each ``C (sI - A)^{-1} w`` must not.  Without
+    witnesses the gap (smallest singular value) is reported, and the
+    least-reached candidate direction must not vanish along all of those
+    legs.  Without candidate directions there is nothing to probe: the
+    verdict is unprobed, its ``residual`` inf and its ``method_agreement``
+    vacuously true.
 
-    The subspaces come from one stacked staircase per side
-    (``structural._subspaces``), and the QND candidates from one stacked
-    intersection with ``restrict_to`` (``structural._intersects``).  The
-    models whose subspace and candidate dimensions agree share one stacked
-    witness SVD, and those whose witness counts then agree share one
-    ``_probe``.  The stacks are built and split by ``structural._stacked``,
-    ``np.concatenate`` and ``_take``, so every verdict has the bits it has
-    alone; one model is a stack of one, run on its own matrices.
+    The QND candidates come from one stacked intersection with
+    ``restrict_to`` (``structural._intersects``).  The models whose subspace
+    and candidate dimensions agree share one stacked witness SVD, and those
+    whose witness counts then agree share one ``_probe``.  The stacks are
+    built and split by ``structural._stacked``, ``np.concatenate`` and
+    ``_take``, so every verdict has the bits it has alone; one model is a
+    stack of one, run on its own matrices.
     """
     n = models[0].nstates
     ctrls = _subspaces(models, "in", noise_ports)
     obss = _subspaces(models, "out", output)
+    if goal == "BAE":
+        return [_bae(model, ctrl, obs, noise_ports, output, base)
+                for model, ctrl, obs in zip(models, ctrls, obss)]
     if goal == "DFS":
         cands = [_whole(n) if restrict_to is None else restrict_to] * len(models)
     elif restrict_to is None:

@@ -16,11 +16,13 @@ against the split identities (``MeasurementSplit._stack``).  The trials of
 one controller dimension, so of one loop dimension, are then one stack:
 one stacked ``eigvals`` shifts their controllers stable (it consumes no
 random numbers, so it may follow the draws), one stacked assembly builds
-their open and closed loops, and one ``_judge`` judges them (one stacked
-staircase per side, and for QND/DFS one stacked intersection, witness SVD
-and probe in ``goals._verdict``).  :func:`random_orthosymplectic`,
-:func:`random_split` and :func:`sample_classical_controller` are the same
-builds on a stack of one.
+their open and closed loops, and one ``goals._verdict`` judges them (one
+stacked staircase per side; for BAE one reduced pair and probe per loop,
+for QND/DFS one stacked intersection, witness SVD and probe).  The same
+engine judges the plant's own pre-check and, for each trial whose loop
+achieves the goal, the plant under that trial's splits.
+:func:`random_orthosymplectic`, :func:`random_split` and
+:func:`sample_classical_controller` are the same builds on a stack of one.
 
 One table names the noise ports and judged outputs of the six (scheme, goal)
 combinations.  Type-2 BAE (Theorem 4) is one joint zero transfer to the
@@ -31,7 +33,7 @@ evaluation noise ``P2`` together.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -45,10 +47,10 @@ from .core import (
     _realify,
     homodyne_split,
 )
-from .goals import GoalVerdict, _verdict, check_bae, checked_base
+from .goals import _verdict, checked_base
 from .interconnect import (_GAINS, ClassicalController, _classical_feedback, _split_widths,
                            mf_type2_open_loop)
-from .structural import Subspace, _eye, _groups, _subspaces
+from .structural import Subspace, _eye, _groups
 
 __all__ = [
     "NogoReport",
@@ -110,22 +112,13 @@ class NogoReport:
     residual_base: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "plant_id": self.plant_id,
-            "goal": self.goal,
-            "scheme": self.scheme,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_residual_gap": (self.worst_residual_gap
-                                   if np.isfinite(self.worst_residual_gap) else None),
-            "seed": self.seed,
-            "controller_dim_range": list(self.controller_dim_range),
-            "near_tolerance": self.near_tolerance,
-            "disagreements": self.disagreements,
-            "hypothesis_skips": self.hypothesis_skips,
-            "residual_base": self.residual_base,
-        }
+        """The report's fields in field order, as JSON values: a non-finite
+        ``worst_residual_gap`` is ``None``, ``controller_dim_range`` a list."""
+        out = asdict(self)
+        if not np.isfinite(self.worst_residual_gap):
+            out["worst_residual_gap"] = None
+        out["controller_dim_range"] = list(self.controller_dim_range)
+        return out
 
 
 def _gaussian(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -203,22 +196,6 @@ def _stabilized(A_K: np.ndarray) -> np.ndarray:
     return A_K - shift[:, None, None] * _eye(k)
 
 
-def _judge(models: Sequence[StateSpaceModel], goal: str, scheme: str,
-           restrict: Optional[Subspace], base: float) -> list[GoalVerdict]:
-    """The verdicts of models with the same state dimension, in order.
-
-    QND/DFS are one stacked ``goals._verdict``.  BAE is ``check_bae`` per
-    model, after one stacked staircase per side has filled every model's
-    memo."""
-    noise, judged = _PORTS[(scheme, goal)]
-    if goal != "bae":
-        return _verdict(goal.upper(), models, noise, judged, restrict, base)
-    _subspaces(models, "in", noise)
-    _subspaces(models, "out", judged)
-    # a zero transfer: no witnesses to restrict
-    return [check_bae(model, noise, judged, base=base) for model in models]
-
-
 def _open_loop(plant: QuantumLinearSystem, scheme: str, splits) -> StateSpaceModel:
     """The plant under a trial's measurement choice, without a controller."""
     if scheme == "mf1":
@@ -259,11 +236,13 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         matrices, then its controller); the splits of each width are then
         built and checked as one stack.  Next the trials of each
         controller dimension are one stack: their controllers are shifted
-        stable and their loops assembled and judged together (QND/DFS as
-        one stacked verdict, BAE per loop after one stacked staircase per
-        side), and the report is tallied in trial order.  The plant's own
-        verdict under the canonical splits is judged once per goal, scheme
-        and base and kept in the plant's memo.
+        stable and their loops assembled and judged together as one
+        stacked ``goals._verdict`` (witnesses restricted to the plant
+        block), and the report is tallied in trial order.  When a loop
+        achieves the goal, the plant under the same splits is judged by the
+        same engine, unrestricted (its states are all the plant's).  The
+        plant's own verdict under the canonical splits is judged once per
+        goal, scheme and base and kept in the plant's memo.
     controller_dim_range : sequence of int, optional
         Controller state dimensions to sample (default 0 .. 2n+2); a
         nonempty sequence of nonnegative integers, checked before any draw.
@@ -287,15 +266,17 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         controller_dim_range = _dim_range(controller_dim_range)
 
     widths = _split_widths(plant, scheme)
+    noise, judged = _PORTS[(scheme, goal)]
+    goal_name = goal.upper()
     # the plant's own verdict under the canonical splits depends on the
     # immutable plant only, so it is judged once per (goal, scheme, base)
     key = ("nogo", goal, scheme, base)
     if key not in plant._memo:
         bare = _open_loop(plant, scheme, [homodyne_split(width, "P") for width in widths])
-        plant._memo[key] = _judge([bare], goal, scheme, None, base)[0]
+        plant._memo[key] = _verdict(goal_name, [bare], noise, judged, None, base)[0]
     if plant._memo[key].achieved:
         raise ValidationError(
-            f"plant already achieves {goal.upper()} standalone; the no-go "
+            f"plant already achieves {goal_name} standalone; the no-go "
             "hypothesis is unmet")
 
     violations = disagreements = near = skips = 0
@@ -316,8 +297,8 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         loops = _classical_feedback(plant, scheme, _stabilized(A_K), B_K, gains,
                                     *((np.ascontiguousarray(O[members, 0::2]),
                                        np.ascontiguousarray(O[members, 1::2])) for O in Os))
-        judged = _judge(loops, goal, scheme, _plant_block(loops[0].nstates, plant.n), base)
-        for t, verdict in zip(members, judged):
+        restrict = _plant_block(loops[0].nstates, plant.n)
+        for t, verdict in zip(members, _verdict(goal_name, loops, noise, judged, restrict, base)):
             verdicts[t] = verdict
     for closed, *splits in zip(verdicts, *stacks):
         disagreements += not closed.method_agreement
@@ -325,7 +306,8 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
             # the theorem only forbids this when the plant fails under the
             # same measurement choice
             bare = _open_loop(plant, scheme, splits)
-            plant_v = _judge([bare], goal, scheme, _plant_block(bare.nstates, plant.n), base)[0]
+            # the bare loop is the plant alone: no block to restrict to
+            plant_v = _verdict(goal_name, [bare], noise, judged, None, base)[0]
             skips += plant_v.achieved
             violations += not plant_v.achieved
             continue

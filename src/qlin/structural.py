@@ -4,8 +4,10 @@ Every geometric statement in the analysis is a thresholded numerical
 statement.  Controllable and observable subspaces come from one orthogonal
 staircase (:func:`controllable_subspace`; the observable subspace is the
 same routine on ``(A^T, C^T)``) whose rank cutoff is the backward-error
-bound ``n^2 * eps * max(|A|_F, |B|_F)``.  The other rank decisions use
-singular values with threshold ``max_dim * eps * sigma_max``.  ``rtol``
+bound ``n^2 * eps * max(|A|_F, |B|_F)``.  The other rank decisions
+(:func:`span_of`, :func:`kernel`, :func:`intersect`) follow one rule,
+``_ranks``: the count of singular values above
+``max_dim * eps * sigma_max``, for one matrix or a stack.  ``rtol``
 arguments replace the ``n^2 * eps`` (never below ``n * eps``) /
 ``max_dim * eps`` factor.
 
@@ -34,7 +36,6 @@ from .core import ShapeError, StateSpaceModel, ORTHO_TOL
 __all__ = [
     "Subspace",
     "KalmanDecomposition",
-    "rank_tolerance",
     "span_of",
     "range_space",
     "kernel",
@@ -52,13 +53,12 @@ __all__ = [
 _EPS = np.finfo(float).eps
 
 
-def rank_tolerance(svals: np.ndarray, shape, rtol: Optional[float] = None) -> float:
-    """Singular-value threshold below which directions count as zero."""
-    if svals.size == 0:
-        return 0.0
-    if rtol is None:
-        rtol = max(shape) * _EPS
-    return rtol * float(svals[0])
+def _ranks(s: np.ndarray, shape, rtol: Optional[float] = None) -> np.ndarray:
+    """The numerical ranks of matrices of ``shape`` from their singular
+    values ``s``, one descending row per matrix (a stack ``(T, k)``, or one
+    row): the count above ``rtol * s_max``, ``rtol`` defaulting to
+    ``max(shape) * eps``.  No values, or only zeros, is rank 0."""
+    return (s > (max(shape) * _EPS if rtol is None else rtol) * s[..., :1]).sum(-1)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,7 @@ def span_of(vectors, ambient_dim: Optional[int] = None, rtol: Optional[float] = 
     if M.size == 0:
         return _empty(ambient_dim)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > rank_tolerance(s, M.shape, rtol)))
-    return Subspace(ambient_dim, U[:, :r])
+    return Subspace(ambient_dim, U[:, :_ranks(s, M.shape, rtol)])
 
 
 def range_space(mat, rtol: Optional[float] = None) -> Subspace:
@@ -152,8 +151,7 @@ def kernel(mat, rtol: Optional[float] = None) -> Subspace:
     if M.shape[0] == 0 or M.size == 0:
         return Subspace(M.shape[1], np.eye(M.shape[1]))
     _, s, Vt = np.linalg.svd(M, full_matrices=True)
-    r = int(np.sum(s > rank_tolerance(s, M.shape, rtol)))
-    return Subspace(M.shape[1], Vt[r:].T)
+    return Subspace(M.shape[1], Vt[_ranks(s, M.shape, rtol):].T)
 
 
 def complement(s: Subspace) -> Subspace:
@@ -188,15 +186,13 @@ def _intersects(subs: Sequence[Subspace], b: Subspace,
         pair = np.empty((len(Q), n, d + b.dim))
         pair[:, :, :d], pair[:, :, d:] = Q, -b.basis
         _, s, Vt = np.linalg.svd(pair, full_matrices=True)
-        ranks = (s > (max(n, d + b.dim) * _EPS if rtol is None else rtol) * s[:, :1]).sum(1)
-        for r, part in _groups(ranks.tolist()).items():
+        for r, part in _groups(_ranks(s, pair.shape[1:], rtol).tolist()).items():
             if r == d + b.dim:  # no kernel
                 continue
             # the kernel basis Vt[r:]^T, column-major as the one-pair copy is
             span = _take(Q, part) @ _take(Vt, part)[:, r:, :d].swapaxes(1, 2)
             U, sv, _ = np.linalg.svd(span, full_matrices=False)
-            dims = (sv > (max(span.shape[1:]) * _EPS if rtol is None else rtol) * sv[:, :1]).sum(1)
-            for dim, same in _groups(dims.tolist()).items():
+            for dim, same in _groups(_ranks(sv, span.shape[1:], rtol).tolist()).items():
                 for i, meet in zip(same, Subspace._stack(n, U[same][:, :, :dim])):
                     out[members[part[i]]] = meet
     return out

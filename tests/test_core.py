@@ -258,6 +258,31 @@ def test_complex_to_quadrature_rejects_nonrealizable():
         complex_to_quadrature([[0.0]], [[1.0]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_conversions_reject_huge_non_complex_linear_drifts():
+    # |G|_F of entries of 1e160 overflows a plain norm: inf / inf made the
+    # realizability defect NaN, which passed "defect > 1e-10", and an inf
+    # scale cleared the complex-linearity test; both are rejected, unwarned
+    with pytest.raises(ValidationError, match="non-realizable drift"):
+        complex_to_quadrature([[0, 1e160], [0, 0]], [[0, 0]])
+    squeezer = build_system([[0, 1e160], [1e160, 0]], np.zeros((0, 2)))
+    with pytest.raises(ValidationError, match="drift is not complex-linear"):
+        quadrature_to_complex(squeezer)
+
+
+def test_realizability_defect_keeps_its_bits():
+    # in range, the overflow-safe norm is np.linalg.norm bit for bit
+    rng = np.random.default_rng(21)
+    cases = [(s.A, s.C) for s in (random_system(rng, int(rng.integers(1, 4)),
+                                                int(rng.integers(1, 4))) for _ in range(25))]
+    cases += [(s.A, s.C) for s in (sc.optomech_reduced(), sc.michelson(), sc.tsang_caves_loop())]
+    cases += [(rng.normal(size=(4, 4)), rng.normal(size=(2, 4))) for _ in range(25)]
+    for A, C in cases:
+        G = sigma(A.shape[0] // 2).T @ A - C.T @ sigma(C.shape[0] // 2) @ C / 2.0
+        want = float(np.linalg.norm(G - G.T) / max(np.linalg.norm(G), 1.0))
+        assert realizability_defect(A, C) == want
+
+
 def test_state_space_ports_raw():
     rng = np.random.default_rng(4)
     sys = random_system(rng, 2, 2, force=True)

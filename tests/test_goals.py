@@ -495,3 +495,23 @@ def test_stacked_restricted_verdicts_equal_one_at_a_time():
             assert same_verdict(v, one)
             seen.add((v.dims["observable"], v.dims["witness"], v.achieved))
     assert {(3, 2, True), (1, 0, False), (3, 0, False)} <= seen
+
+
+def test_stacked_bae_verdicts_equal_check_bae():
+    # one _verdict("BAE", ...) of a stack gives each member the verdict
+    # check_bae gives it alone: an achieving loop beside two that fail
+    noise = np.random.default_rng(8).normal(size=(6, 6))
+
+    def fresh():
+        loop = sc.tsang_caves_loop()
+        return [build_system(loop.G + scale * (noise + noise.T), loop.C,
+                             channels=loop.channels).to_state_space()
+                for scale in (0.0, 1e-3, 1.0)]
+
+    achieved = {}
+    for ports in (("W.Q", "W.out.P"), ("W", "W.out")):
+        stacked = goals._verdict("BAE", fresh(), *ports, None, goals.DEFAULT_RESIDUAL_BASE)
+        alone = [check_bae(model, *ports) for model in fresh()]
+        assert len(stacked) == 3 and all(map(same_verdict, stacked, alone)), ports
+        achieved[ports] = [v.achieved for v in stacked]
+    assert achieved == {("W.Q", "W.out.P"): [True, False, False], ("W", "W.out"): [False] * 3}

@@ -150,28 +150,31 @@ def test_verify_nogo_assembles_one_loop_per_trial(monkeypatch):
 
 
 def test_verify_nogo_counts_violations_skips_and_near_misses(monkeypatch):
-    import qlin.nogo as nogo
+    import qlin.goals as goals
 
     plant = sc.optomech_reduced()
     # the pre-check, then the bare plant of each trial whose loop achieves
     bare = iter([False, True, False, True, False])
 
-    def loops_achieve(model, *args, **kwargs):
-        v = check_bae(model, *args, **kwargs)
+    # every BAE verdict is made by the per-model builder goals._bae
+    real = goals._bae
+
+    def loops_achieve(model, *args):
+        v = real(model, *args)
         closed = model.nstates > 2 * plant.n
         return dataclasses.replace(v, achieved=closed or next(bare))
 
-    monkeypatch.setattr(nogo, "check_bae", loops_achieve)
+    monkeypatch.setattr(goals, "_bae", loops_achieve)
     r = verify_nogo(plant, "bae", "mf1", trials=4, seed=0, controller_dim_range=[1])
     assert (r.violations, r.hypothesis_skips, r.near_tolerance) == (2, 2, 0)
     assert r.worst_residual_gap == np.inf
     assert r.to_dict()["worst_residual_gap"] is None
 
-    def near_misses(model, *args, **kwargs):
-        v = check_bae(model, *args, **kwargs)
+    def near_misses(model, *args):
+        v = real(model, *args)
         return dataclasses.replace(v, residual=5.0 * v.tolerance)
 
-    monkeypatch.setattr(nogo, "check_bae", near_misses)
+    monkeypatch.setattr(goals, "_bae", near_misses)
     r = verify_nogo(plant, "bae", "mf1", trials=4, seed=0, controller_dim_range=[1])
     assert (r.violations, r.hypothesis_skips, r.near_tolerance) == (0, 0, 4)
     assert 0 < r.worst_residual_gap < np.inf
@@ -216,6 +219,18 @@ def test_zero_trials_report():
     assert r.to_dict() == {"theorem": 6, "plant_id": "2modes/2ch", "goal": "dfs",
                            "scheme": "mf2", "trials": 0, "seed": 7,
                            "controller_dim_range": [0, 1, 2, 3, 4, 5, 6], **none}
+
+
+def test_report_dict_keeps_the_field_order():
+    # the JSON keys of a report are its fields in order, so its bytes are fixed
+    r = verify_nogo(sc.optomech_reduced(), "qnd", "mf1", trials=3, seed=1)
+    d = r.to_dict()
+    assert list(d) == ["theorem", "plant_id", "goal", "scheme", "trials", "violations",
+                       "worst_residual_gap", "seed", "controller_dim_range", "near_tolerance",
+                       "disagreements", "hypothesis_skips", "residual_base"]
+    assert d["controller_dim_range"] == [0, 1, 2, 3, 4]
+    assert d["worst_residual_gap"] == r.worst_residual_gap < np.inf
+    assert json.loads(json.dumps(d)) == d
 
 
 def _reference_report(plant, goal, scheme, trials, seed):
@@ -410,6 +425,37 @@ def test_verify_nogo_judges_each_dimension_group_once(monkeypatch):
             groups.clear()
             verify_nogo(plant, goal, scheme, trials=40, seed=4)
             assert (calls["_staircase"], calls["_probe"]) == (2 * len(groups), len(groups))
+
+
+def test_bae_no_go_counts_one_reduced_pair_and_one_probe_per_loop(monkeypatch):
+    import qlin.goals as goals
+    import qlin.nogo as nogo
+    import qlin.structural as structural
+
+    calls = Counter()
+    for owner, name in ((structural, "_staircase"), (goals, "_probe"),
+                        (goals, "transfer_zero_equivalence")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.update([_name])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    groups = []
+
+    def assemble(plant, scheme, A_K, *args, _fn=nogo._classical_feedback):
+        loops = _fn(plant, scheme, A_K, *args)
+        groups.append(len(loops))
+        return loops
+
+    monkeypatch.setattr(nogo, "_classical_feedback", assemble)
+    for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf2")):
+        calls.clear()
+        groups.clear()
+        r = verify_nogo(plant, "bae", scheme, trials=40, seed=3)
+        assert sum(groups) == 40 and r.violations == r.hypothesis_skips == 0
+        # the pre-check's two subspaces and reduced pair, one staircase per
+        # side and group, and one reduced pair and one probe per loop
+        assert calls == {"_staircase": 3 + 2 * len(groups) + 40, "_probe": 1 + 40,
+                         "transfer_zero_equivalence": 1 + 40}, scheme
 
 
 @pytest.mark.parametrize("dims", [[-1], [], [2.5], [1, None], 3, "12"])

@@ -382,3 +382,31 @@ def test_stacked_intersect_equals_one_at_a_time():
     assert [sub.dim for sub in _intersects(subs, Subspace(n, np.zeros((n, 0))))] == [0] * len(subs)
     with pytest.raises(ShapeError, match="ambient mismatch: 3 vs 8"):
         _intersects(subs + [Subspace(3, np.eye(3))], block)
+
+
+def _old_rank(s, shape, rtol=None):
+    """The count above the former ``structural.rank_tolerance``."""
+    tol = 0.0 if s.size == 0 else (max(shape) * np.finfo(float).eps
+                                   if rtol is None else rtol) * float(s[0])
+    return int(np.sum(s > tol))
+
+
+def test_ranks_count_as_the_former_rank_tolerance():
+    from qlin.structural import _ranks
+
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        shape = tuple(int(d) for d in rng.integers(1, 9, 2))
+        r = int(rng.integers(0, min(shape) + 1))
+        M = rng.normal(size=(shape[0], r)) @ rng.normal(size=(r, shape[1]))
+        rows = [np.linalg.svd(M, compute_uv=False),
+                np.sort(rng.random(min(shape)) * 10.0 ** rng.integers(-20, 20))[::-1],
+                np.zeros(min(shape))]
+        for rtol in (None, 1e-8, 0.3):
+            for s in rows:
+                assert _ranks(s, shape, rtol) == _old_rank(s, shape, rtol)
+            assert _ranks(np.array(rows), shape, rtol).tolist() == \
+                [_old_rank(s, shape, rtol) for s in rows]
+    # no singular values: rank 0, for one matrix and for a stack
+    assert _ranks(np.zeros(0), (0, 3)) == _old_rank(np.zeros(0), (0, 3)) == 0
+    assert _ranks(np.zeros((4, 0)), (3, 0)).tolist() == [0] * 4

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,13 @@ def test_compare_alternates_the_trees_and_prints_one_json(monkeypatch, capsys):
     assert (out["wins"], out["median_ratio"]) == (3, pytest.approx(1.1))
     assert out["parent"] == [100.0, 90.0, 110.0] and out["correct"] is True
     assert out["runs"]["change"][0] == {"ops_per_s": 120.0, "peak_rss_mb": 40.0}
+
+
+def test_output_hashes_are_sha256_digests_that_repeat():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_hashes.py"), str(ROOT)],
+                          capture_output=True, text=True, check=True)
+    first = json.loads(proc.stdout)
+    assert list(first) == ["nogo", "analyze", "spectrum"]
+    assert all(len(h) == 64 and set(h) <= set("0123456789abcdef") for h in first.values())
+    # a second run, in this process and another scratch directory
+    assert _tool("output_hashes").hashes(str(ROOT)) == first

@@ -1,0 +1,113 @@
+"""Print one sha256 per output suite of a qlin tree, to show that a change
+leaves qlin's outputs byte-identical.
+
+The suites:
+
+* ``nogo``: the ``verify_nogo(...).to_dict()`` reports of the six (scheme,
+  goal) combinations (mf1 on ``optomech_reduced``, mf2 on ``michelson``) at
+  seeds 0, 1, 2 and 20240811, 150 trials each;
+* ``analyze``: the stdout, stderr and exit code of ``qlin analyze`` on every
+  built-in scenario with ``--goal qnd``, ``--goal dfs``, and ``--goal all``
+  on the first channel's ``.Q``/``.out.P`` ports;
+* ``spectrum``: one 2000-point ``qlin spectrum`` CSV of
+  ``michelson_cf_loop`` with ``--gw-normalize``, ``--sql`` and
+  ``--squeeze``, the shape of the benchmark's request.
+
+Usage::
+
+    python tools/output_hashes.py [TREE]
+
+``TREE`` (default: this checkout) is a directory whose ``src/`` holds the
+``qlin`` package, such as one made by ``git archive <ref> | tar -x -C TREE``.
+Two trees give the same JSON iff every suite's outputs are the same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+NOGO_SEEDS = (0, 1, 2, 20240811)
+NOGO_TRIALS = 150
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()
+
+
+def _cli(qlin, argv: list[str]) -> list:
+    """``qlin argv`` in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = qlin.cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def nogo_reports(qlin) -> list[dict]:
+    sc = qlin.scenarios
+    return [qlin.verify_nogo(plant, goal, scheme, trials=NOGO_TRIALS, seed=seed).to_dict()
+            for scheme, plant in (("mf1", sc.optomech_reduced()), ("mf2", sc.michelson()))
+            for goal in ("bae", "qnd", "dfs") for seed in NOGO_SEEDS]
+
+
+def analyze_runs(qlin, workdir: str) -> list:
+    runs = []
+    for name, (builder, defaults) in sorted(qlin.scenarios.SCENARIOS.items()):
+        doc = qlin.serialize.system_to_dict(builder(**defaults))
+        path = os.path.join(workdir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        ch = doc["channels"][0]["label"]
+        bae = ["--ba-port", f"{ch}.Q", "--output-port", f"{ch}.out.P"]
+        for extra in (["--goal", "qnd"], ["--goal", "dfs"], ["--goal", "all", *bae]):
+            runs.append([name, extra, *_cli(qlin, ["analyze", path, *extra])])
+    return runs
+
+
+def spectrum_run(qlin, workdir: str) -> list:
+    sc = qlin.scenarios
+    w0 = sc.MichelsonParams().omega
+    loop = sc.michelson_cf_loop(sc.MichelsonParams(1.3, w0, 0.9, 1.1))
+    doc = qlin.serialize.system_to_dict(loop)
+    path = os.path.join(workdir, "michelson_cf_loop.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return _cli(qlin, ["spectrum", path, "--output", "W2.out.P",
+                       "--omega-min", repr(w0 * 10.0), "--omega-max", repr(w0 * 1e3),
+                       "--points", "2000", "--gw-normalize", "0.9,1.1", "--sql", "1.3,1.1",
+                       "--squeeze", "W2.P:1.0"])
+
+
+def hashes(tree: str) -> dict:
+    """The digest of each suite, with ``qlin`` imported from ``tree/src``."""
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    import qlin
+    import qlin.cli
+
+    src = os.path.join(os.path.abspath(tree), "src", "qlin")
+    if os.path.dirname(os.path.abspath(qlin.__file__)) != src:
+        raise SystemExit(f"qlin was imported from {qlin.__file__}, not from {src}")
+    with tempfile.TemporaryDirectory() as workdir:
+        return {"nogo": _digest(nogo_reports(qlin)),
+                "analyze": _digest(analyze_runs(qlin, workdir)),
+                "spectrum": _digest(spectrum_run(qlin, workdir))}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", nargs="?", default=ROOT, help="checkout whose src/ holds qlin")
+    args = parser.parse_args(argv)
+    print(json.dumps(hashes(args.tree), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
