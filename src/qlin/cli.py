@@ -38,7 +38,7 @@ from .serialize import (
     system_to_dict,
     verdict_to_dict,
 )
-from .structural import _subspace
+from .structural import _subspaces
 from .xfer import (
     SingularityError,
     SpectrumCurve,
@@ -119,9 +119,9 @@ def cmd_analyze(args) -> int:
     base = _tol_base(args)
     model = sysq.to_state_space()
     subspaces = {
-        "controllable": {ch.label: _subspace(model, "in", ch.label).dim
+        "controllable": {ch.label: _subspaces([model], "in", ch.label)[0].dim
                          for ch in sysq.channels},
-        "observable": {ch.label + ".out": _subspace(model, "out", ch.label + ".out").dim
+        "observable": {ch.label + ".out": _subspaces([model], "out", ch.label + ".out")[0].dim
                        for ch in sysq.channels},
     }
     goals = ["bae", "qnd", "dfs"] if args.goal == "all" else [args.goal]

@@ -871,7 +871,6 @@ def quadrature_to_complex(sys: QuantumLinearSystem, tol: float = 1e-10):
     ``a*``), which is the case e.g. for squeezing Hamiltonians.
     """
     A = sys.A
-    n = sys.n
     re1, im1 = A[0::2, 0::2], A[1::2, 0::2]
     re2, im2 = A[1::2, 1::2], -A[0::2, 1::2]
     scale = max(_frobenius(A), 1.0)

@@ -44,10 +44,12 @@ reduced pair), and ``transfer_zero_equivalence`` inside it none of its own.
 The probes are never shared between verdicts and never read the memo's
 resolvent entry, which belongs to :mod:`qlin.xfer` alone.
 
-``_probe`` builds every ``sI - A`` of its stack in one broadcast and takes
-each leg as one stacked product with one pass of threshold norms.  Each
-stack keeps the memory layout of the one-model operands, so every verdict
-has the bits it has alone.
+``_verdict`` and ``_probe`` take only stacks: one model is a stack of one,
+the views ``[None]`` of its own matrices, so there is no second one-model
+path.  ``_probe`` builds every ``sI - A`` of its stack in one broadcast and
+takes each leg as one stacked product with one pass of threshold norms.
+Each stack keeps the memory layout of the one-model operands, so every
+verdict has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -65,10 +67,8 @@ from .structural import (
     _eye,
     _groups,
     _intersects,
-    _members,
     _stacked,
     _take,
-    _subspace,
     _subspaces,
     controllability_matrix,  # noqa: F401  (the benchmark tracer restores this binding)
     largest_markov,
@@ -76,7 +76,6 @@ from .structural import (
 
 __all__ = [
     "GoalVerdict",
-    "residual_tolerance",
     "check_bae",
     "find_qnd",
     "find_dfs",
@@ -152,17 +151,10 @@ def checked_base(base: Optional[float], what: str = "base") -> float:
     return DEFAULT_RESIDUAL_BASE if base is None else _finite_positive(base, what)
 
 
-def residual_tolerance(model: StateSpaceModel, input_port: PortArg,
-                       output_port: PortArg, base: Optional[float] = None) -> float:
-    """Probe threshold ``base * |B|_F |C|_F / (|A|_F + 1)`` of a port pair."""
-    return _threshold(checked_base(base), model.b(input_port), model.c(output_port),
-                      model._norm_A)
-
-
 def _threshold(base: float, first: np.ndarray, second: np.ndarray, norm_A):
     """The probe zero threshold ``base * |first|_F |second|_F / (|A|_F + 1)``,
-    multiplied in that order, of one model or of each member of a stack
-    (``norm_A`` then an array)."""
+    multiplied in that order, of one pair (a BAE verdict's tolerance) or of
+    each member of a stack (a ``_probe`` leg; ``norm_A`` then an array)."""
     return base * _frobenius(first) * _frobenius(second) / (norm_A + 1.0)
 
 
@@ -177,19 +169,19 @@ def _probe_units() -> np.ndarray:
 
 
 def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float, norms):
-    """Cross-check the staircase's claim on resolvent probes, for one model
-    or for a stack of models whose legs have the same shapes.
+    """Cross-check the staircase's claim on resolvent probes, for a stack of
+    models whose legs have the same shapes.
 
-    ``A`` is one drift matrix or a stack ``(T, n, n)``.  ``zero`` and
-    ``shown`` are lists of (left, right) legs, matrices or stacks with the
-    leading shape of ``A``, probed as the largest
+    ``A`` is a stack ``(T, n, n)`` of drift matrices; one model is a stack
+    of one, ``model.A[None]``.  ``zero`` and ``shown`` are lists of
+    (left, right) legs, stacks of ``T`` matrices, probed as the largest
     ``|left (sI - A)^{-1} right|`` against the zero threshold
     ``base * |left|_F |right|_F / (|A|_F + 1)``.  The staircase claims, for
     every member, that every ``zero`` leg vanishes (``vanishes``) or that
     not all of them do, and that every ``shown`` leg does not vanish.
-    Returns whether the probes agree (``method_agreement``) and the largest
-    (value, threshold) of the ``zero`` legs: one such pair for one model, a
-    list of them for a stack.  ``norms`` holds the members' ``|A|_F``
+    Returns, per member, whether the probes agree (``method_agreement``) and
+    the largest (value, threshold) of the ``zero`` legs: a list of ``T``
+    such pairs.  ``norms`` holds the members' ``|A|_F``
     (``StateSpaceModel._norm_A``).
 
     The points lie on the circle ``|s| = R = 2 |A|_F + 1``, at distance at
@@ -198,11 +190,11 @@ def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float, norms):
     member, point and leg, and each leg is one stacked ``left @ X`` with one
     stacked threshold, each with the bits of one model alone.
     """
-    one, A, norms = A.ndim == 2, _members(A), np.asarray(norms)
+    norms = np.asarray(norms)
     (T, n), P = A.shape[:2], PROBE_COUNT
     M = ((2.0 * norms + 1.0)[:, None] * _probe_units())[:, :, None, None] * _eye(n)
     M -= A[:, None]
-    legs = [(_members(left), _members(right)) for left, right in zero + shown]
+    legs = zero + shown
     # every point of a member solves against its right-hand sides: one 3-D
     # stack of right-hand sides, which every numpy reads alike
     rights = np.repeat(np.concatenate([right for _, right in legs], axis=-1), P, axis=0)
@@ -214,9 +206,8 @@ def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float, norms):
         worst = np.abs(vals.reshape(T, -1)).max(axis=1) if vals.size else np.zeros(T)
         probed.append(zip(worst.tolist(), _threshold(base, left, right, norms).tolist()))
     z = len(zero)  # each member's (value, threshold) pairs: its zero legs, then its shown ones
-    out = [(all(w <= t for w, t in legs[:z]) == vanishes and all(w > t for w, t in legs[z:]),
-            max(legs[:z])) for legs in zip(*probed)]
-    return out[0] if one else out
+    return [(all(w <= t for w, t in legs[:z]) == vanishes and all(w > t for w, t in legs[z:]),
+             max(legs[:z])) for legs in zip(*probed)]
 
 
 def _normalize_witness(v: np.ndarray) -> np.ndarray:
@@ -238,9 +229,9 @@ def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
     ``base * |B|_F |C|_F / (|A|_F + 1)``.
     """
     base = checked_base(base)
-    legs = [(model.c(output_port), model.b(input_port))]
+    legs = [(model.c(output_port)[None], model.b(input_port)[None])]
     empty = _reduced_pair(model, input_port, output_port)[0].shape[0] == 0
-    return _probe(model.A, empty, legs, [], base, [model._norm_A])[0]
+    return _probe(model.A[None], empty, legs, [], base, [model._norm_A])[0][0]
 
 
 def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
@@ -353,7 +344,7 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
     whose witness counts then agree share one ``_probe``.  The stacks are
     built and split by ``structural._stacked``, ``np.concatenate`` and
     ``_take``, so every verdict has the bits it has alone; one model is a
-    stack of one, run on its own matrices.
+    stack of one, views ``[None]`` of its own matrices.
     """
     n = models[0].nstates
     ctrls = _subspaces(models, "in", noise_ports)
@@ -391,8 +382,7 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
         # min(columns of drive, free) values per member; s[i][-1] is read
         # only without witnesses, where drive has at least free columns
         _, s, Vt = np.linalg.svd(drive.swapaxes(-1, -2) @ cand, full_matrices=True)
-        s = s.reshape(len(members), -1)
-        cutoffs = INTERSECT_RTOL * _frobenius(_members(drive))
+        cutoffs = INTERSECT_RTOL * _frobenius(drive)
         counts = (s > cutoffs[:, None]).sum(axis=1)
         for k, part in _groups(counts.tolist()).items():  # those with k witnesses share one probe
             A_k, B_k, C_k, cand_k, Vt_k = (_take(x, part) for x in (A, B, C, cand, Vt))
@@ -403,8 +393,7 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
             zero = [(V.swapaxes(-1, -2), B_k)] + ([(C_k, V)] if goal == "DFS" else [])
             shown = [(C_k, W[..., j:j + 1]) for j in range(free - k)] if goal == "QND" else []
             probes = _probe(A_k, found, zero, shown, base, norms[part])
-            for i, W_i, (agree, (worst, tol)) in zip(part, _members(W),
-                                                     probes if W.ndim == 3 else [probes]):
+            for i, W_i, (agree, (worst, tol)) in zip(part, W, probes):
                 verdicts[members[i]] = GoalVerdict(
                     goal, found, tuple(_normalize_witness(w) for w in W_i.T),
                     worst if found else s[i][-1], agree, dims={"witness": free - k, **dims},

@@ -77,16 +77,6 @@ class ClassicalController:
                 object.__setattr__(self, name,
                                    _as_matrix(name, _unflatten(name, val, k, False), cols=k))
 
-    @classmethod
-    def _fresh(cls, A_K: np.ndarray, B_K: np.ndarray, **gains: np.ndarray) -> "ClassicalController":
-        """The validate-once constructor of the package's own random draws
-        (``nogo.sample_classical_controller``): the arrays are fresh, finite,
-        2-D float matrices of consistent shapes, so they are kept as they
-        are, as the public constructor would keep them, without a check."""
-        ctrl = object.__new__(cls)
-        ctrl.__dict__.update(dict(A_K=A_K, B_K=B_K, C_K=None, C_K1=None, C_K2=None), **gains)
-        return ctrl
-
     @property
     def dim(self) -> int:
         return self.A_K.shape[0]

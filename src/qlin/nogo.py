@@ -170,8 +170,8 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
     """
     k, (A_K, B_K, *gains) = _draw(rng, _split_widths(plant, scheme),
                                   np.asarray(controller_dim_range, dtype=int))
-    return ClassicalController._fresh(_stabilized(A_K[None])[0], B_K,
-                                      **dict(zip(_GAINS[scheme], gains)))
+    return ClassicalController(_stabilized(A_K[None])[0], B_K,
+                               **dict(zip(_GAINS[scheme], gains)))
 
 
 def _draw(rng: np.random.Generator, widths: Sequence[int], dims) -> tuple:

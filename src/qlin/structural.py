@@ -16,11 +16,13 @@ the CLI read its subspaces through a per-model memo (``_subspaces`` and
 ``_reduced_pair``): each controllable subspace, observable subspace and
 reduced pair is one staircase per model, keyed by side and the resolved
 column/row indices rather than port names.  ``_subspaces`` fills the memo
-of a list of models with one stacked staircase per state dimension
-(``_subspace`` is its list of one); the stacked staircase gives each member
-the bits of its one-model staircase.  These are the staircase entries of
-``StateSpaceModel._memo``; its one resolvent entry belongs to
-:mod:`qlin.xfer` alone, and no resolvent probe is ever cached.
+of a list of models with one stacked staircase per state dimension (one
+model is a list of one, ``_subspaces([model], ...)[0]``).  Every
+staircase takes a stack, and one pair is a stack of one (the views
+``A[None]`` and ``B[None]`` of its own matrices); the stacked staircase
+gives each member the bits of its one-model staircase.  These are the
+staircase entries of ``StateSpaceModel._memo``; its one resolvent entry
+belongs to :mod:`qlin.xfer` alone, and no resolvent probe is ever cached.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def _intersects(subs: Sequence[Subspace], b: Subspace,
         if d == 0:
             continue
         # x = Qa alpha = Qb beta  <=>  [Qa, -Qb] [alpha; beta] = 0
-        Q = _members(_stacked([subs[t].basis for t in members]))
+        Q = _stacked([subs[t].basis for t in members])
         pair = np.empty((len(Q), n, d + b.dim))
         pair[:, :, :d], pair[:, :, d:] = Q, -b.basis
         _, s, Vt = np.linalg.svd(pair, full_matrices=True)
@@ -267,28 +269,21 @@ def controllable_subspace(A: np.ndarray, B: np.ndarray,
     rather than a direction.  The observable subspace of (A, C) is
     ``controllable_subspace(A.T, C.T)``.
     """
-    return _staircase(A, B, [_cutoff(A, B, rtol)])[0]
+    return _staircase(A[None], B[None], [_cutoff(A, B, rtol)])[0]
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The stack of same-shape matrices whose products must round as they do
     one at a time: each member keeps the memory layout of the first (C
     order, or column-major when the first is only that), since BLAS rounds
-    a transposed operand apart.  One matrix is its own stack of one and is
-    returned as it is."""
+    a transposed operand apart.  One matrix is a stack of one, the view
+    ``first[None]`` with its own strides."""
     first = arrays[0]
     if len(arrays) == 1:
-        return first
+        return first[None]
     if first.flags.f_contiguous and not first.flags.c_contiguous:
         return np.array([a.T for a in arrays]).transpose(0, 2, 1)
     return np.array(arrays)
-
-
-def _members(stack: np.ndarray) -> np.ndarray:
-    """The members of a stack of matrices, with one matrix read as a stack
-    of one: a view of shape ``(T, rows, cols)`` with the members' own
-    strides."""
-    return stack if stack.ndim == 3 else stack[None]
 
 
 def _groups(keys) -> dict:
@@ -303,14 +298,14 @@ def _groups(keys) -> dict:
 def _take(stack: np.ndarray, part: Sequence[int]) -> np.ndarray:
     """The members ``part`` of a stack, in that order, each with its own
     layout; the whole stack when ``part`` names every member."""
-    return stack if len(part) == len(_members(stack)) else stack[part]
+    return stack if len(part) == len(stack) else stack[part]
 
 
 def _staircase(A: np.ndarray, B: np.ndarray, cutoff: Sequence[float]) -> list[Subspace]:
     """The staircases of a stack of pairs, one controllable subspace per
     member: ``A`` is ``(T, n, n)``, ``B`` is ``(T, n, p)`` and ``cutoff``
-    holds the ``T`` rank cutoffs.  One pair is a stack of one, passed as
-    its own 2-D ``A`` and ``B``.
+    holds the ``T`` rank cutoffs.  One pair is a stack of one: the views
+    ``A[None]`` and ``B[None]`` of its own matrices.
 
     Each step is one stacked SVD (for one column, one stacked ``b^T b``), one
     stacked ``A @ Q`` and two stacked re-orthogonalisations.  Each member
@@ -322,21 +317,17 @@ def _staircase(A: np.ndarray, B: np.ndarray, cutoff: Sequence[float]) -> list[Su
     """
     n = A.shape[-1]
     out: list = [None] * len(cutoff)
-    # a unit-stride column, so that b^T b below is the dot np.linalg.norm
-    # makes; one pair's cutoff is a plain number
+    # a unit-stride column, so that b^T b below is the dot np.linalg.norm makes
     todo = [(list(range(len(cutoff))), A, np.empty(A.shape), np.ascontiguousarray(B),
-             np.array(cutoff)[:, None] if A.ndim == 3 else cutoff[0], 0)]
+             np.array(cutoff)[:, None], 0)]
     while todo:
         members, A, Q, block, cut, hi = todo.pop()
         while block.shape[-1] and hi < n:
             if block.shape[-1] == 1:  # the SVD of one column b is its norm sqrt(b^T b)
                 s = np.sqrt(block.swapaxes(-1, -2) @ block)[..., 0]
-                counts = (s > cut).ravel().tolist()
             else:
                 U, s, _ = np.linalg.svd(block, full_matrices=False)
-                above = s > cut
-                counts = ([int(np.count_nonzero(above))] if above.ndim == 1
-                          else above.sum(1).tolist())
+            counts = (s > cut).sum(1).tolist()
             if counts.count(counts[0]) < len(counts):  # the members part: each goes on apart
                 for part in _groups(counts).values():
                     todo.append(([members[i] for i in part], _take(A, part), _take(Q, part),
@@ -355,7 +346,7 @@ def _staircase(A: np.ndarray, B: np.ndarray, cutoff: Sequence[float]) -> list[Su
             for _ in range(2):
                 block -= basis @ (basis_t @ block)
         else:
-            for t, sub in zip(members, Subspace._stack(n, _members(Q[..., :hi]))):
+            for t, sub in zip(members, Subspace._stack(n, Q[..., :hi])):
                 out[t] = sub
     return out
 
@@ -375,7 +366,7 @@ def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
 def _restrict(A, B, C, Q1, norm_A: Optional[float] = None):
     """The observable step of :func:`reduce_pair` inside the controllable basis Q1."""
     A1, B1, C1 = Q1.T @ A @ Q1, Q1.T @ B, C @ Q1
-    Q2 = _staircase(A1.T, C1.T, [_cutoff(A, C.T, None, norm_A)])[0].basis
+    Q2 = _staircase(A1.T[None], C1.T[None], [_cutoff(A, C.T, None, norm_A)])[0].basis
     return Q2.T @ A1 @ Q2, Q2.T @ B1, C1 @ Q2
 
 
@@ -405,11 +396,6 @@ def _subspaces(models: Sequence[StateSpaceModel], side: str, ports) -> list[Subs
     return [model._memo[key] for model, key in zip(models, keys)]
 
 
-def _subspace(model: StateSpaceModel, side: str, ports) -> Subspace:
-    """:func:`_subspaces` of one model."""
-    return _subspaces([model], side, ports)[0]
-
-
 def _reduced_pair(model: StateSpaceModel, inputs, outputs):
     """:func:`reduce_pair` of a port pair of ``model``, computed once per
     model; it starts from the memoised controllable basis of ``inputs``."""
@@ -418,7 +404,7 @@ def _reduced_pair(model: StateSpaceModel, inputs, outputs):
     memo = model._memo
     if key not in memo:
         memo[key] = _restrict(model.A, model.B[:, cols], model.C[rows],
-                              _subspace(model, "in", inputs).basis, model._norm_A)
+                              _subspaces([model], "in", inputs)[0].basis, model._norm_A)
         for arr in memo[key]:
             arr.setflags(write=False)
     return memo[key]

@@ -120,8 +120,6 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     are finite: each public entry checks them first (:func:`_finite`).
     """
     points = np.asarray(points).reshape(-1)
-    if points.size <= CHUNK:
-        return _solve_chunk(A, B, C, D, points, False)
     out = np.empty((points.size,) + D.shape, dtype=complex)
     for lo in range(0, points.size, CHUNK):
         out[lo:lo + CHUNK] = _solve_chunk(A, B, C, D, points[lo:lo + CHUNK], False)

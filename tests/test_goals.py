@@ -126,7 +126,6 @@ def test_bad_base_is_rejected(base):
     for run in (lambda: check_bae(loop, "W.Q", "W.out.P", base=base),
                 lambda: find_qnd(loop, ["W"], "W.out.P", base=base),
                 lambda: find_dfs(memory, ["A"], ["A.out"], base=base),
-                lambda: goals.residual_tolerance(loop, "W.Q", "W.out.P", base=base),
                 lambda: transfer_zero_equivalence(loop, "W.Q", "W.out.P", base=base)):
         with pytest.raises(ValidationError, match="base must be a finite positive"):
             run()
@@ -413,7 +412,9 @@ def test_probe_points_are_drawn_once():
     s = (2.0 * nA + 1.0) * units
     X = np.linalg.solve(s[:, None, None] * np.eye(model.nstates) - model.A,
                         np.broadcast_to(right, (goals.PROBE_COUNT,) + right.shape))
-    _, (worst, tol) = goals._probe(model.A, True, [(left, right)], [], 1e-9, [nA])
+    # one model is a stack of one, and _probe returns one result per member
+    [(_, (worst, tol))] = goals._probe(model.A[None], True, [(left[None], right[None])], [],
+                                       1e-9, [nA])
     assert worst == float(np.max(np.abs(left @ X)))
     assert tol == goals._threshold(1e-9, left, right, nA)
 
@@ -438,13 +439,36 @@ def test_memo_keys_resolved_indices():
     split = check_bae(model, ["W1.Q", "W1.P"], ["W2.out.Q", "W2.out.P"])
     assert len(memo) == 3
     assert same_verdict(whole, split)
-    assert structural._subspace(model, "in", "W1") is \
-        structural._subspace(model, "in", ["W1.Q", "W1.P"])
+    assert structural._subspaces([model], "in", "W1")[0] is \
+        structural._subspaces([model], "in", ["W1.Q", "W1.P"])[0]
     # another column order is another staircase
-    structural._subspace(model, "in", ["W1.P", "W1.Q"])
+    structural._subspaces([model], "in", ["W1.P", "W1.Q"])
     assert len(memo) == 4
     with pytest.raises(ValueError):
         structural._reduced_pair(model, "W1", "W2.out")[0][0, 0] = 1.0
+
+
+def test_one_model_is_a_stack_of_one_view(monkeypatch):
+    # the engines take only stacks: one model's drift enters as the view
+    # A[None] of its own matrix, not as a copy
+    seen = []
+
+    def record(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda A, *args: seen.append((name, A)) or fn(A, *args))
+
+    record(structural, "_staircase")
+    record(goals, "_probe")
+    for engine, ports in ((check_bae, ("W1", "W2.out")), (find_qnd, (["W1", "W2"], "W1.out"))):
+        model = scaling_system("dense", 8, 1).to_state_space()
+        seen.clear()
+        engine(model, *ports)
+        names = [name for name, _ in seen]
+        assert names[0] == "_staircase" and "_probe" in names, engine.__name__
+        assert all(A.ndim == 3 and len(A) == 1 for _, A in seen), engine.__name__
+        assert np.shares_memory(seen[0][1], model.A)
+        assert all(np.shares_memory(A, model.A) for name, A in seen if name == "_probe")
 
 
 def wide_model(A, B, C):
