@@ -211,7 +211,6 @@ class Ports:
 
     def __init__(self, entries: Iterable[tuple[str, int]] = ()):
         self._ranges: dict[str, slice] = {}
-        self._order: list[str] = []
         self._total = 0
         self._held = False
         self._extended: dict[tuple[str, int], "Ports"] = {}
@@ -239,7 +238,6 @@ class Ports:
         if name in self._ranges:
             raise ValidationError(f"duplicate port name {name!r}")
         self._ranges[name] = slice(start, start + width)
-        self._order.append(name)
 
     def append(self, name: str, width: int) -> None:
         """Register a new primary port occupying the next `width` indices."""
@@ -308,12 +306,11 @@ class Ports:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self._ranges)
 
     def entries(self) -> list[tuple[str, int, int]]:
         """(name, start, width) triples in registration order."""
-        return [(n, self._ranges[n].start, self._ranges[n].stop - self._ranges[n].start)
-                for n in self._order]
+        return [(n, r.start, r.stop - r.start) for n, r in self._ranges.items()]
 
     def __repr__(self):
         return f"Ports({self.entries()!r})"
@@ -426,22 +423,16 @@ class StateSpaceModel:
         return self._derive(self, A=Tinv @ self.A @ T, B=Tinv @ self.B, C=self.C @ T)
 
 
-@lru_cache(maxsize=None)
-def _split_targets(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``I`` and ``J = [[0, I], [-I, 0]]`` of ``m`` channels, built once per
-    ``m`` and read-only, as :func:`sigma` is."""
-    return _frozen(np.eye(2 * m)), _frozen(np.eye(2 * m, k=m) - np.eye(2 * m, k=-m))
-
-
 def _check_splits(m: int, M: np.ndarray) -> None:
     """Check every ``M = [M1; M2]`` of the stack ``M`` (shape ``(k, 2m, 2m)``)
     against the three split identities within ``SPLIT_TOL * max(m, 1)``; a
     ``ValidationError`` names the first identity that fails, its defect and,
     in a stack of more than one, the member's index."""
-    eye, J = _split_targets(m)
+    eye = np.eye(2 * m)
     Mt = M.transpose(0, 2, 1)
     checks = {
-        "M Sigma M^T = J": M @ sigma(m) @ Mt - J,
+        # J = [[0, I], [-I, 0]]
+        "M Sigma M^T = J": M @ sigma(m) @ Mt - (np.eye(2 * m, k=m) - np.eye(2 * m, k=-m)),
         "M M^T = I": M @ Mt - eye,
         "M^T M = I": Mt @ M - eye,
     }
@@ -477,21 +468,6 @@ class MeasurementSplit:
         _check_splits(self.m, np.concatenate((M1, M2))[None])
         object.__setattr__(self, "M1", _frozen(M1))
         object.__setattr__(self, "M2", _frozen(M2))
-
-    @classmethod
-    def _stack(cls, m: int, O: np.ndarray) -> list["MeasurementSplit"]:
-        """The splits ``M1 = O_k[0::2]``, ``M2 = O_k[1::2]`` of each matrix of
-        the stack ``O`` (shape ``(k, 2m, 2m)``), checked once as a stack by
-        the identities of the constructor; each split's rows are then frozen
-        without checking them again."""
-        M1, M2 = O[:, 0::2], O[:, 1::2]
-        _check_splits(m, np.concatenate((M1, M2), axis=1))
-        splits = []
-        for a, b in zip(M1, M2):
-            split = object.__new__(cls)
-            split.__dict__.update(m=m, M1=_frozen(a), M2=_frozen(b))
-            splits.append(split)
-        return splits
 
 
 def _selector_angle(sel, what: str) -> float:
@@ -640,11 +616,8 @@ class QuantumLinearSystem:
     @cached_property
     def _memo(self) -> dict:
         """Private memo of results that depend on this immutable system only:
-        under ``"roles"`` its :meth:`role_partition`, under ``"mf2"`` the
-        parts of its type-2 open loop that no split changes, which only
-        ``interconnect._mf2_parts`` reads or fills, and under
-        ``("nogo", goal, scheme, base)`` its own verdict under the canonical
-        splits, which only ``nogo.verify_nogo`` reads or fills."""
+        under ``("nogo", goal, scheme, base)`` its own verdict under the
+        canonical splits, which only ``nogo.verify_nogo`` reads or fills."""
         return {}
 
     def role_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -652,13 +625,8 @@ class QuantumLinearSystem:
 
         Type-2 loops split the fields into these two groups, so every
         channel must carry one of the two roles and each group must be
-        nonempty.  Computed once per system.
+        nonempty.  Read from the channel tags on each call.
         """
-        if "roles" not in self._memo:
-            self._memo["roles"] = self._roles()
-        return self._memo["roles"]
-
-    def _roles(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         groups: dict[str, list[int]] = {"feedback": [], "evaluation": []}
         for j, ch in enumerate(self.channels):
             if ch.role == "environment":

@@ -6,9 +6,10 @@ differ only in that realization and in its field outputs (type 1:
 ``"Wout"``; type 2: ``"W1out"``, ``"W2out"``).  The controller displaces
 the input fields, so its input map is ``E = D_W^T``, the transpose of the
 open loop's feedthrough ``D_W`` onto those field outputs: that feedthrough
-is orthogonal, so ``D_W E = I``.  One function,
-``_classical_feedback``, assembles the open and closed loops of stacks of
-controllers and splits with the bits of one loop each; ``mf_type1`` and
+is orthogonal, so ``D_W E = I``.  One function, ``_open_stacks``, builds
+the open loops of a stack of splits for either scheme (the no-go harness
+judges them bare), and one, ``_classical_feedback``, closes a stack of
+controllers around them with the bits of one loop each; ``mf_type1`` and
 ``mf_type2`` are a stack of one.  Both coherent loops are one SLH series
 product of field stages over the joint plant/controller state, and the
 only algebraic loop in scope (ideal direct feedback, ``tau = 0``) is
@@ -159,6 +160,18 @@ def _split_widths(plant: QuantumLinearSystem, scheme: str) -> tuple[int, ...]:
     raise ValidationError(f"unknown scheme {scheme!r}; expected 'mf1' or 'mf2'")
 
 
+def _open_stacks(plant: QuantumLinearSystem, scheme: str, splits):
+    """The ports and the stacks ``B``, ``C``, ``D`` of the open loops of
+    ``scheme`` (the plant under each member's measurement choice, before a
+    controller is attached), one ``(M1, M2)`` pair of stacks per split the
+    scheme takes (``_split_widths``, C-ordered members); the drift is the
+    plant's own.  The one place that picks a scheme's open loop: type 1 is
+    ``to_state_space(split)``, type 2 ``mf_type2_open_loop``."""
+    if scheme == "mf1":
+        return plant._split_stacks(*splits[0])
+    return _mf2_stacks(plant, splits[0][0], *splits[1])
+
+
 def _classical_feedback(plant: QuantumLinearSystem, scheme: str, A_K: np.ndarray,
                         B_K: np.ndarray, gains: list, *splits) -> list[StateSpaceModel]:
     """Close a classical controller around the measured port ``"y"`` of each
@@ -182,8 +195,7 @@ def _classical_feedback(plant: QuantumLinearSystem, scheme: str, A_K: np.ndarray
     it has alone.  A controller without states may leave ``B_K`` and the
     gains empty.
     """
-    inputs, outputs, open_loop = (plant._split_stacks(*splits[0]) if scheme == "mf1"
-                                  else _mf2_stacks(plant, splits[0][0], *splits[1]))
+    inputs, outputs, open_loop = _open_stacks(plant, scheme, splits)
     B, C, D = open_loop["B"], open_loop["C"], open_loop["D"]
     y = outputs.slice("y")
     fields = outputs._select("Wout" if scheme == "mf1" else ["W1out", "W2out"])
@@ -226,34 +238,22 @@ def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
                                (split.M1[None], split.M2[None]))[0]
 
 
-def _mf2_parts(plant: QuantumLinearSystem):
-    """The parts of the plant's type-2 open loop that no split changes, built
-    once per plant and kept read-only in its memo: the group widths
-    ``m1``/``m2``, the feedback and evaluation columns of ``B`` and rows of
-    ``C``, and the sealed port registries."""
-    memo = plant._memo
-    if "mf2" not in memo:
-        fb, ev = plant.role_partition()
-        m1, m2 = len(fb), len(ev)
-        fb_rows, ev_rows = _quadrature_rows(fb), _quadrature_rows(ev)
-        C1, C2 = plant.C[fb_rows, :], plant.C[ev_rows, :]
-        B1, B2 = plant.B[:, fb_rows], plant.B[:, ev_rows]
-        inputs, outputs, _ = _layout("mf2", tuple(plant.channels[i].label for i in fb + ev),
-                                     plant.force is not None, m1)
-        for arr in (C1, C2, B1, B2):
-            arr.setflags(write=False)
-        memo["mf2"] = (m1, m2, B1, B2, C1, C2, inputs, outputs)
-    return memo["mf2"]
-
-
 def _mf2_stacks(plant: QuantumLinearSystem, M: np.ndarray, M1e: np.ndarray, M2e: np.ndarray):
     """The ports and the stacks ``B``, ``C``, ``D`` of the type-2 open loops
     of the stacks of feedback selectors ``M`` and evaluation splits
     ``M1e``/``M2e`` (C-ordered members), each product made per member as
-    for one pair of splits; the drift is the plant's own."""
-    m1, m2, B1, B2, C1, C2, inputs, outputs = _mf2_parts(plant)
+    for one pair of splits; the drift is the plant's own, and the feedback
+    and evaluation columns of ``B`` and rows of ``C`` are read once per
+    stack."""
+    fb, ev = plant.role_partition()
+    m1, m2 = len(fb), len(ev)
     if M.shape[1] != m1 or M1e.shape[1] != m2:
         raise ShapeError("measurement splits do not match the channel partition")
+    fb_rows, ev_rows = _quadrature_rows(fb), _quadrature_rows(ev)
+    B1, B2 = plant.B[:, fb_rows], plant.B[:, ev_rows]
+    C1, C2 = plant.C[fb_rows, :], plant.C[ev_rows, :]
+    inputs, outputs, _ = _layout("mf2", tuple(plant.channels[i].label for i in fb + ev),
+                                 plant.force is not None, m1)
     T, n, e = len(M), plant.A.shape[0], 2 * m1  # e: the first evaluation input
     # column-major members, as the columns of B that pick the groups are
     B = np.empty((T, inputs.total, n)).swapaxes(1, 2)

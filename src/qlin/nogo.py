@@ -11,16 +11,20 @@ from the open loop.
 Draws come first: each trial's stream gives the Gaussian matrix of each of
 its splits, then its controller's dimension and matrices, in that order.
 The splits of one width are then built from all trials' draws as one stack
-(one QR, one phase fix, one realification) and checked as one stack
-against the split identities (``MeasurementSplit._stack``).  The trials of
-one controller dimension, so of one loop dimension, are then one stack:
-one stacked ``eigvals`` shifts their controllers stable (it consumes no
-random numbers, so it may follow the draws), one stacked assembly builds
-their open and closed loops, and one ``goals._verdict`` judges them (one
-stacked staircase per side; for BAE one reduced pair and probe per loop,
-for QND/DFS one stacked intersection, witness SVD and probe).  The same
-engine judges the plant's own pre-check and, for each trial whose loop
-achieves the goal, the plant under that trial's splits.
+(one QR, one phase fix, one realification): its selector rows ``M1`` and
+``M2``, checked as one stack against the split identities
+(``core._check_splits``) before any loop is built.  The trials of one
+controller dimension, so of one loop dimension, are then one stack: one
+stacked ``eigvals`` shifts their controllers stable (it consumes no random
+numbers, so it may follow the draws), one stacked assembly builds their
+open and closed loops, and one ``goals._verdict`` judges them (one stacked
+staircase per side; for BAE one reduced pair and probe per loop, for
+QND/DFS one stacked intersection, witness SVD and probe).  The same engine
+judges the plant's own pre-check and, for each trial whose loop achieves
+the goal, the plant under that trial's splits; both bare loops come from
+the open-loop builder of the loops (``interconnect._open_stacks``), on the
+rows ``[None]`` of the canonical splits and the rows ``[[t]]`` of trial
+``t``'s stacks.
 :func:`random_orthosymplectic`, :func:`random_split` and
 :func:`sample_classical_controller` are the same builds on a stack of one.
 
@@ -44,12 +48,13 @@ from .core import (
     QuantumLinearSystem,
     StateSpaceModel,
     ValidationError,
+    _check_splits,
     _realify,
     homodyne_split,
 )
 from .goals import _verdict, checked_base
-from .interconnect import (_GAINS, ClassicalController, _classical_feedback, _split_widths,
-                           mf_type2_open_loop)
+from .interconnect import (_GAINS, ClassicalController, _classical_feedback, _open_stacks,
+                           _split_widths)
 from .structural import Subspace, _eye, _groups
 
 __all__ = [
@@ -141,7 +146,8 @@ def random_orthosymplectic(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def random_split(rng: np.random.Generator, m: int) -> MeasurementSplit:
     """Random homodyne selector pair from a random orthogonal-symplectic M."""
-    return MeasurementSplit._stack(m, _orthosymplectic(_gaussian(rng, m)[None]))[0]
+    O = random_orthosymplectic(rng, m)
+    return MeasurementSplit(m, O[0::2], O[1::2])
 
 
 def _dim_range(dims) -> tuple[int, ...]:
@@ -196,13 +202,6 @@ def _stabilized(A_K: np.ndarray) -> np.ndarray:
     return A_K - shift[:, None, None] * _eye(k)
 
 
-def _open_loop(plant: QuantumLinearSystem, scheme: str, splits) -> StateSpaceModel:
-    """The plant under a trial's measurement choice, without a controller."""
-    if scheme == "mf1":
-        return plant.to_state_space(splits[0])
-    return mf_type2_open_loop(plant, *splits)
-
-
 @lru_cache(maxsize=None)
 def _plant_block(n: int, plant_n: int) -> Subspace:
     """The plant's ``2 plant_n`` coordinates of an ``n``-state loop, where
@@ -239,8 +238,9 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         stable and their loops assembled and judged together as one
         stacked ``goals._verdict`` (witnesses restricted to the plant
         block), and the report is tallied in trial order.  When a loop
-        achieves the goal, the plant under the same splits is judged by the
-        same engine, unrestricted (its states are all the plant's).  The
+        achieves the goal, the plant under the same splits (the same rows
+        of the stacks, through the loops' open-loop builder) is judged by
+        the same engine, unrestricted (its states are all the plant's).  The
         plant's own verdict under the canonical splits is judged once per
         goal, scheme and base and kept in the plant's memo.
     controller_dim_range : sequence of int, optional
@@ -268,12 +268,19 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     widths = _split_widths(plant, scheme)
     noise, judged = _PORTS[(scheme, goal)]
     goal_name = goal.upper()
+
+    def plant_verdict(splits):
+        # the plant alone under one (M1, M2) pair of one-member stacks per
+        # width: no controller, so no block to restrict the witnesses to
+        bare = StateSpaceModel._derive_each(plant, *_open_stacks(plant, scheme, splits))
+        return _verdict(goal_name, bare, noise, judged, None, base)[0]
+
     # the plant's own verdict under the canonical splits depends on the
     # immutable plant only, so it is judged once per (goal, scheme, base)
     key = ("nogo", goal, scheme, base)
     if key not in plant._memo:
-        bare = _open_loop(plant, scheme, [homodyne_split(width, "P") for width in widths])
-        plant._memo[key] = _verdict(goal_name, [bare], noise, judged, None, base)[0]
+        canonical = [homodyne_split(width, "P") for width in widths]
+        plant._memo[key] = plant_verdict([(s.M1[None], s.M2[None]) for s in canonical])
     if plant._memo[key].achieved:
         raise ValidationError(
             f"plant already achieves {goal_name} standalone; the no-go "
@@ -288,26 +295,26 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         for Z, width in zip(draws, widths):
             Z[t] = _gaussian(rng, width)
         ctrls.append(_draw(rng, widths, dims))
-    Os = [_orthosymplectic(Z) for Z in draws]
-    stacks = [MeasurementSplit._stack(width, O) for width, O in zip(widths, Os)]
+    # each width's selector rows, C-ordered as one split's own, checked as one stack
+    rows = [(np.ascontiguousarray(O[:, 0::2]), np.ascontiguousarray(O[:, 1::2]))
+            for O in map(_orthosymplectic, draws)]
+    for width, (M1, M2) in zip(widths, rows):
+        _check_splits(width, np.concatenate((M1, M2), axis=1))
     verdicts: list = [None] * trials
     for k, members in _groups(ctrl[0] for ctrl in ctrls).items():
         # the loops of one controller dimension, so of one state dimension
         A_K, B_K, *gains = (np.array(draw) for draw in zip(*(ctrls[t][1] for t in members)))
         loops = _classical_feedback(plant, scheme, _stabilized(A_K), B_K, gains,
-                                    *((np.ascontiguousarray(O[members, 0::2]),
-                                       np.ascontiguousarray(O[members, 1::2])) for O in Os))
+                                    *((M1[members], M2[members]) for M1, M2 in rows))
         restrict = _plant_block(loops[0].nstates, plant.n)
         for t, verdict in zip(members, _verdict(goal_name, loops, noise, judged, restrict, base)):
             verdicts[t] = verdict
-    for closed, *splits in zip(verdicts, *stacks):
+    for t, closed in enumerate(verdicts):
         disagreements += not closed.method_agreement
         if closed.achieved:
             # the theorem only forbids this when the plant fails under the
             # same measurement choice
-            bare = _open_loop(plant, scheme, splits)
-            # the bare loop is the plant alone: no block to restrict to
-            plant_v = _verdict(goal_name, [bare], noise, judged, None, base)[0]
+            plant_v = plant_verdict([(M1[[t]], M2[[t]]) for M1, M2 in rows])
             skips += plant_v.achieved
             violations += not plant_v.achieved
             continue

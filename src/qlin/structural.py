@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ShapeError, StateSpaceModel, ORTHO_TOL
+from .core import ShapeError, StateSpaceModel, ORTHO_TOL, _as_matrix
 
 __all__ = [
     "Subspace",
@@ -268,7 +268,15 @@ def controllable_subspace(A: np.ndarray, B: np.ndarray,
     factor, but not below one step's ``n * eps``, whose residue is rounding
     rather than a direction.  The observable subspace of (A, C) is
     ``controllable_subspace(A.T, C.T)``.
+
+    ``A`` must be a square matrix and ``B`` a matrix with ``A``'s row
+    count, both finite (``ShapeError`` or ``ValidationError`` otherwise); a
+    float array is read as it is, without a copy.
     """
+    A = _as_matrix("A", A)
+    if A.shape[0] != A.shape[1]:
+        raise ShapeError(f"A must be square, got {A.shape}")
+    B = _as_matrix("B", B, rows=A.shape[0])
     return _staircase(A[None], B[None], [_cutoff(A, B, rtol)])[0]
 
 

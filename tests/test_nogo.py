@@ -288,6 +288,48 @@ def test_verify_nogo_matches_a_per_trial_reference():
                 assert json.dumps(got) == json.dumps(want), (scheme, goal, seed)
 
 
+def test_achieving_trials_judge_the_bare_loop_of_their_own_splits(monkeypatch):
+    # no sampled loop achieves its goal, so force every one to: each trial's
+    # bare loop must then be the plant under that trial's splits, as the
+    # public builders make it from splits redrawn one trial at a time
+    import qlin.goals as goals
+    import qlin.nogo as nogo
+
+    closed, bare = [], []
+
+    def assemble(*args, _fn=nogo._classical_feedback):
+        loops = _fn(*args)
+        closed.extend(loops)  # kept alive, so no bare loop can take the place of one
+        return loops
+
+    def bae(model, *args, _fn=goals._bae):
+        verdict = _fn(model, *args)
+        if any(model is loop for loop in closed):
+            return dataclasses.replace(verdict, achieved=True)
+        bare.append(model)
+        return verdict
+
+    monkeypatch.setattr(nogo, "_classical_feedback", assemble)
+    monkeypatch.setattr(goals, "_bae", bae)
+    trials, seed = 8, 3
+    for plant, scheme in ((sc.optomech_reduced(), "mf1"), (sc.michelson(), "mf2")):
+        verify_nogo(plant, "bae", scheme, trials=0)  # the pre-check, kept in the plant's memo
+        bare.clear()
+        report = verify_nogo(plant, "bae", scheme, trials=trials, seed=seed)
+        assert report.violations + report.hypothesis_skips == trials == len(bare)
+        widths = (plant.m,) if scheme == "mf1" else tuple(map(len, plant.role_partition()))
+        for model, ss in zip(bare, np.random.SeedSequence(seed).spawn(trials)):
+            rng = np.random.Generator(np.random.Philox(ss))
+            splits = [random_split(rng, width) for width in widths]
+            want = (plant.to_state_space(splits[0]) if scheme == "mf1"
+                    else mf_type2_open_loop(plant, *splits))
+            assert (model.inputs.entries(), model.outputs.entries()) == \
+                (want.inputs.entries(), want.outputs.entries())
+            for name in "ABCD":
+                got, ref = getattr(model, name), getattr(want, name)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (scheme, name)
+
+
 def test_stacked_splits_equal_one_at_a_time_splits():
     import qlin.nogo as nogo
 
@@ -304,12 +346,14 @@ def test_stacked_splits_equal_one_at_a_time_splits():
         rng = np.random.default_rng(60 + m)
         singles = [random_split(rng, m) for _ in range(6)]
         rng = np.random.default_rng(60 + m)
-        stacked = MeasurementSplit._stack(
-            m, nogo._orthosymplectic(np.array([nogo._gaussian(rng, m) for _ in range(6)])))
-        for one, many in zip(singles, stacked):
-            assert many.m == m
-            assert np.array_equal(one.M1, many.M1) and np.array_equal(one.M2, many.M2)
-            assert not many.M1.flags.writeable and many.M1.flags.c_contiguous
+        # verify_nogo's selector rows of one width: one stacked build, C-ordered
+        O = nogo._orthosymplectic(np.array([nogo._gaussian(rng, m) for _ in range(6)]))
+        M1s, M2s = np.ascontiguousarray(O[:, 0::2]), np.ascontiguousarray(O[:, 1::2])
+        for t, one in enumerate(singles):
+            assert one.m == m
+            assert one.M1.tobytes() == M1s[[t]].tobytes()
+            assert one.M2.tobytes() == M2s[[t]].tobytes()
+            assert not one.M1.flags.writeable and one.M1.flags.c_contiguous
         rng, ref = np.random.default_rng(70 + m), np.random.default_rng(70 + m)
         for _ in range(6):
             assert np.array_equal(random_orthosymplectic(rng, m), parent_orthosymplectic(ref, m))
@@ -332,13 +376,14 @@ def test_verify_nogo_makes_one_qr_per_split_width(monkeypatch):
 
 def test_split_stack_names_the_member_that_fails():
     import qlin.nogo as nogo
+    from qlin.core import _check_splits as check_splits
 
     rng = np.random.default_rng(80)
     O = nogo._orthosymplectic(np.array([nogo._gaussian(rng, 2) for _ in range(4)]))
-    assert len(MeasurementSplit._stack(2, O)) == 4
+    check_splits(2, np.concatenate((O[:, 0::2], O[:, 1::2]), axis=1))
     O[2, 1, 3] += 1e-9
     with pytest.raises(ValidationError, match=r"violates M Sigma M\^T = J at member 2 \(defect"):
-        MeasurementSplit._stack(2, O)
+        check_splits(2, np.concatenate((O[:, 0::2], O[:, 1::2]), axis=1))
     # a stack of one is the constructor's check, with its message
     split = homodyne_split(2, "P")
     with pytest.raises(ValidationError, match=r"violates M Sigma M\^T = J \(defect"):
@@ -480,20 +525,11 @@ def test_verify_nogo_reads_every_valid_dim_range_alike():
     assert reports[0]["controller_dim_range"] == [0, 1, 2, 3, 4]
 
 
-def test_type2_open_loop_reads_the_plant_once(monkeypatch):
-    from qlin.core import QuantumLinearSystem
-
-    calls = []
-    roles = QuantumLinearSystem._roles
-    monkeypatch.setattr(QuantumLinearSystem, "_roles",
-                        lambda self: calls.append(1) or roles(self))
+def test_type2_open_loops_have_their_own_feedthrough():
     plant = sc.michelson()
     rng = np.random.default_rng(5)
     loops = [mf_type2_open_loop(plant, random_split(rng, 1), random_split(rng, 1))
              for _ in range(4)]
-    for _ in range(4):
-        sample_classical_controller(rng, plant, "mf2", range(3))
-    assert calls == [1]
     # each loop has a feedthrough of its own; the plant's fixed blocks stay
     assert loops[0].D is not loops[1].D
     assert not np.array_equal(loops[0].D, loops[1].D)

@@ -194,6 +194,28 @@ def test_kalman_fully_controllable_is_trivial():
     assert dec.primary_dim == model.nstates
 
 
+@pytest.mark.parametrize("A, B, message", [
+    (np.diag([-1.0, -2.0, -3.0]), np.ones(3), "B must have 3 rows, got 1"),
+    (np.diag([-1.0, -2.0, -3.0]), np.ones((2, 1)), "B must have 3 rows, got 2"),
+    (np.diag([-1.0, -2.0, -3.0]), np.ones((3, 3, 1)), "B must be a 2-D matrix"),
+    (np.ones((3, 2)), np.ones((3, 1)), r"A must be square, got \(3, 2\)"),
+])
+def test_controllable_subspace_checks_its_raw_arguments(A, B, message):
+    from qlin.structural import controllable_subspace
+
+    with pytest.raises(ShapeError, match=message):
+        controllable_subspace(A, B)
+
+
+def test_controllable_subspace_reads_nested_lists_as_arrays():
+    from qlin.structural import controllable_subspace
+
+    A, B = [[-1.0, 0.0], [0.0, -2.0]], [[1.0], [0.0]]
+    got = controllable_subspace(A, B)
+    want = controllable_subspace(np.array(A), np.array(B))
+    assert got.dim == want.dim == 1 and np.array_equal(got.basis, want.basis)
+
+
 def test_kalman_michelson_common_differential_split():
     p = sc.MichelsonParams(m=1.0, omega=0.5, lam=1.0)
     model = sc.michelson(p).to_state_space()
