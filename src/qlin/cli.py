@@ -77,7 +77,9 @@ def _number_pair(what: str, text: str) -> tuple[float, float]:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Write ``obj`` as JSON to stdout; a non-finite number, which JSON (RFC
+    8259) cannot carry, raises ``ValueError`` before anything is written."""
+    sys.stdout.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _tol_base(args) -> float:

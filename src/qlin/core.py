@@ -86,14 +86,14 @@ def _all_finite(arr: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
-def _frobenius(x: np.ndarray):
-    """``|x|_F`` of a matrix, or the array of ``|x_t|_F`` of each matrix of a
-    stack ``(T, rows, cols)``, rounded as ``np.linalg.norm`` rounds one
-    matrix alone: the root of the dot of its entries in memory order (one
-    ``np.vdot`` per member, which sets no overflow warning).  Where that is
-    inf, or 0 on a nonzero matrix, it is recomputed as ``m |x / m|_F`` with
-    ``m = max |x|``, so in-range norms keep their bits and none warns."""
-    stack = x if x.ndim == 3 else x[None]
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """The array of ``|x_t|_F`` of each matrix of a stack ``(T, rows, cols)``
+    (one matrix is the stack of one ``x[None]``), each rounded as
+    ``np.linalg.norm`` rounds that matrix alone: the root of the dot of its
+    entries in memory order (one ``np.vdot`` per member, which sets no
+    overflow warning).  Where that is inf, or 0 on a nonzero matrix, it is
+    recomputed as ``m |x / m|_F`` with ``m = max |x|``, so in-range norms
+    keep their bits and none warns."""
     # each member's entries in memory order, copied to unit stride: a strided
     # dot rounds apart
     flat = np.ascontiguousarray(stack.swapaxes(1, 2) if stack.strides[2] > stack.strides[1]
@@ -102,7 +102,7 @@ def _frobenius(x: np.ndarray):
     for t in [t for t, norm in enumerate(out) if not 0 < norm < math.inf]:
         if 0 < (m := np.abs(flat[t]).max(initial=0.0)) < math.inf:
             out[t] = m * math.sqrt(np.vdot(flat[t] / m, flat[t] / m))
-    return np.array(out) if x.ndim == 3 else out[0]
+    return np.array(out)
 
 
 def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] = None,
@@ -163,7 +163,7 @@ def _hamiltonian(name: str, G) -> np.ndarray:
         raise ShapeError(f"{name} must be square with even size, got {G.shape}")
     if G.tobytes() == G.T.tobytes():
         return _frozen(G)
-    if _frobenius(G - G.T) > SYMMETRY_RTOL * max(_frobenius(G), 1.0):
+    if _frobenius((G - G.T)[None])[0] > SYMMETRY_RTOL * max(_frobenius(G[None])[0], 1.0):
         raise ValidationError(
             f"{name} is not symmetric within tolerance; refusing to symmetrise "
             "an asymmetric Hamiltonian matrix")
@@ -397,10 +397,13 @@ class StateSpaceModel:
         return self.A.shape[0]
 
     @cached_property
-    def _norm_A(self) -> float:
-        """``|A|_F``, computed once: every staircase cutoff and probe radius
-        of the model reads it (``A^T`` has the same norm, to the bit)."""
-        return np.linalg.norm(self.A)
+    def _norm_A(self) -> np.ndarray:
+        """``|A|_F`` as a stack of one, computed and checked judgeable once
+        (``structural._scales``): every staircase cutoff, probe radius and
+        probe threshold of the model reads it (``A^T`` has the same norm, to
+        the bit)."""
+        from .structural import _scales  # the home of the scale rules imports this module
+        return _scales("A", self.A[None])
 
     def b(self, port: Union[str, Sequence[str]]) -> np.ndarray:
         """Input-matrix columns of one or more input ports (a fresh array, in
@@ -533,7 +536,7 @@ def realizability_defect(A: np.ndarray, C: np.ndarray) -> float:
     n2 = A.shape[0]
     m2 = C.shape[0]
     G = sigma(n2 // 2).T @ A - C.T @ sigma(m2 // 2) @ C / 2.0
-    return float(_frobenius(G - G.T) / max(_frobenius(G), 1.0))
+    return float(_frobenius((G - G.T)[None])[0] / max(_frobenius(G[None])[0], 1.0))
 
 
 @dataclass(frozen=True)
@@ -841,19 +844,19 @@ def quadrature_to_complex(sys: QuantumLinearSystem, tol: float = 1e-10):
     A = sys.A
     re1, im1 = A[0::2, 0::2], A[1::2, 0::2]
     re2, im2 = A[1::2, 1::2], -A[0::2, 1::2]
-    scale = max(_frobenius(A), 1.0)
-    if not (_frobenius(re1 - re2) <= tol * scale and _frobenius(im1 - im2) <= tol * scale):
+    scale = max(_frobenius(A[None])[0], 1.0)
+    if not _frobenius(np.array([re1 - re2, im1 - im2])).max() <= tol * scale:
         raise ValidationError("drift is not complex-linear; no annihilation-operator form")
     F = re1 + 1j * im1
     couplings = []
-    cscale = max(_frobenius(sys.C), 1.0)
+    cscale = max(_frobenius(sys.C[None])[0], 1.0)
     for j in range(sys.m):
         rq = sys.C[2 * j]
         rp = sys.C[2 * j + 1]
         l = rq[0::2] + 1j * rp[0::2]
-        # each defect as a one-row matrix, the shape _frobenius takes
-        if not (_frobenius((rq[1::2] + l.imag)[None]) <= tol * cscale
-                and _frobenius((rp[1::2] - l.real)[None]) <= tol * cscale):
+        # the two defects as a stack of one-row matrices
+        if not _frobenius(np.array([[rq[1::2] + l.imag], [rp[1::2] - l.real]])).max() \
+                <= tol * cscale:
             raise ValidationError(f"channel {j} coupling is not complex-linear")
         couplings.append(l)
     return F, couplings

@@ -18,6 +18,13 @@ Each goal is decided by two independent routes, and one function,
   A probe is zero below ``base * |left|_F |right|_F / (|A|_F + 1)``; there
   ``|(sI - A)^{-1}| <= 1 / (|A|_F + 1)``, so the bound does not grow with N.
 
+The cutoff, radius and threshold rules and the norms they read have one
+home, :mod:`qlin.structural` (``_cutoff``, ``_radius``, ``_threshold`` and
+``_scales``, which rejects a norm too large to judge); this module imports
+them and writes none of them itself.  Its own scales, the witness cutoff
+``INTERSECT_RTOL * |drive|_F`` and the witness norm, use the same norm,
+``core._frobenius``.
+
 ``method_agreement`` holds when every probe meets the staircase's claim; a
 verdict whose routes disagree is flagged there rather than silently
 resolved.  Residuals are in probe units: the BAE residual is the largest
@@ -67,9 +74,11 @@ from .structural import (
     _eye,
     _groups,
     _intersects,
+    _radius,
     _stacked,
     _take,
     _subspaces,
+    _threshold,
     controllability_matrix,  # noqa: F401  (the benchmark tracer restores this binding)
     largest_markov,
 )
@@ -93,6 +102,10 @@ DEFAULT_RESIDUAL_BASE = 1e-9
 #: counts as undriven (the principal-angle tolerance of witness tests).
 INTERSECT_RTOL = 1e-8
 
+#: Entries of a witness below this fraction of its largest entry do not
+#: decide its sign.
+SIGN_RTOL = 1e-12
+
 #: Count and seed of the probe points on the circle |s| = 2 |A|_F + 1.
 PROBE_COUNT = 16
 PROBE_SEED = 0x5EED
@@ -111,12 +124,16 @@ class GoalVerdict:
     term if larger; each term is at most the largest probe value of
     ``C (sI - A)^{-1} B``, so it shares the units of ``tolerance``, the probe
     threshold ``base * |B|_F |C|_F / (|A|_F + 1)``, which also bounds the
-    direct term.  ``dims["overlap"]`` is the dimension of that part, so BAE
-    holds iff it is 0 and the direct term is within tolerance.  For achieved
-    QND/DFS, ``residual`` is the largest witness probe and ``tolerance`` its
-    threshold; otherwise ``residual`` is the obstruction gap (smallest
-    singular value separating the candidate space from the goal condition)
-    and ``tolerance`` the rank cutoff it is judged against.
+    direct term (the radius and threshold rules are ``structural._radius``
+    and ``structural._threshold``).  ``dims["overlap"]`` is the dimension of
+    that part, so BAE holds iff it is 0 and the direct term is within
+    tolerance.  For achieved QND/DFS, ``residual`` is the largest witness
+    probe and ``tolerance`` its threshold; otherwise ``residual`` is the
+    obstruction gap (smallest singular value separating the candidate space
+    from the goal condition) and ``tolerance`` the rank cutoff it is judged
+    against.  The norms of ``A`` and of the port blocks that a tolerance is
+    made of are at most ``structural.SCALE_MAX``: a larger one is a
+    ``ValidationError`` that names its matrix (``structural._scales``).
     ``method_agreement`` records whether the probes meet the staircase's
     claim (:func:`_probe`): for BAE, whether they see ``C (sI - A)^{-1} B``
     vanish iff the reduced pair is empty; for QND/DFS without witnesses,
@@ -151,13 +168,6 @@ def checked_base(base: Optional[float], what: str = "base") -> float:
     return DEFAULT_RESIDUAL_BASE if base is None else _finite_positive(base, what)
 
 
-def _threshold(base: float, first: np.ndarray, second: np.ndarray, norm_A):
-    """The probe zero threshold ``base * |first|_F |second|_F / (|A|_F + 1)``,
-    multiplied in that order, of one pair (a BAE verdict's tolerance) or of
-    each member of a stack (a ``_probe`` leg; ``norm_A`` then an array)."""
-    return base * _frobenius(first) * _frobenius(second) / (norm_A + 1.0)
-
-
 @cache
 def _probe_units() -> np.ndarray:
     """The probe points on the unit circle, drawn from ``PROBE_SEED`` once
@@ -176,23 +186,24 @@ def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float, norms):
     of one, ``model.A[None]``.  ``zero`` and ``shown`` are lists of
     (left, right) legs, stacks of ``T`` matrices, probed as the largest
     ``|left (sI - A)^{-1} right|`` against the zero threshold
-    ``base * |left|_F |right|_F / (|A|_F + 1)``.  The staircase claims, for
+    ``base * |left|_F |right|_F / (|A|_F + 1)`` (``structural._threshold``
+    of the legs' ``core._frobenius`` norms).  The staircase claims, for
     every member, that every ``zero`` leg vanishes (``vanishes``) or that
     not all of them do, and that every ``shown`` leg does not vanish.
     Returns, per member, whether the probes agree (``method_agreement``) and
     the largest (value, threshold) of the ``zero`` legs: a list of ``T``
-    such pairs.  ``norms`` holds the members' ``|A|_F``
+    such pairs.  ``norms`` is the array of the members' ``|A|_F``
     (``StateSpaceModel._norm_A``).
 
-    The points lie on the circle ``|s| = R = 2 |A|_F + 1``, at distance at
-    least ``R - |A|_F`` from the spectrum, so ``cond(sI - A) <= 3``.  One
-    broadcast build gives every ``sI - A``, one stacked solve serves every
-    member, point and leg, and each leg is one stacked ``left @ X`` with one
-    stacked threshold, each with the bits of one model alone.
+    The points lie on the circle ``|s| = R = 2 |A|_F + 1``
+    (``structural._radius``), at distance at least ``R - |A|_F`` from the
+    spectrum, so ``cond(sI - A) <= 3``.  One broadcast build gives every
+    ``sI - A``, one stacked solve serves every member, point and leg, and
+    each leg is one stacked ``left @ X`` with one stacked threshold, each
+    with the bits of one model alone.
     """
-    norms = np.asarray(norms)
     (T, n), P = A.shape[:2], PROBE_COUNT
-    M = ((2.0 * norms + 1.0)[:, None] * _probe_units())[:, :, None, None] * _eye(n)
+    M = (_radius(norms)[:, None] * _probe_units())[:, :, None, None] * _eye(n)
     M -= A[:, None]
     legs = zero + shown
     # every point of a member solves against its right-hand sides: one 3-D
@@ -203,16 +214,19 @@ def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float, norms):
     for left, right in legs:
         vals = left[:, None] @ X[..., col:col + right.shape[2]]
         col += right.shape[2]
-        worst = np.abs(vals.reshape(T, -1)).max(axis=1) if vals.size else np.zeros(T)
-        probed.append(zip(worst.tolist(), _threshold(base, left, right, norms).tolist()))
+        tol = _threshold(base, _frobenius(left), _frobenius(right), norms)
+        probed.append(zip(np.abs(vals).max((1, 2, 3), initial=0.0).tolist(), tol.tolist()))
     z = len(zero)  # each member's (value, threshold) pairs: its zero legs, then its shown ones
     return [(all(w <= t for w, t in legs[:z]) == vanishes and all(w > t for w, t in legs[z:]),
              max(legs[:z])) for legs in zip(*probed)]
 
 
 def _normalize_witness(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
+    """The witness direction ``v`` as a unit vector (``core._frobenius``, the
+    norm of the witness cutoff) whose first entry above ``SIGN_RTOL`` of its
+    largest is positive."""
+    v = v / _frobenius(v[None, None])[0]
+    nz = np.nonzero(np.abs(v) > SIGN_RTOL * np.max(np.abs(v)))[0]
     if nz.size and v[nz[0]] < 0:
         v = -v
     return v + 0.0  # clear negative zeros
@@ -231,7 +245,7 @@ def transfer_zero_equivalence(model: StateSpaceModel, input_port: PortArg,
     base = checked_base(base)
     legs = [(model.c(output_port)[None], model.b(input_port)[None])]
     empty = _reduced_pair(model, input_port, output_port)[0].shape[0] == 0
-    return _probe(model.A[None], empty, legs, [], base, [model._norm_A])[0][0]
+    return _probe(model.A[None], empty, legs, [], base, model._norm_A)[0][0]
 
 
 def check_bae(model: StateSpaceModel, ba_port: PortArg, shot_output: PortArg,
@@ -268,15 +282,14 @@ def _bae(model: StateSpaceModel, ctrl: Subspace, obs: Subspace, ba_port: PortArg
     (from the memo), direct term, probe threshold, scaled Markov residual
     and one ``transfer_zero_equivalence`` probe."""
     Ar, Br, Cr = _reduced_pair(model, ba_port, shot_output)
-    D = model.d(shot_output, ba_port)
-    direct = float(np.max(np.abs(D))) if D.size else 0.0
-    tol = _threshold(base, model.b(ba_port), model.c(shot_output), model._norm_A)
+    direct = float(np.abs(model.d(shot_output, ba_port)).max(initial=0.0))
+    tol = _threshold(base, _frobenius(model.b(ba_port)[None]),
+                     _frobenius(model.c(shot_output)[None]), model._norm_A)[0]
     return GoalVerdict(
         goal="BAE",
         achieved=Ar.shape[0] == 0 and direct <= tol,
         witnesses=(),
-        residual=max(largest_markov(Ar, Br, Cr, model.nstates,
-                                    2.0 * model._norm_A + 1.0), direct),
+        residual=max(largest_markov(Ar, Br, Cr, model.nstates, _radius(model._norm_A)[0]), direct),
         method_agreement=transfer_zero_equivalence(model, ba_port, shot_output, base=base),
         dims={"controllable": ctrl.dim, "observable": obs.dim, "overlap": Ar.shape[0]},
         tolerance=tol,
@@ -329,7 +342,9 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
     The columns of ``drive`` span what the goal forbids: ``[B, A Q]`` spans
     the controllable subspace ``Q`` of (A, B), and ``[C^T, A^T Q]`` the
     observable one.  The witnesses ``W`` are the null space of
-    ``drive^T @ candidate.basis`` at ``INTERSECT_RTOL * |drive|_F``.  Probe
+    ``drive^T @ candidate.basis`` at ``INTERSECT_RTOL * |drive|_F``
+    (``core._frobenius``, the norm of every verdict scale; the scale rules
+    live in :mod:`qlin.structural`).  Probe
     route: ``W^T (sI - A)^{-1} B`` (and for DFS ``C (sI - A)^{-1} W``) must
     vanish, and for QND each ``C (sI - A)^{-1} w`` must not.  Without
     witnesses the gap (smallest singular value) is reported, and the
@@ -369,7 +384,7 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
                                           dims={"witness": 0, **dims})
             continue
         A = _stacked([models[t].A for t in members])
-        norms = np.array([models[t]._norm_A for t in members])
+        norms = np.concatenate([models[t]._norm_A for t in members])
         B = _stacked([models[t].b(noise_ports) for t in members])
         C = _stacked([models[t].c(output) for t in members])
         parts = [B, A @ _stacked([ctrls[t].basis for t in members])]

@@ -11,6 +11,19 @@ bound ``n^2 * eps * max(|A|_F, |B|_F)``.  The other rank decisions
 arguments replace the ``n^2 * eps`` (never below ``n * eps``) /
 ``max_dim * eps`` factor.
 
+This module is the one home of the verdict scales.  Every scale is a
+Frobenius norm from one implementation, ``core._frobenius``, read through
+``_scales``, which rejects a norm above ``SCALE_MAX = sqrt(float max)``
+with a ``ValidationError`` that names the matrix: every cutoff and
+threshold multiplies two scales and the staircase squares one, so a larger
+norm could overflow to an infinite cutoff.  The rules that turn the norms
+into decisions are written once here, each on stacks of norms: the
+staircase cutoff ``_cutoff``, the probe radius ``_radius`` and the probe
+threshold ``_threshold``; :mod:`qlin.goals` imports them.  ``|A|_F`` is
+computed and checked once per model (``StateSpaceModel._norm_A``), and the
+norm of a port block once per memo miss (``_subspaces``,
+``_reduced_pair``).
+
 A :class:`~qlin.core.StateSpaceModel` is immutable, so the goal engines and
 the CLI read its subspaces through a per-model memo (``_subspaces`` and
 ``_reduced_pair``): each controllable subspace, observable subspace and
@@ -33,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ShapeError, StateSpaceModel, ORTHO_TOL, _as_matrix
+from .core import ORTHO_TOL, ShapeError, StateSpaceModel, ValidationError, _as_matrix, _frobenius
 
 __all__ = [
     "Subspace",
@@ -53,6 +66,46 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+
+#: The largest verdict scale, ``sqrt(float max)``: every cutoff and threshold
+#: multiplies two scales and the staircase squares one, so a larger scale
+#: could overflow to an infinite cutoff, which cuts every direction.
+SCALE_MAX = float(np.finfo(float).max) ** 0.5
+
+
+def _scales(name: str, blocks: np.ndarray) -> np.ndarray:
+    """The verdict scales ``|x|_F`` of the stack of matrices ``blocks``
+    (``core._frobenius``), which every rule below reads; a
+    ``ValidationError`` that names the matrix ``name`` if one is above
+    ``SCALE_MAX``."""
+    norms = _frobenius(blocks)
+    if norms.max(initial=0.0) > SCALE_MAX:
+        raise ValidationError(f"{name} is too large to judge: |{name}|_F = {norms.max():.3e}")
+    return norms
+
+
+def _cutoff(n: int, norm_A, norm_B, rtol: Optional[float] = None) -> np.ndarray:
+    """The staircase's rank cutoffs ``rtol * max(|A|_F, |B|_F)`` of a stack of
+    ``n``-state pairs, from the stacks of their norms.  ``rtol`` defaults to
+    ``n^2 * eps`` and is never below one step's rounding, ``n * eps``."""
+    step = n * _EPS
+    return (n * step if rtol is None else max(rtol, step)) * np.maximum(norm_A, norm_B)
+
+
+def _radius(norm_A) -> np.ndarray:
+    """The probe radii ``R = 2 |A|_F + 1`` of a stack of drift norms.  On
+    ``|s| = R`` every point is at least ``R - |A|_F = |A|_F + 1`` from the
+    spectrum, so ``cond(sI - A) <= 3`` and ``|(sI - A)^{-1}| <= 1 / (|A|_F + 1)``."""
+    return 2.0 * norm_A + 1.0
+
+
+def _threshold(base: float, norm_left, norm_right, norm_A) -> np.ndarray:
+    """The probe zero thresholds ``base * |left|_F |right|_F / (|A|_F + 1)``,
+    multiplied in that order, of a stack of legs ``left (sI - A)^{-1} right``
+    from the stacks of their norms: on the circle of :func:`_radius` the
+    resolvent is at most ``1 / (|A|_F + 1)``, so the bound does not grow with
+    the state dimension."""
+    return base * norm_left * norm_right / (norm_A + 1.0)
 
 
 def _ranks(s: np.ndarray, shape, rtol: Optional[float] = None) -> np.ndarray:
@@ -246,15 +299,6 @@ def observability_matrix(model: StateSpaceModel,
     return np.vstack(blocks) if blocks else np.zeros((0, model.nstates))
 
 
-def _cutoff(A: np.ndarray, B: np.ndarray, rtol: Optional[float],
-            norm_A: Optional[float] = None) -> float:
-    """The staircase's rank cutoff ``rtol * max(|A|_F, |B|_F)``; ``norm_A``
-    is ``|A|_F`` when the caller has it."""
-    step = A.shape[0] * _EPS  # one step's rounding: the least cutoff
-    rtol = A.shape[0] * step if rtol is None else max(rtol, step)
-    return rtol * max(np.linalg.norm(A) if norm_A is None else norm_A, np.linalg.norm(B))
-
-
 def controllable_subspace(A: np.ndarray, B: np.ndarray,
                           rtol: Optional[float] = None) -> Subspace:
     """Controllable subspace of (A, B) by the orthogonal staircase.
@@ -270,14 +314,16 @@ def controllable_subspace(A: np.ndarray, B: np.ndarray,
     ``controllable_subspace(A.T, C.T)``.
 
     ``A`` must be a square matrix and ``B`` a matrix with ``A``'s row
-    count, both finite (``ShapeError`` or ``ValidationError`` otherwise); a
-    float array is read as it is, without a copy.
+    count, both finite and each of norm at most ``SCALE_MAX``
+    (``ShapeError`` or ``ValidationError`` otherwise); a float array is read
+    as it is, without a copy.
     """
     A = _as_matrix("A", A)
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
     B = _as_matrix("B", B, rows=A.shape[0])
-    return _staircase(A[None], B[None], [_cutoff(A, B, rtol)])[0]
+    cutoff = _cutoff(len(A), _scales("A", A[None]), _scales("B", B[None]), rtol)
+    return _staircase(A[None], B[None], cutoff)[0]
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -309,7 +355,7 @@ def _take(stack: np.ndarray, part: Sequence[int]) -> np.ndarray:
     return stack if len(part) == len(stack) else stack[part]
 
 
-def _staircase(A: np.ndarray, B: np.ndarray, cutoff: Sequence[float]) -> list[Subspace]:
+def _staircase(A: np.ndarray, B: np.ndarray, cutoff: np.ndarray) -> list[Subspace]:
     """The staircases of a stack of pairs, one controllable subspace per
     member: ``A`` is ``(T, n, n)``, ``B`` is ``(T, n, p)`` and ``cutoff``
     holds the ``T`` rank cutoffs.  One pair is a stack of one: the views
@@ -325,9 +371,9 @@ def _staircase(A: np.ndarray, B: np.ndarray, cutoff: Sequence[float]) -> list[Su
     """
     n = A.shape[-1]
     out: list = [None] * len(cutoff)
-    # a unit-stride column, so that b^T b below is the dot np.linalg.norm makes
+    # a unit-stride column, so that b^T b below is the dot core._frobenius makes
     todo = [(list(range(len(cutoff))), A, np.empty(A.shape), np.ascontiguousarray(B),
-             np.array(cutoff)[:, None], 0)]
+             cutoff[:, None], 0)]
     while todo:
         members, A, Q, block, cut, hi = todo.pop()
         while block.shape[-1] and hi < n:
@@ -368,13 +414,15 @@ def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     parameters are unchanged; modes invisible to the pair (and their poles)
     are discarded.
     """
-    return _restrict(A, B, C, controllable_subspace(A, B).basis)
+    return _restrict(A, B, C, controllable_subspace(A, B).basis, _scales("A", A[None]))
 
 
-def _restrict(A, B, C, Q1, norm_A: Optional[float] = None):
-    """The observable step of :func:`reduce_pair` inside the controllable basis Q1."""
+def _restrict(A, B, C, Q1, norm_A: np.ndarray):
+    """The observable step of :func:`reduce_pair` inside the controllable basis
+    Q1, for ``A`` of norm ``norm_A`` (a stack of one)."""
     A1, B1, C1 = Q1.T @ A @ Q1, Q1.T @ B, C @ Q1
-    Q2 = _staircase(A1.T[None], C1.T[None], [_cutoff(A, C.T, None, norm_A)])[0].basis
+    cutoff = _cutoff(len(A), norm_A, _scales("C", C[None]))
+    Q2 = _staircase(A1.T[None], C1.T[None], cutoff)[0].basis
     return Q2.T @ A1 @ Q2, Q2.T @ B1, C1 @ Q2
 
 
@@ -384,7 +432,8 @@ def _subspaces(models: Sequence[StateSpaceModel], side: str, ports) -> list[Subs
     at the default cutoff.  Each is one staircase per model and resolved
     index set, kept in the model's memo, so ``"W1"`` and
     ``["W1.Q", "W1.P"]`` share it; the models that lack it run as one
-    stacked staircase per state dimension and index set."""
+    stacked staircase per state dimension and index set, whose port blocks'
+    norms are computed and checked (``_scales``) once, as one stack."""
     keys, todo = [], {}
     for model in models:
         idx = (model.inputs if side == "in" else model.outputs)._resolve(ports)
@@ -396,10 +445,12 @@ def _subspaces(models: Sequence[StateSpaceModel], side: str, ports) -> list[Subs
             todo.setdefault((model.nstates, key), []).append(
                 (model, model.A, model.B[:, idx]) if side == "in"
                 else (model, model.A.T, model.C[idx].T))
-    for (_, key), group in todo.items():
-        subs = _staircase(_stacked([A for _, A, _ in group]), _stacked([B for _, _, B in group]),
-                          [_cutoff(A, B, None, model._norm_A) for model, A, B in group])
-        for (model, _, _), sub in zip(group, subs):
+    for (n, key), group in todo.items():
+        owners, As, Bs = zip(*group)
+        B = _stacked(Bs)
+        cutoff = _cutoff(n, np.concatenate([model._norm_A for model in owners]),
+                         _scales("B" if side == "in" else "C", B))
+        for model, sub in zip(owners, _staircase(_stacked(As), B, cutoff)):
             model._memo[key] = sub
     return [model._memo[key] for model, key in zip(models, keys)]
 

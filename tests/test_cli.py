@@ -310,6 +310,28 @@ def test_spectrum_with_an_overflowing_response_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_analyze_with_a_scale_too_large_to_judge_exits_2(tmp_path, capsys):
+    # C[1][0] = 1e160 of optomech_reduced puts 1e160 in B: its cutoffs and
+    # thresholds would overflow, which once cut every direction and printed
+    # BAE "achieved": true with "tolerance": Infinity and exit 0
+    doc = system_to_dict(sc.optomech_reduced())
+    doc["C"][1][0] = 1e160
+    code, out, err = run_cli(capsys, "analyze", write_json(tmp_path, "om.json", doc),
+                             "--goal", "all", "--ba-port", "W.Q", "--output-port", "W.out.P")
+    assert (code, out) == (2, "")
+    assert "B is too large to judge: |B|_F = 1.000e+160" in err
+
+
+def test_emit_writes_no_non_finite_number(capsys):
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            cli._emit({"tolerance": bad})
+        assert capsys.readouterr().out == ""
+    cli._emit({"residual": None})
+    assert json.loads(capsys.readouterr().out) == {"residual": None}
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("entry", [1e308, -1e308])
 def test_analyze_huge_hamiltonian_exits_2(tmp_path, capsys, entry):
     doc = system_to_dict(sc.optomech_reduced())

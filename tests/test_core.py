@@ -386,14 +386,15 @@ def test_overflow_safe_norm_keeps_the_bits_of_np_linalg_norm():
     for _ in range(200):
         x = rng.normal(size=tuple(rng.integers(0, 7, 2))) * 10.0 ** rng.integers(-30, 30)
         for y in (x, x.T, np.asfortranarray(x), x[:, :1], x[::2]):
-            assert _frobenius(y) == np.linalg.norm(y)
+            assert _frobenius(y[None]).tolist() == [np.linalg.norm(y)]
         stack = np.array([x, 2.0 * x, -x])
         assert _frobenius(stack).tolist() == [np.linalg.norm(m) for m in stack]
         assert _frobenius(stack.swapaxes(1, 2)).tolist() == [np.linalg.norm(m.T) for m in stack]
     # out of range, the rescaled norm: no overflow to inf, no underflow to 0
-    assert _frobenius(np.array([[3e200, 4e200]])) == pytest.approx(5e200, rel=1e-15)
-    assert _frobenius(np.array([[3e-200], [4e-200]])) == pytest.approx(5e-200, rel=1e-15)
-    assert _frobenius(np.zeros((2, 2))) == 0.0 and np.isnan(_frobenius(np.array([[np.nan]])))
+    assert _frobenius(np.array([[[3e200, 4e200]]]))[0] == pytest.approx(5e200, rel=1e-15)
+    assert _frobenius(np.array([[[3e-200], [4e-200]]]))[0] == pytest.approx(5e-200, rel=1e-15)
+    assert _frobenius(np.zeros((1, 2, 2)))[0] == 0.0
+    assert np.isnan(_frobenius(np.array([[[np.nan]]]))[0])
 
 
 @pytest.mark.filterwarnings("error")

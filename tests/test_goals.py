@@ -401,6 +401,8 @@ def test_bae_residual_is_in_probe_units():
 
 
 def test_probe_points_are_drawn_once():
+    from qlin.core import _frobenius
+
     units = np.exp(2j * np.pi * np.random.default_rng(goals.PROBE_SEED).random(goals.PROBE_COUNT))
     assert np.array_equal(goals._probe_units(), units)
     assert goals._probe_units() is goals._probe_units()
@@ -408,15 +410,16 @@ def test_probe_points_are_drawn_once():
     # a probe is the same as one that draws its points afresh
     model = scaling_system("dense", 8, 1).to_state_space()
     left, right = model.c("W2.out"), model.b("W1")
-    nA = np.linalg.norm(model.A)
-    s = (2.0 * nA + 1.0) * units
+    nA = np.array([np.linalg.norm(model.A)])  # the norms of a stack of one
+    s = (2.0 * nA[0] + 1.0) * units
     X = np.linalg.solve(s[:, None, None] * np.eye(model.nstates) - model.A,
                         np.broadcast_to(right, (goals.PROBE_COUNT,) + right.shape))
     # one model is a stack of one, and _probe returns one result per member
     [(_, (worst, tol))] = goals._probe(model.A[None], True, [(left[None], right[None])], [],
-                                       1e-9, [nA])
+                                       1e-9, nA)
     assert worst == float(np.max(np.abs(left @ X)))
-    assert tol == goals._threshold(1e-9, left, right, nA)
+    assert [tol] == structural._threshold(1e-9, _frobenius(left[None]),
+                                          _frobenius(right[None]), nA).tolist()
 
 
 def test_memo_changes_no_verdict():

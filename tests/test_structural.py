@@ -330,7 +330,11 @@ def _one_pair_staircase(A, B, cutoff):
 
 
 def test_stacked_staircase_equals_one_at_a_time():
+    from qlin.core import _frobenius
     from qlin.structural import _cutoff, _stacked, _staircase
+
+    def cutoffs_of(As, Bs):  # the default cutoff of each pair, from its norms
+        return _cutoff(As[0].shape[0], _frobenius(_stacked(As)), _frobenius(_stacked(Bs)))
 
     rng = np.random.default_rng(2024)
     for n in range(2, 11):
@@ -346,7 +350,7 @@ def test_stacked_staircase_equals_one_at_a_time():
                 # (A, C), whose operands A^T and C^T are transposed views
                 for side_A, side_B in ((list(As), list(Bs)),
                                        ([a.T for a in As], [c.T for c in Cs])):
-                    cutoffs = [_cutoff(a, b, None) for a, b in zip(side_A, side_B)]
+                    cutoffs = cutoffs_of(side_A, side_B)
                     stacked = _staircase(_stacked(side_A), _stacked(side_B), cutoffs)
                     for a, b, c, got in zip(side_A, side_B, cutoffs, stacked):
                         want = _one_pair_staircase(a, b, c)
@@ -360,7 +364,7 @@ def test_stacked_staircase_equals_one_at_a_time():
     B = np.zeros((3, 6, 2))
     B[:, :2] = rng.normal(size=(3, 2, 2))
     for side_A in (list(A), [np.ascontiguousarray(a.T).T for a in A]):
-        cutoffs = [_cutoff(a, b, None) for a, b in zip(side_A, B)]
+        cutoffs = cutoffs_of(side_A, list(B))
         stacked = _staircase(_stacked(side_A), B, cutoffs)
         assert [sub.dim for sub in stacked] == [6, 4, 2]
         for a, b, c, got in zip(side_A, B, cutoffs, stacked):

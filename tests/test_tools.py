@@ -101,3 +101,12 @@ def test_output_hashes_are_sha256_digests_that_repeat():
     assert all(len(h) == 64 and set(h) <= set("0123456789abcdef") for h in first.values())
     # a second run, in this process and another scratch directory
     assert _tool("output_hashes").hashes(str(ROOT)) == first
+
+
+@pytest.mark.parametrize("module", ["structural.py", "goals.py"])
+def test_verdict_layers_have_one_norm(module):
+    # every verdict scale is a core._frobenius norm checked by the scale rules
+    # of structural; a second norm implementation would round and overflow
+    # apart from them
+    source = (ROOT / "src" / "qlin" / module).read_text()
+    assert "np.linalg.norm" not in source
