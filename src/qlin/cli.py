@@ -120,11 +120,11 @@ def cmd_analyze(args) -> int:
     sysq = system_from_dict(_parse_json(raw, args.path))
     base = _tol_base(args)
     model = sysq.to_state_space()
+    noise = [ch.label for ch in sysq.channels]
     subspaces = {
-        "controllable": {ch.label: _subspaces([model], "in", ch.label)[0].dim
-                         for ch in sysq.channels},
-        "observable": {ch.label + ".out": _subspaces([model], "out", ch.label + ".out")[0].dim
-                       for ch in sysq.channels},
+        "controllable": {label: _subspaces([model], "in", label)[0].dim for label in noise},
+        "observable": {label + ".out": _subspaces([model], "out", label + ".out")[0].dim
+                       for label in noise},
     }
     goals = ["bae", "qnd", "dfs"] if args.goal == "all" else [args.goal]
     verdicts = []
@@ -134,11 +134,9 @@ def cmd_analyze(args) -> int:
                 raise ValidationError("--ba-port and --output-port are required for BAE")
             verdicts.append(check_bae(model, args.ba_port, args.output_port, base=base))
         elif goal == "qnd":
-            noise = [ch.label for ch in sysq.channels]
             out = args.output_port or _field_output_ports(sysq)
             verdicts.append(find_qnd(model, noise, out, base=base))
         elif goal == "dfs":
-            noise = [ch.label for ch in sysq.channels]
             verdicts.append(find_dfs(model, noise, _field_output_ports(sysq), base=base))
     report = {
         "system": {

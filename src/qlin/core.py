@@ -359,7 +359,7 @@ class StateSpaceModel:
           fill them;
         * under the key ``"point"``, the joint resolvent solve of the most
           recent one-point request of :mod:`qlin.xfer` that its conditioning
-          screen cleared; only ``xfer._point_solve`` reads or fills it.
+          screen cleared; only ``xfer._response`` reads or fills it.
         """
         A = parent.A if A is None else _sealed("A", A)
         B = parent.B if B is None else _sealed("B", B)

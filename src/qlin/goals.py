@@ -62,14 +62,15 @@ verdict has the bits it has alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import StateSpaceModel, _finite_positive, _frobenius
+from .core import StateSpaceModel, ValidationError, _frobenius
 from .structural import (
     Subspace,
+    _coordinates,
     _reduced_pair,
     _eye,
     _groups,
@@ -162,10 +163,18 @@ class GoalVerdict:
 
 def checked_base(base: Optional[float], what: str = "base") -> float:
     """The probe-threshold base factor (default ``DEFAULT_RESIDUAL_BASE``);
-    anything but a finite positive number is a ``ValidationError`` that
-    names ``what``.  Every public entry point of this module checks its
-    ``base`` here once."""
-    return DEFAULT_RESIDUAL_BASE if base is None else _finite_positive(base, what)
+    anything but a finite positive number at most 1 is a ``ValidationError``
+    that names ``what``.  Every public entry point of this module checks its
+    ``base`` here once.
+
+    The bound 1 loses nothing: on the probe circle every probe is at most
+    ``|left|_F |right|_F / (|A|_F + 1)`` (``structural._radius``), so a base
+    of 1 already calls every probe zero.  And it keeps every threshold
+    finite: with norms at most ``structural.SCALE_MAX``, a threshold is at
+    most ``SCALE_MAX^2``, below the float range."""
+    if base is not None and not 0 < base <= 1:
+        raise ValidationError(f"{what} must be a finite positive number at most 1, got {base!r}")
+    return DEFAULT_RESIDUAL_BASE if base is None else float(base)
 
 
 @cache
@@ -321,14 +330,6 @@ def find_dfs(model: StateSpaceModel, noise_ports: PortArg, output_fields: PortAr
                     checked_base(base))[0]
 
 
-@lru_cache(maxsize=None)
-def _whole(n: int) -> Subspace:
-    """The whole state space of dimension ``n``, the DFS candidate space
-    without ``restrict_to``; built once per dimension and shared, as a
-    ``Subspace`` is read-only."""
-    return Subspace(n, _eye(n))
-
-
 def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalVerdict]:
     """BAE, QND or DFS verdicts of models with the same state dimension:
     every goal verdict is made here.
@@ -368,7 +369,7 @@ def _verdict(goal, models, noise_ports, output, restrict_to, base) -> list[GoalV
         return [_bae(model, ctrl, obs, noise_ports, output, base)
                 for model, ctrl, obs in zip(models, ctrls, obss)]
     if goal == "DFS":
-        cands = [_whole(n) if restrict_to is None else restrict_to] * len(models)
+        cands = [_coordinates(n, n) if restrict_to is None else restrict_to] * len(models)
     elif restrict_to is None:
         cands = obss
     else:

@@ -378,6 +378,14 @@ def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLin
         (I, np.hstack([C2, ZK]))])
 
 
+def _check_rates(kappa: float, tau: float) -> None:
+    """The rates of direct feedback: ``kappa`` positive, ``tau`` nonnegative."""
+    if kappa <= 0:
+        raise ValidationError("kappa must be positive")
+    if tau < 0:
+        raise ValidationError("tau must be nonnegative")
+
+
 def direct_mf(kappa: float, tau: float) -> StateSpaceModel:
     """Direct (proportional) measurement feedback on the squeezing cavity.
 
@@ -390,10 +398,7 @@ def direct_mf(kappa: float, tau: float) -> StateSpaceModel:
     Outputs: measured signal ``y``, feedback signal ``u`` and the state
     read-outs ``q``/``p``.
     """
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    if tau < 0:
-        raise ValidationError("tau must be nonnegative")
+    _check_rates(kappa, tau)
     rk = np.sqrt(kappa)
     inputs = Ports([("Q", 1), ("P", 1)])
     if tau == 0.0:
@@ -423,10 +428,7 @@ def direct_mf(kappa: float, tau: float) -> StateSpaceModel:
 
 def direct_mf_controller(kappa: float, tau: float) -> StateSpaceModel:
     """The feedback circuit alone: Xi_{y->u}(s) = sqrt(kappa) / (1 + tau s)."""
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    if tau < 0:
-        raise ValidationError("tau must be nonnegative")
+    _check_rates(kappa, tau)
     inputs = Ports([("y", 1)])
     outputs = Ports([("u", 1)])
     if tau == 0.0:

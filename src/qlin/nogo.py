@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +54,7 @@ from .core import (
 from .goals import _verdict, checked_base
 from .interconnect import (_GAINS, ClassicalController, _classical_feedback, _open_stacks,
                            _split_widths)
-from .structural import Subspace, _eye, _groups
+from .structural import _coordinates, _eye, _groups
 
 __all__ = [
     "NogoReport",
@@ -202,14 +201,6 @@ def _stabilized(A_K: np.ndarray) -> np.ndarray:
     return A_K - shift[:, None, None] * _eye(k)
 
 
-@lru_cache(maxsize=None)
-def _plant_block(n: int, plant_n: int) -> Subspace:
-    """The plant's ``2 plant_n`` coordinates of an ``n``-state loop, where
-    QND/DFS witnesses must lie (they must be purely quantum); built once per
-    dimension pair and shared, as a ``Subspace`` is read-only."""
-    return Subspace(n, np.eye(n, 2 * plant_n))
-
-
 def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
                 trials: int = 500, seed: int = 0,
                 controller_dim_range: Optional[Sequence[int]] = None,
@@ -306,7 +297,7 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         A_K, B_K, *gains = (np.array(draw) for draw in zip(*(ctrls[t][1] for t in members)))
         loops = _classical_feedback(plant, scheme, _stabilized(A_K), B_K, gains,
                                     *((M1[members], M2[members]) for M1, M2 in rows))
-        restrict = _plant_block(loops[0].nstates, plant.n)
+        restrict = _coordinates(loops[0].nstates, 2 * plant.n)
         for t, verdict in zip(members, _verdict(goal_name, loops, noise, judged, restrict, base)):
             verdicts[t] = verdict
     for t, closed in enumerate(verdicts):

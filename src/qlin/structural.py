@@ -132,16 +132,14 @@ class Subspace:
                 f"basis rows {basis.shape[0]} do not match ambient dim {self.ambient_dim}")
         if basis.shape[1] > self.ambient_dim:
             raise ShapeError("basis has more columns than the ambient dimension")
-        _check_orthonormal(self.ambient_dim, basis[None])
-        basis = np.array(basis)
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", self._stack(self.ambient_dim, basis[None])[0].basis)
 
     @classmethod
     def _stack(cls, ambient_dim: int, bases: np.ndarray) -> list["Subspace"]:
         """The subspaces of the stack ``bases`` (shape ``(T, ambient_dim,
         d)``), checked orthonormal once as a stack; each member's basis is
-        then frozen without checking it again."""
+        then frozen without checking it again.  The one check-and-freeze
+        path: one subspace is a stack of one."""
         _check_orthonormal(ambient_dim, bases)
         bases = np.array(bases)
         bases.setflags(write=False)
@@ -167,6 +165,15 @@ def _eye(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.setflags(write=False)
     return eye
+
+
+@lru_cache(maxsize=None)
+def _coordinates(n: int, k: int) -> Subspace:
+    """The span of the first ``k`` of ``n`` coordinates, built once per
+    ``(n, k)`` and shared, as a ``Subspace`` is read-only: the whole space
+    (``k = n``, the DFS candidates without ``restrict_to``) and the plant
+    block of a no-go loop, where its QND/DFS witnesses must lie."""
+    return Subspace(n, np.eye(n, k))
 
 
 def _check_orthonormal(ambient_dim: int, bases: np.ndarray) -> None:

@@ -1,15 +1,18 @@
 """Transfer-function evaluation, noise power spectra, and the SQL chain.
 
-One resolvent engine (:func:`_solve_response`) factors each point once.
-Every ``STRIDE``-th point of a grid chunk is an anchor, solved against the
-joint right-hand side ``[B | I]``, which gives the response and a
+One resolvent engine of three functions factors each point once:
+:func:`_response` picks a port pair and serves a one-point request,
+:func:`_solve_response` solves a grid chunk by chunk, and
+:func:`_screened_solve` is the joint solve and conditioning screen both
+use.  Every ``STRIDE``-th point of a grid chunk is an anchor, solved against
+the joint right-hand side ``[B | I]``, which gives the response and a
 conditioning screen; the anchor's inverse certifies the conditioning of the
 points after it (a Neumann-series bound), which are then solved against
 ``B`` alone.  A point no anchor can certify gets its own joint solve.
 
 One solve per (model, point): a model keeps, in its private memo, the joint
 solve of its most recent one-point request that the screen cleared, against
-the full ``B``.  :func:`noise_power`, :func:`evaluate` and
+the full ``B`` (:func:`_response`).  :func:`noise_power`, :func:`evaluate` and
 :func:`frequency_response` at that point read their columns from it, so a
 coupling of the SQL chain (noise power, then force gain) factors ``sI - A``
 once.  Grids are never kept, a derived model (such as the ``"gw"``
@@ -93,9 +96,10 @@ class TransferFunction:
         return evaluate(self, s)
 
 
-def _solve_response(A, B, C, D, points) -> np.ndarray:
+def _solve_response(A, B, C, D, points, reduced: bool = False) -> np.ndarray:
     """``C (sI - A)^{-1} B + D`` at each of the 1-D ``points``; shape
-    ``(len(points),) + D.shape``.
+    ``(len(points),) + D.shape``, and ``D`` at every point of an empty path
+    (no state, input column or output row).
 
     The grid is cut into chunks of ``CHUNK`` points, and every ``STRIDE``-th
     point of a chunk is an anchor (a one-point request is its own anchor).
@@ -116,13 +120,56 @@ def _solve_response(A, B, C, D, points) -> np.ndarray:
     each point is factored once, and its values are bit for bit those of one
     solve against ``B``.  Points above ``COND_LIMIT`` are never solved on
     the full pair; they are solved again on the reduced pair (built once per
-    chunk), so only a pole of the signal path itself raises.  The points
-    are finite: each public entry checks them first (:func:`_finite`).
+    chunk), by this function with ``reduced`` set, where such a point raises
+    ``SingularityError``: only a pole of the signal path itself raises.  The
+    points are finite: each public entry checks them first (:func:`_finite`).
     """
     points = np.asarray(points).reshape(-1)
     out = np.empty((points.size,) + D.shape, dtype=complex)
+    n, p = B.shape
+    if n == 0 or p == 0 or C.shape[0] == 0:
+        out[...] = D
+        return out
     for lo in range(0, points.size, CHUNK):
-        out[lo:lo + CHUNK] = _solve_chunk(A, B, C, D, points[lo:lo + CHUNK], False)
+        s = points[lo:lo + CHUNK]
+        M = s[:, None, None] * _eye(n)
+        M -= A
+        Z = np.zeros((s.size, n, p), dtype=complex)
+        ok = np.zeros(s.size, dtype=bool)
+        X, F2, ok[::STRIDE] = _screened_solve(M[::STRIDE], B)
+        if X is not None:
+            Z[::STRIDE] = X[:, :, :p]
+        # the anchor certificate, with 1 - dF multiplied across so that no
+        # point divides by zero
+        F = np.repeat(np.sqrt(F2), STRIDE)[:s.size]
+        dF = np.abs(s - np.repeat(s[::STRIDE], STRIDE)[:s.size]) * F
+        solo = (dF < 0.5) & (np.sqrt(_sq_frobenius(M)) * F <= COND_LIMIT / 2 * (1 - dF))
+        solo[::STRIDE] = False
+        rest = ~solo
+        rest[::STRIDE] = False
+        if rest.any():
+            X, _, ok[rest] = _screened_solve(M[rest], B)
+            if X is not None:
+                Z[rest] = X[:, :, :p]
+        ok |= solo
+        bad = np.flatnonzero(~ok)
+        ill = bad[:0]
+        if bad.size:
+            fine = np.linalg.cond(M[bad]) <= COND_LIMIT
+            ill = bad[~fine]
+            if reduced and ill.size:
+                k = ill[0]
+                eigs = np.linalg.eigvals(A)
+                raise SingularityError(
+                    f"(sI - A) is ill conditioned at s={s[k]} (cond={np.linalg.cond(M[k]):.3e}); "
+                    f"nearest eigenvalue of the signal path: "
+                    f"{eigs[int(np.argmin(np.abs(eigs - s[k])))]}")
+            solo[bad[fine]] = True
+        if solo.any():
+            Z[solo] = np.linalg.solve(M[solo], B.astype(complex)[None])
+        out[lo:lo + CHUNK] = C @ Z + D
+        if ill.size:
+            out[lo + ill] = _solve_response(*reduce_pair(A, B, C), D, s[ill], True)
     return out
 
 
@@ -144,72 +191,6 @@ def _screened_solve(M, B):
         return None, np.full(k, np.nan), np.zeros(k, dtype=bool)
     sq = _sq_frobenius(np.concatenate((M, X[:, :, p:])))
     return X, sq[k:], sq[:k] * sq[k:] <= (COND_LIMIT / 2) ** 2
-
-
-def _solve_chunk(A, B, C, D, s, reduced: bool) -> np.ndarray:
-    n, p = B.shape
-    if n == 0 or p == 0 or C.shape[0] == 0:
-        return np.repeat(D.astype(complex)[None], s.size, axis=0)
-    M = s[:, None, None] * _eye(n)
-    M -= A
-    Z = np.zeros((s.size, n, p), dtype=complex)
-    ok = np.zeros(s.size, dtype=bool)
-    X, F2, ok[::STRIDE] = _screened_solve(M[::STRIDE], B)
-    if X is not None:
-        Z[::STRIDE] = X[:, :, :p]
-    # the anchor certificate of _solve_response, with 1 - dF multiplied
-    # across so that no point divides by zero
-    F = np.repeat(np.sqrt(F2), STRIDE)[:s.size]
-    dF = np.abs(s - np.repeat(s[::STRIDE], STRIDE)[:s.size]) * F
-    solo = (dF < 0.5) & (np.sqrt(_sq_frobenius(M)) * F <= COND_LIMIT / 2 * (1 - dF))
-    solo[::STRIDE] = False
-    rest = ~solo
-    rest[::STRIDE] = False
-    if rest.any():
-        X, _, ok[rest] = _screened_solve(M[rest], B)
-        if X is not None:
-            Z[rest] = X[:, :, :p]
-    ok |= solo
-    bad = np.flatnonzero(~ok)
-    ill = bad[:0]
-    if bad.size:
-        fine = np.linalg.cond(M[bad]) <= COND_LIMIT
-        ill = bad[~fine]
-        if reduced and ill.size:
-            k = ill[0]
-            eigs = np.linalg.eigvals(A)
-            raise SingularityError(
-                f"(sI - A) is ill conditioned at s={s[k]} (cond={np.linalg.cond(M[k]):.3e}); "
-                f"nearest eigenvalue of the signal path: "
-                f"{eigs[int(np.argmin(np.abs(eigs - s[k])))]}")
-        solo[bad[fine]] = True
-    if solo.any():
-        Z[solo] = np.linalg.solve(M[solo], B.astype(complex)[None])
-    out = C @ Z + D
-    if ill.size:
-        Ar, Br, Cr = reduce_pair(A, B, C)
-        out[ill] = _solve_chunk(Ar, Br, Cr, D, s[ill], True)
-    return out
-
-
-def _point_solve(model: StateSpaceModel, s: np.ndarray) -> Optional[np.ndarray]:
-    """The joint solve ``(sI - A)^{-1} [B | I]`` of ``model`` at the one
-    point ``s`` (shape ``(1,)``), read-only, or ``None`` if the screen does
-    not clear the point.  The model's memo keeps the solve of its most
-    recent cleared point under ``"point"``, keyed by the point's bytes."""
-    key = (s.dtype.char, s.tobytes())
-    memo = model._memo
-    hit = memo.get("point")
-    if hit is not None and hit[0] == key:
-        return hit[1]
-    M = s[:, None, None] * _eye(model.nstates)
-    M -= model.A
-    X, _, ok = _screened_solve(M, model.B)
-    if not ok[0]:
-        return None
-    X.setflags(write=False)
-    memo["point"] = (key, X)
-    return X
 
 
 def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
@@ -273,17 +254,27 @@ def _response(model: StateSpaceModel, output: PortArg, port: Optional[PortArg],
     """``C (sI - A)^{-1} B + D`` at ``points`` for the output port(s)
     ``output`` and the input port(s) ``port`` of ``model`` (every input for
     ``None``).  A one-point request reads those columns of the model's
-    memoised joint solve (:func:`_point_solve`); a grid, an empty path or a
-    point the screen cannot clear goes to the grid engine, so such a point
-    takes the exact test, and the reduced pair, of its own port pair."""
+    memoised joint solve: the memo keeps, under ``"point"`` and keyed by the
+    point's bytes, the read-only solve ``(sI - A)^{-1} [B | I]`` of the most
+    recent point the screen cleared (:func:`_screened_solve`).  A grid, an
+    empty path or a point the screen cannot clear goes to the grid engine,
+    so such a point takes the exact test, and the reduced pair, of its own
+    port pair."""
     rows = model.outputs._select(output)
     cols = slice(0, model.B.shape[1]) if port is None else model.inputs._select(port)
     C, D = model.C[rows], model.D[rows][:, cols]
     if points.size == 1 and model.nstates and C.shape[0] and D.shape[1]:
-        X = _point_solve(model, points)
-        if X is not None:
+        key, memo = (points.dtype.char, points.tobytes()), model._memo
+        if memo.get("point", (None,))[0] != key:
+            M = points[:, None, None] * _eye(model.nstates)
+            M -= model.A
+            X, _, ok = _screened_solve(M, model.B)
+            if ok[0]:
+                X.setflags(write=False)
+                memo["point"] = (key, X)
+        if memo.get("point", (None,))[0] == key:
             # the columns copied contiguous: matmul rounds a strided operand apart
-            return C @ np.ascontiguousarray(X[:, :, cols]) + D
+            return C @ np.ascontiguousarray(memo["point"][1][:, :, cols]) + D
     return _solve_response(model.A, model.B if port is None else model.b(port), C, D, points)
 
 
@@ -398,21 +389,16 @@ def normalized_gw_signal(model: StateSpaceModel, output: str,
 def squeezed_variances(port: str, r: float,
                        conjugate: Optional[str] = None) -> dict[str, float]:
     """Variance map for a squeezed input: e^{-2r}/2 on ``port``, e^{+2r}/2
-    on its conjugate quadrature (inferred from a .Q/.P suffix if omitted).
+    on its conjugate quadrature.  If omitted, the conjugate of a port named
+    ``Q``, ``P``, ``*.Q`` or ``*.P`` is the same name with its last letter
+    swapped, and any other port has none.
     ``r`` must be finite, with ``e^{2|r|}`` below the float range."""
     if not abs(r) <= MAX_SQUEEZE:
         raise ValidationError(
             f"squeeze parameter r must be finite with |r| <= {MAX_SQUEEZE:.6g}, got {r!r}")
     out = {port: np.exp(-2.0 * r) * VACUUM_VARIANCE}
-    if conjugate is None:
-        if port.endswith(".Q"):
-            conjugate = port[:-2] + ".P"
-        elif port.endswith(".P"):
-            conjugate = port[:-2] + ".Q"
-        elif port == "Q":
-            conjugate = "P"
-        elif port == "P":
-            conjugate = "Q"
+    if conjugate is None and port[-2:] in ("Q", "P", ".Q", ".P"):
+        conjugate = port[:-1] + ("P" if port[-1] == "Q" else "Q")
     if conjugate is not None:
         out[conjugate] = np.exp(2.0 * r) * VACUUM_VARIANCE
     return out

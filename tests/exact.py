@@ -1,4 +1,5 @@
-"""Exact controllable and observable dimensions over the rationals.
+"""Exact controllable and observable dimensions, and the exact goal
+dimensions, over the rationals.
 
 A test oracle that shares no code with the package.  For an integer
 Hamiltonian matrix ``G`` and coupling matrix ``C`` it builds the drift
@@ -9,6 +10,20 @@ is the exact rank of a Krylov matrix, found by Gaussian elimination.  Such
 them exactly, and the exact rank is the answer every float tolerance
 approximates (Paige, IEEE TAC 26(1) 1981: a float rank has no better
 definition).
+
+With ``K`` the controllability matrix of ``(A, B)`` and ``O`` the
+observability matrix of ``(A, C)``, the controllable subspace is the range
+of ``K`` and the observable one the range of ``O^T``, so:
+
+* QND witnesses (observable, orthogonal to the controllable subspace):
+  ``rank O - rank (O K)``;
+* DFS witnesses (orthogonal to both): ``n - rank [K | O^T]``;
+* the BAE overlap (the dimension of a minimal realization of
+  ``C (sI - A)^{-1} B``, the Hankel rank): ``rank (O K)``.
+
+Each rank is taken on bases: the nonzero rows of an echelon form of ``O``
+span its row space, and those of ``K^T`` the range of ``K``, so the product
+``O K`` is taken on at most ``n x n`` blocks of the same rank.
 """
 
 from __future__ import annotations
@@ -52,8 +67,9 @@ def drift_and_input(G, C) -> tuple[Matrix, Matrix]:
     return A, matmul(matmul(S_n, transpose(C)), S_m)
 
 
-def rank(M: Matrix) -> int:
-    """The exact rank of ``M``, by Gaussian elimination."""
+def echelon(M: Matrix) -> Matrix:
+    """The nonzero rows of a row echelon form of ``M``, by Gaussian
+    elimination: a basis of its row space."""
     rows = [list(row) for row in M]
     r = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -66,19 +82,41 @@ def rank(M: Matrix) -> int:
                 f = rows[i][c] / rows[r][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
-    return r
+    return rows[:r]
 
 
-def controllable_dim(A: Matrix, B: Matrix) -> int:
-    """The rank of the Krylov matrix ``[B, AB, ..., A^{N-1} B]``."""
+def rank(M: Matrix) -> int:
+    """The exact rank of ``M``."""
+    return len(echelon(M))
+
+
+def krylov(A: Matrix, B: Matrix) -> Matrix:
+    """The Krylov matrix ``[B, AB, ..., A^{N-1} B]``."""
     blocks, block = [], B
     for _ in range(len(A)):
         blocks.append(block)
         block = matmul(A, block)
-    return rank([sum((blk[i] for blk in blocks), []) for i in range(len(A))])
+    return [sum((blk[i] for blk in blocks), []) for i in range(len(A))]
+
+
+def controllable_dim(A: Matrix, B: Matrix) -> int:
+    """The rank of the Krylov matrix ``[B, AB, ..., A^{N-1} B]``."""
+    return rank(krylov(A, B))
 
 
 def observable_dim(A: Matrix, C: Matrix) -> int:
     """The rank of ``[C; CA; ...; CA^{N-1}]``: the controllable dimension of
     ``(A^T, C^T)``."""
     return controllable_dim(transpose(A), transpose(C))
+
+
+def goal_dims(A: Matrix, B: Matrix, C: Matrix) -> dict:
+    """The exact dimensions of the goals of the input columns ``B`` and the
+    output rows ``C``: ``controllable`` (rank K), ``observable`` (rank O),
+    ``qnd`` (rank O - rank OK), ``dfs`` (n - rank [K | O^T]) and
+    ``overlap`` (rank OK)."""
+    ctrl = echelon(transpose(krylov(A, B)))  # rows: a basis of the range of K
+    obs = echelon(transpose(krylov(transpose(A), transpose(C))))  # of the row space of O
+    overlap = rank(matmul(obs, transpose(ctrl)))
+    return {"controllable": len(ctrl), "observable": len(obs), "qnd": len(obs) - overlap,
+            "dfs": len(A) - rank(ctrl + obs), "overlap": overlap}

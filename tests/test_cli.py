@@ -322,6 +322,35 @@ def test_analyze_with_a_scale_too_large_to_judge_exits_2(tmp_path, capsys):
     assert "B is too large to judge: |B|_F = 1.000e+160" in err
 
 
+
+@pytest.mark.filterwarnings("error")
+def test_analyze_with_a_base_above_one_exits_2(tmp_path, capsys, monkeypatch):
+    # C[1][0] = 1e100 of optomech_reduced with --tol 1e200: the base times two
+    # norms overflowed the probe threshold, and the inf tolerance failed in
+    # _emit with a traceback and exit 1; a base above 1 is now rejected
+    doc = system_to_dict(sc.optomech_reduced())
+    doc["C"][1][0] = 1e100
+    path = write_json(tmp_path, "om.json", doc)
+    argv = ["analyze", path, "--goal", "all", "--ba-port", "W.Q", "--output-port", "W.out.P"]
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e200")
+    assert (code, out) == (2, "")
+    assert "qlin: error: --tol must be a finite positive number at most 1, got 1e+200" in err
+    monkeypatch.setenv("QLIN_TOL", "1e200")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "qlin: error: QLIN_TOL must be a finite positive number at most 1" in err
+
+
+def test_a_base_of_one_is_accepted(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path, "m.json", system_to_dict(sc.lambda_memory()))
+    code, out, _ = run_cli(capsys, "analyze", path, "--goal", "dfs", "--tol", "1")
+    assert code == 0
+    assert json.loads(out)["provenance"]["tolerances"]["residual_base"] == 1.0
+    monkeypatch.setenv("QLIN_TOL", "1")
+    code, out, _ = run_cli(capsys, "analyze", path, "--goal", "dfs")
+    assert code == 0
+    assert json.loads(out)["provenance"]["tolerances"]["residual_base"] == 1.0
+
 def test_emit_writes_no_non_finite_number(capsys):
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):

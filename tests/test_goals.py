@@ -131,6 +131,20 @@ def test_bad_base_is_rejected(base):
             run()
 
 
+
+@pytest.mark.parametrize("base", [2.0, 1e200])
+def test_base_above_one_is_rejected(base):
+    # a base of 1 already calls every probe zero, and a larger one could
+    # overflow a threshold to inf
+    loop = sc.tsang_caves_loop().to_state_space()
+    for run in (lambda b: check_bae(loop, "W.Q", "W.out.P", base=b),
+                lambda b: find_qnd(loop, ["W"], "W.out.P", base=b),
+                lambda b: transfer_zero_equivalence(loop, "W.Q", "W.out.P", base=b)):
+        with pytest.raises(ValidationError, match="base must be a finite positive number at most 1"):
+            run(base)
+        run(1.0)  # the bound itself is a base
+    assert goals.checked_base(1) == 1.0
+
 def test_dfs_memory_spin_wave():
     model = sc.lambda_memory(1.0, 0.5, 1.0).to_state_space()
     v = find_dfs(model, ["A"], ["A.out"])

@@ -436,3 +436,21 @@ def test_ranks_count_as_the_former_rank_tolerance():
     # no singular values: rank 0, for one matrix and for a stack
     assert _ranks(np.zeros(0), (0, 3)) == _old_rank(np.zeros(0), (0, 3)) == 0
     assert _ranks(np.zeros((4, 0)), (3, 0)).tolist() == [0] * 4
+
+
+def test_controllability_matrix_has_the_bits_of_the_krylov_loop():
+    # [B, AB, A^2 B, ...] by repeated A @ block, on systems of 1-8 modes
+    # (up to 16 states, where BLAS blocking makes row- and column-side
+    # products round apart) and every input port plus all at once
+    rng = np.random.default_rng(1981)
+    for _ in range(60):
+        model = random_system(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4))).to_state_space()
+        names = list(model.inputs.names)
+        for port in names + [names]:
+            blocks, block = [], model.b(port)
+            for _ in range(model.nstates):
+                blocks.append(block)
+                block = model.A @ block
+            ctrb = controllability_matrix(model, port)
+            assert ctrb.shape == (model.nstates, model.nstates * block.shape[1])
+            assert ctrb.tobytes() == np.hstack(blocks).tobytes(), (model.nstates, port)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,51 @@ def test_compare_alternates_the_trees_and_prints_one_json(monkeypatch, capsys):
     assert out["parent"] == [100.0, 90.0, 110.0] and out["correct"] is True
     assert out["runs"]["change"][0] == {"ops_per_s": 120.0, "peak_rss_mb": 40.0}
 
+
+
+def test_compare_judges_each_metric_by_its_bound_and_direction():
+    judge = _tool("compare").judge
+    # parent 80..120: median 100, inclusive quartiles 90 and 110
+    parent = [100.0, 120.0, 90.0, 110.0, 80.0]
+    got = judge(parent, [126.0, 124.0, 130.0], "lower", 0.25)
+    assert (got["parent_median"], got["change_median"]) == (100.0, 126.0)
+    assert got["parent_iqr"] == pytest.approx(20.0)
+    assert (got["verdict"], got["better"], got["bound"]) == ("worse", "lower", 0.25)
+    assert judge(parent, [125.0], "lower", 0.25)["verdict"] == "within"  # at the bound
+    assert judge(parent, [74.0], "higher", 0.25)["verdict"] == "worse"
+    assert judge(parent, [500.0], "higher", 0.25)["verdict"] == "within"  # better
+    assert judge(parent, [10.0], "lower", 0.25)["verdict"] == "within"
+    # an IQR of 20% of the median is wider than a 10% bound: no verdict either
+    # way, unless every change run reads better than every parent run
+    assert judge(parent, [500.0], "lower", 0.1)["verdict"] == "unresolved"
+    assert judge(parent, [100.0], "lower", 0.1)["verdict"] == "unresolved"
+    assert judge(parent, [79.0, 70.0], "lower", 0.1)["verdict"] == "within"
+    assert judge(parent, [79.0, 80.0], "lower", 0.1)["verdict"] == "unresolved"  # a tie
+    assert judge(parent, [121.0, 130.0], "higher", 0.1)["verdict"] == "within"
+
+
+def test_compare_reads_bounds_from_the_parent_tree(tmp_path, monkeypatch, capsys):
+    compare = _tool("compare")
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+        {"name": "setup_s", "better": "lower", "bound": 0.25}]}))
+    rss = {"p": iter([40.0, 40.0]), "c": iter([45.0, 45.0])}
+
+    def fake_run(tree, workload, seed, seconds):
+        side = os.path.basename(tree)
+        return {"correct": True, "metrics": {"ops_per_s": {"value": 100.0},
+                                             "peak_rss_mb": {"value": next(rss[side])}}}
+
+    monkeypatch.setattr(compare, "run_once", fake_run)
+    assert compare.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path / "c"),
+                         "--workload", "nogo", "--pairs", "2", "--seconds", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    # setup_s is declared but not reported, so it is not judged
+    assert {m: v["verdict"] for m, v in out["metrics"].items()} == {
+        "ops_per_s": "within", "peak_rss_mb": "worse"}
+    assert (out["wins"], out["median_ratio"]) == (0, 1.0)  # the ops_per_s keys stay
 
 def test_output_hashes_are_sha256_digests_that_repeat():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_hashes.py"), str(ROOT)],

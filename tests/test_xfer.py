@@ -560,3 +560,17 @@ def test_a_response_that_overflows_is_rejected():
     # a finite response of the same model is returned as before
     fine = TransferFunction(sc.optomech_reduced().to_state_space(), "W.Q", "W.out.P")
     assert np.array_equal(frequency_response(fine, [0.5, 2.0])[0], evaluate(fine, 0.5j))
+
+
+@pytest.mark.parametrize("port, conjugate", [
+    ("Q", "P"), ("P", "Q"), ("W2.Q", "W2.P"), ("W2.P", "W2.Q"),
+    ("XQ", None), ("W", None), ("", None),
+])
+def test_squeezed_variances_infer_the_conjugate_from_the_last_letter(port, conjugate):
+    out = squeezed_variances(port, 1.0)
+    assert out[port] == np.exp(-2.0) * xfer.VACUUM_VARIANCE
+    assert list(out) == [port] + ([conjugate] if conjugate else [])
+    if conjugate:
+        assert out[conjugate] == np.exp(2.0) * xfer.VACUUM_VARIANCE
+    # an explicit conjugate wins over the inferred one
+    assert list(squeezed_variances(port, 1.0, "Z")) == [port, "Z"]
