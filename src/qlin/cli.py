@@ -27,7 +27,7 @@ from .core import (
     homodyne_split,
 )
 from .goals import DEFAULT_RESIDUAL_BASE, check_bae, checked_base, find_dfs, find_qnd
-from .interconnect import _split_widths, cf_type1, cf_type2, direct_mf, mf_type1, mf_type2
+from .interconnect import _measurement_loop, _split_widths, cf_type1, cf_type2, direct_mf
 from .nogo import verify_nogo
 from .scenarios import SCENARIOS
 from .serialize import (
@@ -110,10 +110,6 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def _field_output_ports(sysq: QuantumLinearSystem) -> list[str]:
-    return [ch.label + ".out" for ch in sysq.channels]
-
-
 def cmd_analyze(args) -> int:
     with open(args.path, "rb") as fh:
         raw = fh.read()
@@ -121,10 +117,10 @@ def cmd_analyze(args) -> int:
     base = _tol_base(args)
     model = sysq.to_state_space()
     noise = [ch.label for ch in sysq.channels]
+    fields = [label + ".out" for label in noise]
     subspaces = {
         "controllable": {label: _subspaces([model], "in", label)[0].dim for label in noise},
-        "observable": {label + ".out": _subspaces([model], "out", label + ".out")[0].dim
-                       for label in noise},
+        "observable": {port: _subspaces([model], "out", port)[0].dim for port in fields},
     }
     goals = ["bae", "qnd", "dfs"] if args.goal == "all" else [args.goal]
     verdicts = []
@@ -134,10 +130,9 @@ def cmd_analyze(args) -> int:
                 raise ValidationError("--ba-port and --output-port are required for BAE")
             verdicts.append(check_bae(model, args.ba_port, args.output_port, base=base))
         elif goal == "qnd":
-            out = args.output_port or _field_output_ports(sysq)
-            verdicts.append(find_qnd(model, noise, out, base=base))
+            verdicts.append(find_qnd(model, noise, args.output_port or fields, base=base))
         elif goal == "dfs":
-            verdicts.append(find_dfs(model, noise, _field_output_ports(sysq), base=base))
+            verdicts.append(find_dfs(model, noise, fields, base=base))
     report = {
         "system": {
             "modes": sysq.n,
@@ -164,8 +159,9 @@ def _extract_chi2_kappa(plant: QuantumLinearSystem) -> float:
     """The direct-feedback plant is the squeezing cavity; recover kappa."""
     if plant.n != 1 or plant.m != 1:
         raise ValidationError("direct feedback expects a single-mode, single-port plant")
-    kappa = float(plant.C[0, 0]) ** 2
-    if kappa <= 0 or not np.allclose(plant.C, np.sqrt(kappa) * np.eye(2), atol=1e-12):
+    c = float(plant.C[0, 0])
+    kappa = c * c  # inf when c * c overflows, where ** raises
+    if not 0 < kappa < np.inf or not np.allclose(plant.C, np.sqrt(kappa) * np.eye(2), atol=1e-12):
         raise ValidationError("direct feedback expects coupling sqrt(kappa) I")
     G_ref = np.array([[0.0, -kappa / 2], [-kappa / 2, 0.0]])
     if not np.allclose(plant.G, G_ref, atol=1e-12 * max(1.0, kappa)):
@@ -180,10 +176,8 @@ def cmd_closedloop(args) -> int:
         raise ValidationError(
             f"--scheme {args.scheme} contradicts controller file scheme {scheme}")
     if scheme in ("mf1", "mf2"):
-        splits = [homodyne_split(width, sel)
-                  for width, sel in zip(_split_widths(plant, scheme), opts["selectors"])]
-        assemble = mf_type1 if scheme == "mf1" else mf_type2
-        _emit(model_to_dict(assemble(plant, ctrl, *splits)))
+        splits = map(homodyne_split, _split_widths(plant, scheme), opts["selectors"])
+        _emit(model_to_dict(_measurement_loop(plant, scheme, ctrl, *splits)))
     elif scheme == "cf1":
         _emit(system_to_dict(cf_type1(plant, ctrl)))
     elif scheme == "cf2":
@@ -208,8 +202,7 @@ def cmd_spectrum(args) -> int:
     if not 0 < args.omega_min <= args.omega_max < np.inf:
         raise ValidationError("need finite 0 < omega-min <= omega-max (the SQL "
                               "reference diverges at zero)")
-    omegas = (np.geomspace(args.omega_min, args.omega_max, args.points)
-              if args.points > 1 else np.array([args.omega_min]))
+    omegas = np.geomspace(args.omega_min, args.omega_max, args.points)
     variances = {}
     for item in args.squeeze or []:
         port, _, r = item.rpartition(":")

@@ -433,12 +433,14 @@ def _check_splits(m: int, M: np.ndarray) -> None:
     in a stack of more than one, the member's index."""
     eye = np.eye(2 * m)
     Mt = M.transpose(0, 2, 1)
-    checks = {
-        # J = [[0, I], [-I, 0]]
-        "M Sigma M^T = J": M @ sigma(m) @ Mt - (np.eye(2 * m, k=m) - np.eye(2 * m, k=-m)),
-        "M M^T = I": M @ Mt - eye,
-        "M^T M = I": Mt @ M - eye,
-    }
+    # an overflow makes a defect inf or NaN, which fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        checks = {
+            # J = [[0, I], [-I, 0]]
+            "M Sigma M^T = J": M @ sigma(m) @ Mt - (np.eye(2 * m, k=m) - np.eye(2 * m, k=-m)),
+            "M M^T = I": M @ Mt - eye,
+            "M^T M = I": Mt @ M - eye,
+        }
     tol = SPLIT_TOL * max(m, 1)
     for label, defect in checks.items():
         # one maximum over the whole stack (NaN fails it); per member only
@@ -525,17 +527,20 @@ def homodyne_split(m: int, measured) -> MeasurementSplit:
     return MeasurementSplit(m, M1, M2)
 
 
+def _implied_hamiltonian(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``Sigma_n^T A - C^T Sigma_m C / 2``, the inverse of the drift formula
+    ``A = Sigma_n (G + C^T Sigma_m C / 2)``: ``G`` itself when ``(A, C)``
+    comes from a symmetric ``G``."""
+    return sigma(len(A) // 2).T @ A - C.T @ sigma(len(C) // 2) @ C / 2.0
+
+
 def realizability_defect(A: np.ndarray, C: np.ndarray) -> float:
     """Asymmetry of Sigma_n^T A - C^T Sigma_m C / 2, relative to its norm.
 
     Zero (up to rounding) iff (A, C) can be produced by some symmetric G;
     the symmetric part is that G.
     """
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n2 = A.shape[0]
-    m2 = C.shape[0]
-    G = sigma(n2 // 2).T @ A - C.T @ sigma(m2 // 2) @ C / 2.0
+    G = _implied_hamiltonian(np.asarray(A, dtype=float), np.asarray(C, dtype=float))
     return float(_frobenius((G - G.T)[None])[0] / max(_frobenius(G[None])[0], 1.0))
 
 
@@ -829,7 +834,7 @@ def complex_to_quadrature(complex_drift, complex_couplings,
         raise ValidationError(
             "complex description converts to a non-realizable drift "
             f"(asymmetry {defect:.3e})")
-    G = sigma(n).T @ A - C.T @ sigma(C.shape[0] // 2) @ C / 2.0
+    G = _implied_hamiltonian(A, C)
     G = (G + G.T) / 2.0
     return build_system(G, C, channels=channels, force=force, mode_labels=mode_labels)
 

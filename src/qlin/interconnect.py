@@ -9,11 +9,13 @@ open loop's feedthrough ``D_W`` onto those field outputs: that feedthrough
 is orthogonal, so ``D_W E = I``.  One function, ``_open_stacks``, builds
 the open loops of a stack of splits for either scheme (the no-go harness
 judges them bare), and one, ``_classical_feedback``, closes a stack of
-controllers around them with the bits of one loop each; ``mf_type1`` and
-``mf_type2`` are a stack of one.  Both coherent loops are one SLH series
-product of field stages over the joint plant/controller state, and the
-only algebraic loop in scope (ideal direct feedback, ``tau = 0``) is
-eliminated in closed form.
+controllers around them with the bits of one loop each.  One entry,
+``_measurement_loop``, closes one controller for either scheme: it checks
+the controller's gains and ``B_K`` against the splits and closes the loop
+as a stack of one; ``mf_type1``, ``mf_type2`` and ``qlin closedloop`` call
+it.  Both coherent loops are one SLH series product of field stages over
+the joint plant/controller state, and the only algebraic loop in scope
+(ideal direct feedback, ``tau = 0``) is eliminated in closed form.
 """
 
 from __future__ import annotations
@@ -133,10 +135,12 @@ def _check_scattering(S: np.ndarray) -> np.ndarray:
         raise ShapeError(f"scattering matrix must be square with even size, got {S.shape}")
     m = S.shape[0] // 2
     Sm = sigma(m)
-    if np.max(np.abs(S.T @ S - np.eye(2 * m))) > 1e-12 * max(1, 2 * m):
-        raise ValidationError("scattering matrix is not orthogonal")
-    if np.max(np.abs(S @ Sm @ S.T - Sm)) > 1e-12 * max(1, 2 * m):
-        raise ValidationError("scattering matrix is not symplectic")
+    # an overflow makes a defect inf or NaN, which fails the "<=" test
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.max(np.abs(S.T @ S - np.eye(2 * m))) <= 1e-12 * max(1, 2 * m):
+            raise ValidationError("scattering matrix is not orthogonal")
+        if not np.max(np.abs(S @ Sm @ S.T - Sm)) <= 1e-12 * max(1, 2 * m):
+            raise ValidationError("scattering matrix is not symplectic")
     return S
 
 
@@ -193,7 +197,10 @@ def _classical_feedback(plant: QuantumLinearSystem, scheme: str, A_K: np.ndarray
     and the ports are those of the open loop.  Each product is made per
     member with the memory layout of one loop, so each loop has the bits
     it has alone.  A controller without states may leave ``B_K`` and the
-    gains empty.
+    gains empty.  The stacks are not checked against the splits here:
+    ``_measurement_loop`` checks a user's controller, and the no-go draws
+    have the split shapes by construction.  A non-finite product is
+    rejected when the loop is sealed, without a warning.
     """
     inputs, outputs, open_loop = _open_stacks(plant, scheme, splits)
     B, C, D = open_loop["B"], open_loop["C"], open_loop["D"]
@@ -204,21 +211,38 @@ def _classical_feedback(plant: QuantumLinearSystem, scheme: str, A_K: np.ndarray
     T, n, k, ny, nu = len(A_K), B.shape[1], A_K.shape[-1], y.stop - y.start, E.shape[2]
     # C_K1 drives the raw feedback fields; C_K2 drives W2 = M1e^T Q2 + M2e^T P2
     C_K = (np.concatenate(gains, axis=1) if len(gains) > 1 else gains[0]) if k else None
-    if k and B_K.shape[-1] != ny:
-        raise ShapeError(f"B_K must have {ny} columns (one per measured signal)")
-    if k and C_K.shape[-2] != nu:
-        raise ShapeError(f"controller output must have {nu} rows, got {C_K.shape[-2]}")
     B_K = B_K.reshape(T, k, ny)
-    EC = E @ (C_K if k else np.zeros((T, nu, 0)))
-    BK_Dy = B_K @ D[:, y]
-    A = np.empty((T, n + k, n + k))
-    A[:, :n, :n] = plant.A
-    A[:, :n, n:] = B @ EC
-    A[:, n:, :n] = B_K @ C[:, y]
-    A[:, n:, n:] = A_K + BK_Dy @ EC
-    return StateSpaceModel._derive_each(plant, inputs, outputs, {
-        "A": A, "B": np.concatenate([B, BK_Dy], axis=1),
-        "C": np.concatenate([C, D @ EC], axis=2), "D": D})
+    with np.errstate(over="ignore", invalid="ignore"):
+        EC = E @ (C_K if k else np.zeros((T, nu, 0)))
+        BK_Dy = B_K @ D[:, y]
+        A = np.empty((T, n + k, n + k))
+        A[:, :n, :n] = plant.A
+        A[:, :n, n:] = B @ EC
+        A[:, n:, :n] = B_K @ C[:, y]
+        A[:, n:, n:] = A_K + BK_Dy @ EC
+        return StateSpaceModel._derive_each(plant, inputs, outputs, {
+            "A": A, "B": np.concatenate([B, BK_Dy], axis=1),
+            "C": np.concatenate([C, D @ EC], axis=2), "D": D})
+
+
+def _measurement_loop(plant: QuantumLinearSystem, scheme: str, ctrl, *splits) -> StateSpaceModel:
+    """The measurement-feedback loop of ``scheme`` that the
+    ``ClassicalController`` ``ctrl`` closes around ``plant`` under
+    ``splits``, one ``MeasurementSplit`` per split the scheme takes
+    (``_split_widths``): a stack of one of ``_classical_feedback``, which
+    checks no shapes.  So the checks are here: a controller with states
+    needs every gain of ``_GAINS[scheme]``, each with two rows per channel
+    of its split, and a ``B_K`` with one column per channel of the first
+    (the measured signal)."""
+    names, gains = _GAINS[scheme], []
+    if ctrl.dim:
+        if any(getattr(ctrl, name) is None for name in names):
+            raise ValidationError(f"type-{scheme[-1]} controller needs {' and '.join(names)}")
+        gains = [_as_matrix(name, getattr(ctrl, name), rows=2 * split.m)[None]
+                 for name, split in zip(names, splits)]
+        _as_matrix("B_K", ctrl.B_K, cols=splits[0].m)
+    return _classical_feedback(plant, scheme, ctrl.A_K[None], ctrl.B_K[None], gains,
+                               *((split.M1[None], split.M2[None]) for split in splits))[0]
 
 
 def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
@@ -229,13 +253,10 @@ def mf_type1(plant: QuantumLinearSystem, ctrl: ClassicalController,
     ``u = C_K x_K`` modulates every input quadrature.  Extended state is
     ``[x; x_K]``; inputs are the measured noise ``Q``, its conjugate ``P``
     and the force; outputs are ``y``, the conjugate signal ``ybar`` and the
-    full field ``Wout``.
+    full field ``Wout``.  ``_measurement_loop`` checks ``ctrl`` against
+    ``split``.
     """
-    if ctrl.dim and ctrl.C_K is None:
-        raise ValidationError("type-1 controller needs C_K")
-    gains = [ctrl.C_K[None]] if ctrl.dim else []
-    return _classical_feedback(plant, "mf1", ctrl.A_K[None], ctrl.B_K[None], gains,
-                               (split.M1[None], split.M2[None]))[0]
+    return _measurement_loop(plant, "mf1", ctrl, split)
 
 
 def _mf2_stacks(plant: QuantumLinearSystem, M: np.ndarray, M1e: np.ndarray, M2e: np.ndarray):
@@ -295,17 +316,9 @@ def mf_type2(plant: QuantumLinearSystem, ctrl: ClassicalController,
     channel groups through ``C_K1``/``C_K2``; the evaluation signal is
     ``z = M1 W2_out`` (eval_split).  A direct feedthrough term from y onto
     the evaluation modulation is not modeled; it changes no structural
-    verdict.
+    verdict.  ``_measurement_loop`` checks ``ctrl`` against the splits.
     """
-    gains = []
-    if ctrl.dim:
-        if ctrl.C_K1 is None or ctrl.C_K2 is None:
-            raise ValidationError("type-2 controller needs C_K1 and C_K2")
-        gains = [_as_matrix("C_K1", ctrl.C_K1, rows=2 * fb_split.m)[None],
-                 _as_matrix("C_K2", ctrl.C_K2, rows=2 * eval_split.m)[None]]
-    return _classical_feedback(plant, "mf2", ctrl.A_K[None], ctrl.B_K[None], gains,
-                               (fb_split.M1[None], fb_split.M2[None]),
-                               (eval_split.M1[None], eval_split.M2[None]))[0]
+    return _measurement_loop(plant, "mf2", ctrl, fb_split, eval_split)
 
 
 def _series(plant: QuantumLinearSystem, qctrl: QuantumController, channels,
@@ -324,10 +337,12 @@ def _series(plant: QuantumLinearSystem, qctrl: QuantumController, channels,
     G[:n2, :n2], G[n2:, n2:] = plant.G, qctrl.G_K
     L = np.zeros_like(stages[0][1])
     Sm = sigma(L.shape[0] // 2)
-    for S, Lk in stages:
-        cross = Lk.T @ Sm @ S @ L
-        G += (cross + cross.T) / 2.0
-        L = Lk + S @ L
+    # a non-finite G or L is rejected by the system's own checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for S, Lk in stages:
+            cross = Lk.T @ Sm @ S @ L
+            G += (cross + cross.T) / 2.0
+            L = Lk + S @ L
     force = None
     if plant.force is not None:
         force = np.concatenate([plant.force, np.zeros(k2)])

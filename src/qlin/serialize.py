@@ -177,13 +177,7 @@ def controller_from_dict(d: dict):
 
 
 def verdict_to_dict(v: GoalVerdict) -> dict:
-    return {
-        "goal": v.goal,
-        "achieved": v.achieved,
-        "witnesses": [w.tolist() for w in v.witnesses],
-        # an infinite obstruction gap (no candidate directions) becomes null
-        "residual": v.residual if np.isfinite(v.residual) else None,
-        "method_agreement": v.method_agreement,
-        "dims": v.dims,
-        "tolerance": v.tolerance,
-    }
+    """The verdict's fields in their order, with the witnesses as lists and
+    an infinite obstruction gap (no candidate directions) as null."""
+    return {**vars(v), "witnesses": [w.tolist() for w in v.witnesses],
+            "residual": v.residual if np.isfinite(v.residual) else None}

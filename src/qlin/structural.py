@@ -185,10 +185,6 @@ def _check_orthonormal(ambient_dim: int, bases: np.ndarray) -> None:
             raise ShapeError(f"basis columns are not orthonormal (defect {defect:.3e})")
 
 
-def _empty(ambient: int) -> Subspace:
-    return Subspace(ambient, np.zeros((ambient, 0)))
-
-
 def span_of(vectors, ambient_dim: Optional[int] = None, rtol: Optional[float] = None) -> Subspace:
     """Orthonormalized span of the given (column) vectors."""
     M = np.asarray(vectors, dtype=float)
@@ -197,7 +193,7 @@ def span_of(vectors, ambient_dim: Optional[int] = None, rtol: Optional[float] = 
     if ambient_dim is None:
         ambient_dim = M.shape[0]
     if M.size == 0:
-        return _empty(ambient_dim)
+        return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     return Subspace(ambient_dim, U[:, :_ranks(s, M.shape, rtol)])
 
@@ -239,7 +235,7 @@ def _intersects(subs: Sequence[Subspace], b: Subspace,
     n = b.ambient_dim
     if (bad := next((a.ambient_dim for a in subs if a.ambient_dim != n), None)) is not None:
         raise ShapeError(f"ambient mismatch: {bad} vs {n}")
-    out = [_empty(n)] * len(subs)
+    out = [Subspace(n, np.zeros((n, 0)))] * len(subs)
     for d, members in _groups(a.dim if b.dim else 0 for a in subs).items():
         if d == 0:
             continue

@@ -212,6 +212,27 @@ def test_closedloop_flat_controller_that_does_not_fit_exits_2(tmp_path, capsys):
         assert f"qlin: error: flat {field} has" in err, err
 
 
+@pytest.mark.filterwarnings("error")
+def test_closedloop_overflowing_inputs_exit_2(tmp_path, capsys):
+    # each overflowed: kappa = C[0][0] ** 2 of the direct plant raised
+    # OverflowError (exit 1), and cf1's series product and cf2's scattering
+    # check warned; each is now a validation error
+    cavity = {"modes": 1, "G": [[0.0, -0.5], [-0.5, 0.0]], "C": [[1e160, 0.0], [0.0, 1e160]],
+              "channels": [{"label": "W", "role": "feedback"}]}
+    cf1 = {"scheme": "cf1", "G_K": [[1.0, 0.2], [0.2, 0.5]], "C1": [[1e308, 0.0], [0.1, 0.2]],
+           "C2": [[-0.3, 0.1], [0.0, 0.4]]}
+    cf2 = {"scheme": "cf2", "G_K": [[0.5, 0.0], [0.0, 0.5]], "C_K": [[1.0, 0.0], [0.0, 1.0]],
+           "S": [[1e160, 1.0], [-1.0, 0.0]]}
+    for i, (plant, ctrl, message) in enumerate((
+            (cavity, {"scheme": "direct", "tau": 0.0}, "expects coupling sqrt(kappa) I"),
+            (system_to_dict(sc.optomech_full()), cf1, "G contains non-finite entries"),
+            (system_to_dict(sc.michelson()), cf2, "scattering matrix is not orthogonal"))):
+        code, out, err = run_cli(capsys, "closedloop", write_json(tmp_path, f"p{i}.json", plant),
+                                 write_json(tmp_path, f"c{i}.json", ctrl))
+        assert (code, out) == (2, ""), ctrl
+        assert err.startswith("qlin: error: ") and message in err, err
+
+
 def test_closedloop_mf2_and_cf1_match_the_library(tmp_path, capsys):
     rng = np.random.default_rng(7)
     plant_sys = sc.michelson()

@@ -5,6 +5,7 @@ from conftest import random_system
 from qlin import (
     Channel,
     ClassicalController,
+    MeasurementSplit,
     QuantumController,
     ShapeError,
     ValidationError,
@@ -68,12 +69,16 @@ def test_mf1_block_pattern():
 
 
 def test_mf1_width_validation():
+    # B_K has one column per measured signal, C_K two rows per channel; the
+    # error names the matrix
     rng = np.random.default_rng(42)
     plant = random_system(rng, 1, 1)
-    bad = ClassicalController(np.zeros((1, 1)), np.zeros((1, 2)),
-                              C_K=np.zeros((2, 1)))
-    with pytest.raises(ShapeError):
-        mf_type1(plant, bad, homodyne_split(1, "P"))
+    for bad, name in ((ClassicalController(np.zeros((1, 1)), np.zeros((1, 2)),
+                                           C_K=np.zeros((2, 1))), "B_K must have 1 columns"),
+                      (ClassicalController(np.zeros((1, 1)), np.zeros((1, 1)),
+                                           C_K=np.zeros((4, 1))), "C_K must have 2 rows")):
+        with pytest.raises(ShapeError, match=f"^{name}"):
+            mf_type1(plant, bad, homodyne_split(1, "P"))
 
 
 def zero_mf2(plant):
@@ -99,6 +104,34 @@ def test_mf2_zero_controller_and_direct_term():
     loop2 = mf_type2(plant, dead, fb, ev)
     assert np.array_equal(loop2.A[:4, 4:], np.zeros((4, 3)))
     assert np.array_equal(loop2.A[4:, :4], np.zeros((3, 4)))
+
+
+def test_mf2_width_validation():
+    # michelson has one feedback and one evaluation channel: B_K has one
+    # column, and C_K1 and C_K2 two rows each; the error names the matrix
+    plant, fb, ev = sc.michelson(), homodyne_split(1, "P"), homodyne_split(1, "P")
+    A, B, gain = -np.eye(1), np.ones((1, 1)), np.ones((2, 1))
+    for ctrl, name in ((ClassicalController(A, np.ones((1, 2)), C_K1=gain, C_K2=gain),
+                        "B_K must have 1 columns"),
+                       (ClassicalController(A, B, C_K1=np.ones((4, 1)), C_K2=gain),
+                        "C_K1 must have 2 rows"),
+                       (ClassicalController(A, B, C_K1=gain, C_K2=np.ones((1, 1))),
+                        "C_K2 must have 2 rows")):
+        with pytest.raises(ShapeError, match=f"^{name}"):
+            mf_type2(plant, ctrl, fb, ev)
+    with pytest.raises(ValidationError, match="^type-2 controller needs C_K1 and C_K2"):
+        mf_type2(plant, ClassicalController(A, B, C_K1=gain), fb, ev)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_splits_and_loops_are_validation_errors():
+    # each overflowed with a RuntimeWarning: the split identities and the
+    # loop's products are now checked finite without one
+    with pytest.raises(ValidationError, match="^measurement split violates"):
+        MeasurementSplit(1, [[1e160, 0.0]], [[0.0, 1.0]])
+    huge = ClassicalController([[1e308]], [[1.0]], C_K=[[1e308], [1e308]])
+    with pytest.raises(ValidationError, match="^A contains non-finite entries"):
+        mf_type1(sc.optomech_reduced(), huge, homodyne_split(1, "P"))
 
 
 def test_mf2_requires_role_partition():

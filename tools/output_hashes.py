@@ -11,7 +11,11 @@ The suites:
   on the first channel's ``.Q``/``.out.P`` ports;
 * ``spectrum``: one 2000-point ``qlin spectrum`` CSV of
   ``michelson_cf_loop`` with ``--gw-normalize``, ``--sql`` and
-  ``--squeeze``, the shape of the benchmark's request.
+  ``--squeeze``, the shape of the benchmark's request;
+* ``closedloop``: the stdout, stderr and exit code of ``qlin closedloop``
+  with one controller per scheme (mf1 and cf1 on ``optomech_reduced``, mf2
+  and cf2 on ``michelson``, direct on the squeezing cavity) and a
+  zero-state mf1 controller.
 
 Usage::
 
@@ -58,13 +62,19 @@ def nogo_reports(qlin) -> list[dict]:
             for goal in ("bae", "qnd", "dfs") for seed in NOGO_SEEDS]
 
 
+def _write(workdir: str, name: str, doc) -> str:
+    """Write ``doc`` as JSON to ``workdir/name``; returns the path."""
+    path = os.path.join(workdir, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
 def analyze_runs(qlin, workdir: str) -> list:
     runs = []
     for name, (builder, defaults) in sorted(qlin.scenarios.SCENARIOS.items()):
         doc = qlin.serialize.system_to_dict(builder(**defaults))
-        path = os.path.join(workdir, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        path = _write(workdir, f"{name}.json", doc)
         ch = doc["channels"][0]["label"]
         bae = ["--ba-port", f"{ch}.Q", "--output-port", f"{ch}.out.P"]
         for extra in (["--goal", "qnd"], ["--goal", "dfs"], ["--goal", "all", *bae]):
@@ -76,14 +86,42 @@ def spectrum_run(qlin, workdir: str) -> list:
     sc = qlin.scenarios
     w0 = sc.MichelsonParams().omega
     loop = sc.michelson_cf_loop(sc.MichelsonParams(1.3, w0, 0.9, 1.1))
-    doc = qlin.serialize.system_to_dict(loop)
-    path = os.path.join(workdir, "michelson_cf_loop.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    path = _write(workdir, "michelson_cf_loop.json", qlin.serialize.system_to_dict(loop))
     return _cli(qlin, ["spectrum", path, "--output", "W2.out.P",
                        "--omega-min", repr(w0 * 10.0), "--omega-max", repr(w0 * 1e3),
                        "--points", "2000", "--gw-normalize", "0.9,1.1", "--sql", "1.3,1.1",
                        "--squeeze", "W2.P:1.0"])
+
+
+def closedloop_runs(qlin, workdir: str) -> list:
+    sc = qlin.scenarios
+    optomech = _write(workdir, "optomech_reduced.json",
+                      qlin.serialize.system_to_dict(sc.optomech_reduced()))
+    michelson = _write(workdir, "michelson.json", qlin.serialize.system_to_dict(sc.michelson()))
+    # the squeezing cavity of direct feedback, kappa = 1
+    cavity = _write(workdir, "cavity.json", {
+        "modes": 1, "G": [[0.0, -0.5], [-0.5, 0.0]], "C": [[1.0, 0.0], [0.0, 1.0]],
+        "channels": [{"label": "W", "role": "feedback"}]})
+    cf2 = sc.michelson_cf_controller(sc.MichelsonParams())
+    controllers = [
+        (optomech, {"scheme": "mf1", "A_K": [[-1.0, 0.5], [0.0, -2.0]], "B_K": [[1.0], [0.5]],
+                    "C_K": [[0.3, -0.2], [0.1, 0.4]], "measure": 0.3}),
+        (optomech, {"scheme": "mf1", "A_K": [], "B_K": [], "C_K": [[], []]}),
+        (michelson, {"scheme": "mf2", "A_K": [[-1.5, 0.25], [-0.5, -1.0]],
+                     "B_K": [[0.7], [-0.3]], "C_K1": [[0.2, 0.1], [-0.4, 0.3]],
+                     "C_K2": [[0.5, -0.1], [0.2, 0.6]], "measure_feedback": "Q",
+                     "measure_evaluation": 0.3}),
+        (optomech, {"scheme": "cf1", "G_K": [[1.0, 0.2], [0.2, 0.5]],
+                    "C1": [[0.3, 0.0], [0.1, 0.2]], "C2": [[-0.3, 0.1], [0.0, 0.4]]}),
+        (michelson, {"scheme": "cf2", "G_K": cf2.G_K.tolist(), "C_K": cf2.C_K.tolist(),
+                     "S": cf2.S.tolist()}),
+        (cavity, {"scheme": "direct", "tau": 0.5}),
+    ]
+    runs = []
+    for i, (plant, doc) in enumerate(controllers):
+        ctrl = _write(workdir, f"controller{i}.json", doc)
+        runs.append([doc["scheme"], *_cli(qlin, ["closedloop", plant, ctrl])])
+    return runs
 
 
 def hashes(tree: str) -> dict:
@@ -98,7 +136,8 @@ def hashes(tree: str) -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         return {"nogo": _digest(nogo_reports(qlin)),
                 "analyze": _digest(analyze_runs(qlin, workdir)),
-                "spectrum": _digest(spectrum_run(qlin, workdir))}
+                "spectrum": _digest(spectrum_run(qlin, workdir)),
+                "closedloop": _digest(closedloop_runs(qlin, workdir))}
 
 
 def main(argv=None) -> int:
