@@ -93,7 +93,7 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     entries in memory order (one ``np.vdot`` per member, which sets no
     overflow warning).  Where that is inf, or 0 on a nonzero matrix, it is
     recomputed as ``m |x / m|_F`` with ``m = max |x|``, so in-range norms
-    keep their bits and none warns."""
+    keep their bits and none warns (a norm above the float range is inf)."""
     # each member's entries in memory order, copied to unit stride: a strided
     # dot rounds apart
     flat = np.ascontiguousarray(stack.swapaxes(1, 2) if stack.strides[2] > stack.strides[1]
@@ -101,7 +101,7 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     out = [math.sqrt(np.vdot(entries, entries)) for entries in flat]
     for t in [t for t, norm in enumerate(out) if not 0 < norm < math.inf]:
         if 0 < (m := np.abs(flat[t]).max(initial=0.0)) < math.inf:
-            out[t] = m * math.sqrt(np.vdot(flat[t] / m, flat[t] / m))
+            out[t] = float(m) * math.sqrt(np.vdot(flat[t] / m, flat[t] / m))
     return np.array(out)
 
 
@@ -163,11 +163,18 @@ def _hamiltonian(name: str, G) -> np.ndarray:
         raise ShapeError(f"{name} must be square with even size, got {G.shape}")
     if G.tobytes() == G.T.tobytes():
         return _frozen(G)
-    if _frobenius((G - G.T)[None])[0] > SYMMETRY_RTOL * max(_frobenius(G[None])[0], 1.0):
+    if not _asymmetry(G) <= SYMMETRY_RTOL:
         raise ValidationError(
             f"{name} is not symmetric within tolerance; refusing to symmetrise "
             "an asymmetric Hamiltonian matrix")
     return _sealed(name, (G + G.T) / 2.0)
+
+
+def _asymmetry(G: np.ndarray) -> float:
+    """``|G - G^T|_F / max(|G|_F, 1)``, how far the square ``G`` is from
+    symmetric relative to its size: 0 iff it is symmetric, and NaN (which
+    every bound rejects) when both norms leave the float range."""
+    return float(_frobenius((G - G.T)[None])[0]) / max(float(_frobenius(G[None])[0]), 1.0)
 
 
 def _realify(Z: np.ndarray) -> np.ndarray:
@@ -330,8 +337,10 @@ class StateSpaceModel:
     def __post_init__(self):
         A = _as_matrix("A", self.A)
         n = A.shape[0]
-        B = _as_matrix("B", self.B, rows=n) if np.size(self.B) else np.zeros((n, 0))
-        C = _as_matrix("C", self.C, cols=n) if np.size(self.C) else np.zeros((0, n))
+        # an empty 2-D B or C keeps its shape (a stateless model still has
+        # inputs and outputs); only a bare [] stands for no columns or rows
+        B = _as_matrix("B", self.B, rows=n) if np.shape(self.B) != (0,) else np.zeros((n, 0))
+        C = _as_matrix("C", self.C, cols=n) if np.shape(self.C) != (0,) else np.zeros((0, n))
         D = _as_matrix("D", self.D, rows=C.shape[0], cols=B.shape[1]) \
             if np.size(self.D) else np.zeros((C.shape[0], B.shape[1]))
         # frozen copies, then the one shape check of every realization
@@ -530,18 +539,24 @@ def homodyne_split(m: int, measured) -> MeasurementSplit:
 def _implied_hamiltonian(A: np.ndarray, C: np.ndarray) -> np.ndarray:
     """``Sigma_n^T A - C^T Sigma_m C / 2``, the inverse of the drift formula
     ``A = Sigma_n (G + C^T Sigma_m C / 2)``: ``G`` itself when ``(A, C)``
-    comes from a symmetric ``G``."""
-    return sigma(len(A) // 2).T @ A - C.T @ sigma(len(C) // 2) @ C / 2.0
+    comes from a symmetric ``G``.  The one home of that formula.  Its
+    entries must be ones a Hamiltonian may hold (at most ``HALF_MAX``, so
+    ``G - G^T`` cannot overflow); an overflowing product or a non-finite
+    input is a ``ValidationError``, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = sigma(len(A) // 2).T @ A - C.T @ sigma(len(C) // 2) @ C / 2.0
+    return _as_matrix("the implied Hamiltonian Sigma^T A - C^T Sigma C / 2", G, bound=HALF_MAX)
 
 
 def realizability_defect(A: np.ndarray, C: np.ndarray) -> float:
-    """Asymmetry of Sigma_n^T A - C^T Sigma_m C / 2, relative to its norm.
+    """Relative asymmetry ``|G - G^T|_F / max(|G|_F, 1)`` of the implied
+    Hamiltonian ``G = Sigma_n^T A - C^T Sigma_m C / 2``.
 
     Zero (up to rounding) iff (A, C) can be produced by some symmetric G;
-    the symmetric part is that G.
+    the symmetric part is that G.  A ``G`` that overflows, or an ``A`` or
+    ``C`` that is not finite, is a ``ValidationError``.
     """
-    G = _implied_hamiltonian(np.asarray(A, dtype=float), np.asarray(C, dtype=float))
-    return float(_frobenius((G - G.T)[None])[0] / max(_frobenius(G[None])[0], 1.0))
+    return _asymmetry(_implied_hamiltonian(np.asarray(A, dtype=float), np.asarray(C, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -725,8 +740,7 @@ def _layout(kind: str, labels: tuple[str, ...], force: bool,
             for ports, name in ((inputs, label), (outputs, label + ".out")):
                 ports.append(name, 2)
                 quadratures(ports, name, 2 * j)
-        D = np.zeros((2 * m, 2 * m + force))
-        D[:, :2 * m] = np.eye(2 * m)
+        D = np.eye(2 * m, 2 * m + force)
         D.setflags(write=False)
     else:
         if kind == "split":
@@ -829,14 +843,13 @@ def complex_to_quadrature(complex_drift, complex_couplings,
             raise ShapeError(f"coupling vector must have length {n}, got {l.shape[0]}")
     A = _realify(F)
     C = _realify(np.array(couplings, dtype=complex).reshape(len(couplings), n))
-    defect = realizability_defect(A, C)
-    if not defect <= 1e-10:
+    G = _implied_hamiltonian(A, C)
+    if not (defect := _asymmetry(G)) <= 1e-10:
         raise ValidationError(
             "complex description converts to a non-realizable drift "
             f"(asymmetry {defect:.3e})")
-    G = _implied_hamiltonian(A, C)
-    G = (G + G.T) / 2.0
-    return build_system(G, C, channels=channels, force=force, mode_labels=mode_labels)
+    return build_system((G + G.T) / 2.0, C, channels=channels, force=force,
+                        mode_labels=mode_labels)
 
 
 def quadrature_to_complex(sys: QuantumLinearSystem, tol: float = 1e-10):

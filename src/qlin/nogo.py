@@ -29,9 +29,10 @@ rows ``[None]`` of the canonical splits and the rows ``[[t]]`` of trial
 :func:`sample_classical_controller` are the same builds on a stack of one.
 
 One table names the noise ports and judged outputs of the six (scheme, goal)
-combinations.  Type-2 BAE (Theorem 4) is one joint zero transfer to the
-evaluation signal ``z`` from the feedback field ``W1`` and the conjugate
-evaluation noise ``P2`` together.
+combinations, in theorem order: row t is Theorem t, and ``THEOREM_INDEX``
+is read from the row order.  Type-2 BAE (Theorem 4) is one joint zero
+transfer to the evaluation signal ``z`` from the feedback field ``W1`` and
+the conjugate evaluation noise ``P2`` together.
 """
 
 from __future__ import annotations
@@ -65,17 +66,9 @@ __all__ = [
     "verify_nogo",
 ]
 
-THEOREM_INDEX = {
-    ("mf1", "bae"): 1,
-    ("mf1", "qnd"): 2,
-    ("mf1", "dfs"): 3,
-    ("mf2", "bae"): 4,
-    ("mf2", "qnd"): 5,
-    ("mf2", "dfs"): 6,
-}
-
 #: (scheme, goal) -> (noise input ports, judged outputs), for the loop and for
 #: the bare plant alike; type 2 counts the feedback field ``W1`` as noise.
+#: The row order is the theorem order: row t is Theorem t.
 _PORTS = {
     ("mf1", "bae"): ("P", "y"),
     ("mf1", "qnd"): (["Q", "P"], "y"),
@@ -84,6 +77,8 @@ _PORTS = {
     ("mf2", "qnd"): (["W1", "Q2", "P2"], ["y", "z"]),
     ("mf2", "dfs"): (["W1", "Q2", "P2"], ["W1out", "W2out"]),
 }
+
+THEOREM_INDEX = {key: theorem for theorem, key in enumerate(_PORTS, 1)}
 
 
 @dataclass(frozen=True)
@@ -171,10 +166,11 @@ def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSy
     ``A_K`` is shifted by a diagonal offset so all eigenvalues have negative
     real part (unstable samples add no evidentiary value and blow up the
     Markov magnitudes); gain matrices are i.i.d. normal scaled by
-    ``1/sqrt(dim)``.
+    ``1/sqrt(dim)``.  ``controller_dim_range`` is checked as
+    :func:`verify_nogo` checks it.
     """
     k, (A_K, B_K, *gains) = _draw(rng, _split_widths(plant, scheme),
-                                  np.asarray(controller_dim_range, dtype=int))
+                                  _dim_range(controller_dim_range))
     return ClassicalController(_stabilized(A_K[None])[0], B_K,
                                **dict(zip(_GAINS[scheme], gains)))
 
@@ -251,10 +247,8 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
         raise ValidationError(f"no theorem covers scheme={scheme!r}, goal={goal!r}")
     if trials < 0 or seed < 0:
         raise ValidationError(f"trials and seed must be nonnegative, got {trials} and {seed}")
-    if controller_dim_range is None:
-        controller_dim_range = tuple(range(0, 2 * plant.n + 3))
-    else:
-        controller_dim_range = _dim_range(controller_dim_range)
+    controller_dim_range = _dim_range(range(0, 2 * plant.n + 3) if controller_dim_range is None
+                                      else controller_dim_range)
 
     widths = _split_widths(plant, scheme)
     noise, judged = _PORTS[(scheme, goal)]
@@ -280,12 +274,12 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     violations = disagreements = near = skips = 0
     worst_gap = float("inf")
     draws = [np.empty((trials, width, width), dtype=complex) for width in widths]
-    dims, ctrls = np.asarray(controller_dim_range, dtype=int), []
+    ctrls = []
     for t, ss in enumerate(np.random.SeedSequence(seed).spawn(trials)):
         rng = np.random.Generator(np.random.Philox(ss))
         for Z, width in zip(draws, widths):
             Z[t] = _gaussian(rng, width)
-        ctrls.append(_draw(rng, widths, dims))
+        ctrls.append(_draw(rng, widths, controller_dim_range))
     # each width's selector rows, C-ordered as one split's own, checked as one stack
     rows = [(np.ascontiguousarray(O[:, 0::2]), np.ascontiguousarray(O[:, 1::2]))
             for O in map(_orthosymplectic, draws)]

@@ -124,9 +124,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim == 1:
-            basis = basis.reshape(-1, 1)
+        basis = _columns("basis", self.basis)
         if basis.shape[0] != self.ambient_dim:
             raise ShapeError(
                 f"basis rows {basis.shape[0]} do not match ambient dim {self.ambient_dim}")
@@ -176,20 +174,27 @@ def _coordinates(n: int, k: int) -> Subspace:
     return Subspace(n, np.eye(n, k))
 
 
+def _columns(name: str, vectors) -> np.ndarray:
+    """``vectors`` as a finite 2-D float matrix of columns, a 1-D array being
+    one column (``core._as_matrix``: ``ShapeError`` or ``ValidationError``)."""
+    M = np.asarray(vectors, dtype=float)
+    return _as_matrix(name, M.reshape(-1, 1) if M.ndim == 1 else M)
+
+
 def _check_orthonormal(ambient_dim: int, bases: np.ndarray) -> None:
     """Raise ``ShapeError`` unless the columns of each basis of the stack
-    ``bases`` are orthonormal within ``1e3 * ORTHO_TOL * max(1, ambient_dim)``."""
+    ``bases`` are orthonormal within ``1e3 * ORTHO_TOL * max(1, ambient_dim)``
+    (a NaN defect fails)."""
     if bases.shape[2]:
         defect = np.abs(bases.transpose(0, 2, 1) @ bases - _eye(bases.shape[2])).max()
-        if defect > 1e3 * ORTHO_TOL * max(1, ambient_dim):
+        if not defect <= 1e3 * ORTHO_TOL * max(1, ambient_dim):
             raise ShapeError(f"basis columns are not orthonormal (defect {defect:.3e})")
 
 
 def span_of(vectors, ambient_dim: Optional[int] = None, rtol: Optional[float] = None) -> Subspace:
-    """Orthonormalized span of the given (column) vectors."""
-    M = np.asarray(vectors, dtype=float)
-    if M.ndim == 1:
-        M = M.reshape(-1, 1)
+    """Orthonormalized span of the given (column) vectors, which must be
+    finite."""
+    M = _columns("vectors", vectors)
     if ambient_dim is None:
         ambient_dim = M.shape[0]
     if M.size == 0:
@@ -199,13 +204,13 @@ def span_of(vectors, ambient_dim: Optional[int] = None, rtol: Optional[float] = 
 
 
 def range_space(mat, rtol: Optional[float] = None) -> Subspace:
-    """Column space of a matrix."""
-    return span_of(np.atleast_2d(np.asarray(mat, dtype=float)), rtol=rtol)
+    """Column space of a finite matrix."""
+    return span_of(_as_matrix("matrix", mat), rtol=rtol)
 
 
 def kernel(mat, rtol: Optional[float] = None) -> Subspace:
-    """Null space of a matrix."""
-    M = np.atleast_2d(np.asarray(mat, dtype=float))
+    """Null space of a finite matrix."""
+    M = _as_matrix("matrix", mat)
     if M.shape[0] == 0 or M.size == 0:
         return Subspace(M.shape[1], np.eye(M.shape[1]))
     _, s, Vt = np.linalg.svd(M, full_matrices=True)
@@ -415,8 +420,11 @@ def reduce_pair(A: np.ndarray, B: np.ndarray, C: np.ndarray):
     subspace of C inside it, cut as the full observable staircase of (A, C)
     would be.  Both are invariant, so the transfer function and Markov
     parameters are unchanged; modes invisible to the pair (and their poles)
-    are discarded.
+    are discarded.  The matrices must be finite and of matching shapes
+    (``ValidationError`` or ``ShapeError`` otherwise).
     """
+    A = _as_matrix("A", A)
+    B, C = _as_matrix("B", B, rows=len(A)), _as_matrix("C", C, cols=A.shape[1])
     return _restrict(A, B, C, controllable_subspace(A, B).basis, _scales("A", A[None]))
 
 

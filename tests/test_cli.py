@@ -10,6 +10,7 @@ from qlin import (
     ClassicalController,
     QuantumController,
     ValidationError,
+    build_system,
     cf_type1,
     check_bae,
     cli,
@@ -62,6 +63,15 @@ def test_scenario_unknown_name(capsys):
     assert code == 2
     assert "--param m" in err
 
+    for name, param, message in (
+            ("two_port_cavity", "kappa1", "--param expects k=v, got 'kappa1'"),
+            ("two_port_cavity", "nope=1", "has no parameter 'nope'; valid: kappa1, kappa2"),
+            ("two_port_cavity", "kappa1=-1", "mirror rates must be nonnegative"),
+            ("lambda_memory", "omega_rabi=1", "only the storage stage")):
+        code, out, err = run_cli(capsys, "scenario", name, "--param", param)
+        assert (code, out) == (2, ""), param
+        assert err.startswith("qlin: error: ") and message in err, err
+
 
 def test_analyze_memory_reports_dfs(tmp_path, capsys):
     path = write_json(tmp_path, "mem.json", system_to_dict(sc.lambda_memory(1.0, 0.5, 1.0)))
@@ -109,7 +119,17 @@ def test_analyze_malformed_json(tmp_path, capsys):
     bad_modes = dict(system_to_dict(sc.michelson()), modes="abc")
     scalar_channels = dict(system_to_dict(sc.michelson()), channels=5)
     scalar_labels = dict(system_to_dict(sc.michelson()), mode_labels=5)
-    for argv in (["analyze", str(latin1)],
+    bogus_role = system_to_dict(sc.michelson())
+    bogus_role["channels"][0]["role"] = "bogus"
+    same_labels = system_to_dict(sc.michelson())
+    same_labels["channels"][1]["label"] = same_labels["channels"][0]["label"]
+    no_hamiltonian = system_to_dict(sc.michelson())
+    del no_hamiltonian["G"]
+    for argv in (["analyze", write_json(tmp_path, "role.json", bogus_role)],
+                 ["analyze", write_json(tmp_path, "same.json", same_labels)],
+                 ["analyze", write_json(tmp_path, "list.json", [1, 2])],
+                 ["analyze", write_json(tmp_path, "no_g.json", no_hamiltonian)],
+                 ["analyze", str(latin1)],
                  ["spectrum", str(latin1), "--output", "W.out.P",
                   "--omega-min", "1", "--omega-max", "2"],
                  ["analyze", write_json(tmp_path, "unlabeled.json", unlabeled)],
@@ -227,6 +247,26 @@ def test_closedloop_overflowing_inputs_exit_2(tmp_path, capsys):
             (cavity, {"scheme": "direct", "tau": 0.0}, "expects coupling sqrt(kappa) I"),
             (system_to_dict(sc.optomech_full()), cf1, "G contains non-finite entries"),
             (system_to_dict(sc.michelson()), cf2, "scattering matrix is not orthogonal"))):
+        code, out, err = run_cli(capsys, "closedloop", write_json(tmp_path, f"p{i}.json", plant),
+                                 write_json(tmp_path, f"c{i}.json", ctrl))
+        assert (code, out) == (2, ""), ctrl
+        assert err.startswith("qlin: error: ") and message in err, err
+
+
+def test_closedloop_user_errors_exit_2(tmp_path, capsys):
+    optomech = system_to_dict(sc.optomech_reduced())
+    michelson = system_to_dict(sc.michelson())
+    # one feedback and two evaluation channels
+    three = system_to_dict(build_system(np.eye(2), np.vstack([np.eye(2)] * 3), channels=[
+        ("F1", "feedback"), ("E1", "evaluation"), ("E2", "evaluation")]))
+    cf2 = {"scheme": "cf2", "G_K": [[0.5, 0.0], [0.0, 0.5]], "C_K": [[1.0, 0.0], [0.0, 1.0]]}
+    for i, (plant, ctrl, message) in enumerate((
+            (optomech, {"A_K": [], "B_K": [], "C_K": [[], []]}, "needs a 'scheme' field"),
+            (michelson, {"scheme": "direct", "tau": 0.0}, "expects a single-mode, single-port"),
+            (michelson, dict(cf2, S=[[1, 0], [0, -1]]), "scattering matrix is not symplectic"),
+            (three, dict(cf2, S=[[1, 0], [0, 1]]), "partitions must have equal widths"),
+            (optomech, {"scheme": "cf1", "G_K": [[1.0, 0.2], [0.2, 0.5]],
+                        "C2": [[-0.3, 0.1], [0.0, 0.4]]}, "missing field 'C1'"))):
         code, out, err = run_cli(capsys, "closedloop", write_json(tmp_path, f"p{i}.json", plant),
                                  write_json(tmp_path, f"c{i}.json", ctrl))
         assert (code, out) == (2, ""), ctrl
@@ -403,6 +443,17 @@ def test_spectrum_rejects_zero_omega(tmp_path, capsys):
                                "--omega-min", "1", "--omega-max", "2", *extra)
         assert code == 2, extra
         assert extra[0] in err
+
+    for extra, message in ((["--output", "W1.out"], "signal_output must be a scalar output"),
+                           (["--output", "W1.out", "--gw-normalize", "1,1"],
+                            "output must be a scalar port"),
+                           (["--output", "W2.out.P", "--points", "0"], "--points must be >= 1"),
+                           (["--output", "W2.out.P", "--squeeze", "W1.Q"],
+                            "--squeeze expects port:r, got 'W1.Q'")):
+        code, out, err = run_cli(capsys, "spectrum", path, "--omega-min", "1",
+                                 "--omega-max", "2", *extra)
+        assert (code, out) == (2, ""), extra
+        assert err.startswith("qlin: error: ") and message in err, err
 
     # non-finite numbers exit 2 rather than with a traceback or a NaN, inf
     # or zero column

@@ -23,6 +23,7 @@ from qlin import (
     sigma,
 )
 from qlin import scenarios as sc
+from qlin.core import HALF_MAX
 from qlin.interconnect import mf_type2_open_loop
 from qlin.serialize import system_from_dict, system_to_dict
 
@@ -268,6 +269,42 @@ def test_conversions_reject_huge_non_complex_linear_drifts():
     squeezer = build_system([[0, 1e160], [1e160, 0]], np.zeros((0, 2)))
     with pytest.raises(ValidationError, match="drift is not complex-linear"):
         quadrature_to_complex(squeezer)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: realizability_defect(np.eye(2), np.full((2, 2), 1e200)),
+    lambda: complex_to_quadrature([[1e200]], [[1e200]]),
+    lambda: realizability_defect(1e308 * np.eye(2), np.zeros((0, 2))),
+    lambda: realizability_defect(np.full((2, 2), np.nan), np.zeros((0, 2))),
+])
+def test_an_overflowing_implied_hamiltonian_is_rejected_without_a_warning(call):
+    # C^T Sigma C overflowed in matmul, and the defect came out NaN after
+    # three RuntimeWarnings; the implied Hamiltonian is now checked as any
+    # Hamiltonian is, so no finite input gives a NaN defect
+    with pytest.raises(ValidationError, match="^the implied Hamiltonian .* contains non-finite"):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_huge_asymmetric_hamiltonian_is_not_symmetrised():
+    # every entry is below HALF_MAX, but |G|_F and |G - G^T|_F both overflow:
+    # "inf > 1e-12 * inf" let an antisymmetric pair through (symmetrised to
+    # zero, with an overflow warning); the NaN relative asymmetry now fails
+    G = np.full((4, 4), 0.9 * HALF_MAX)
+    G[0, 1] = -G[1, 0]
+    with pytest.raises(ValidationError, match="not symmetric within tolerance"):
+        build_system(G, np.zeros((0, 4)))
+
+
+def test_a_stateless_model_keeps_the_shapes_of_its_empty_matrices():
+    # a (0, 1) B and a (1, 0) C were read as having no columns and no rows
+    model = StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.0]],
+                            Ports([("y", 1)]), Ports([("u", 1)]))
+    assert (model.B.shape, model.C.shape, model.D.tolist()) == ((0, 1), (1, 0), [[2.0]])
+    # an empty matrix without two axes is still one with no columns or rows
+    bare = StateSpaceModel(-np.eye(2), [], [], [], Ports(), Ports())
+    assert (bare.B.shape, bare.C.shape, bare.D.shape) == ((2, 0), (0, 2), (0, 0))
 
 
 def test_realizability_defect_keeps_its_bits():

@@ -21,7 +21,7 @@ from qlin import (
     sigma,
 )
 from qlin import scenarios as sc
-from qlin.interconnect import mf_type2_open_loop
+from qlin.interconnect import direct_mf_controller, mf_type2_open_loop
 from qlin.nogo import random_orthosymplectic, random_split, sample_classical_controller
 from qlin.xfer import TransferFunction, evaluate
 
@@ -442,6 +442,16 @@ def test_direct_mf_small_tau_bound():
     tf = TransferFunction(loop, "Q", "q")
     for W in np.linspace(0.0, kappa, 7):
         assert abs(evaluate(tf, 1j * W)[0, 0]) < 2e-6 * np.sqrt(kappa)
+
+
+def test_direct_mf_controller_ideal_limit_is_a_static_gain():
+    # tau = 0 raised ShapeError: the stateless model lost its (0, 1) input
+    # matrix and (1, 0) output matrix
+    kappa = 1.7
+    ctl = direct_mf_controller(kappa, 0.0)
+    assert (ctl.nstates, ctl.B.shape, ctl.C.shape) == (0, (0, 1), (1, 0))
+    for s in (0.0, 1j, 3.0 + 2j):
+        assert evaluate(TransferFunction(ctl, "y", "u"), s)[0, 0] == np.sqrt(kappa)
 
 
 def test_direct_mf_rejects_negative_tau():

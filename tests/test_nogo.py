@@ -20,6 +20,10 @@ from qlin.nogo import (
 
 def test_theorem_index_complete():
     assert set(THEOREM_INDEX.values()) == {1, 2, 3, 4, 5, 6}
+    # the exact pairing of the paper's Theorems 1-6, which the order of the
+    # port table gives
+    assert THEOREM_INDEX == {("mf1", "bae"): 1, ("mf1", "qnd"): 2, ("mf1", "dfs"): 3,
+                             ("mf2", "bae"): 4, ("mf2", "qnd"): 5, ("mf2", "dfs"): 6}
 
 
 def test_random_orthosymplectic_properties():
@@ -514,6 +518,23 @@ def test_verify_nogo_rejects_a_bad_controller_dim_range(dims, monkeypatch):
         verify_nogo(sc.optomech_reduced(), "qnd", "mf1", trials=3, seed=0,
                     controller_dim_range=dims)
     assert drawn == []
+
+
+@pytest.mark.parametrize("dims", [[-1], [], "ab", [1.5], [2.5], [1, None], 3])
+def test_sample_classical_controller_rejects_a_bad_controller_dim_range(dims):
+    # [-1], [] and "ab" raised a bare numpy ValueError, and [1.5] drew a
+    # one-state controller
+    with pytest.raises(ValidationError, match="controller_dim_range"):
+        sample_classical_controller(np.random.default_rng(0), sc.optomech_reduced(), "mf1", dims)
+
+
+def test_sample_classical_controller_reads_every_valid_dim_range_alike():
+    plant = sc.michelson()
+    draws = [sample_classical_controller(np.random.default_rng(3), plant, "mf2", dims)
+             for dims in (range(1, 6), [1, 2, 3, 4, 5], np.arange(1, 6), (1, 2, 3, 4, 5))]
+    for ctrl in draws[1:]:
+        for name in ("A_K", "B_K", "C_K1", "C_K2"):
+            assert np.array_equal(getattr(ctrl, name), getattr(draws[0], name)), name
 
 
 def test_verify_nogo_reads_every_valid_dim_range_alike():

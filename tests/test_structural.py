@@ -17,10 +17,12 @@ from qlin import (
     markov_parameters,
     observability_matrix,
     principal_angles,
+    ValidationError,
     range_space,
     sigma,
     span_of,
 )
+from qlin.structural import reduce_pair
 from qlin import scenarios as sc
 
 
@@ -205,6 +207,47 @@ def test_controllable_subspace_checks_its_raw_arguments(A, B, message):
 
     with pytest.raises(ShapeError, match=message):
         controllable_subspace(A, B)
+
+
+_PAIR = (np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, error, message", [
+    # all of R^2, from a NaN singular value
+    (lambda: kernel([[np.inf, 1.0]]), ValidationError, "matrix contains non-finite"),
+    # LinAlgError: SVD did not converge
+    (lambda: kernel([[np.nan, 1.0]]), ValidationError, "matrix contains non-finite"),
+    (lambda: span_of([[np.nan, 1.0]]), ValidationError, "vectors contains non-finite"),
+    (lambda: range_space([[np.inf]]), ValidationError, "matrix contains non-finite"),
+    (lambda: span_of(np.ones((2, 2, 2))), ShapeError, "vectors must be a 2-D matrix"),
+    # accepted: its NaN orthonormality defect passed "defect > tol"
+    (lambda: Subspace(2, [[np.nan], [0.0]]), ValidationError, "basis contains non-finite"),
+    # an empty pair, which claims there is no path
+    (lambda: reduce_pair(*_PAIR, np.array([[np.nan, 0.0]])), ValidationError,
+     "C contains non-finite"),
+    # numpy's matmul ValueError
+    (lambda: reduce_pair(*_PAIR, np.ones((1, 3))), ShapeError, "C must have 2 columns, got 3"),
+])
+def test_subspace_algebra_rejects_non_finite_and_mis_shaped_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_reduce_pair_reads_nested_lists_as_arrays():
+    # a TypeError from the list's missing A[None]
+    A, B, C = _PAIR[0], _PAIR[1], np.array([[1.0, 0.0]])
+    got = reduce_pair(A.tolist(), B.tolist(), C.tolist())
+    want = reduce_pair(A, B, C)
+    assert len(got) == 3 and all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert want[0].shape == (1, 1)  # only the first mode is seen
+
+
+def test_orthonormality_check_fails_a_nan_defect():
+    from qlin.structural import _check_orthonormal
+
+    with pytest.raises(ShapeError, match="not orthonormal"):
+        _check_orthonormal(2, np.array([[[np.nan], [0.0]]]))
 
 
 def test_controllable_subspace_reads_nested_lists_as_arrays():

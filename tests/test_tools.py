@@ -143,7 +143,7 @@ def test_output_hashes_are_sha256_digests_that_repeat():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_hashes.py"), str(ROOT)],
                           capture_output=True, text=True, check=True)
     first = json.loads(proc.stdout)
-    assert list(first) == ["nogo", "analyze", "spectrum", "closedloop"]
+    assert list(first) == ["nogo", "analyze", "spectrum", "closedloop", "library"]
     assert all(len(h) == 64 and set(h) <= set("0123456789abcdef") for h in first.values())
     # a second run, in this process and another scratch directory
     assert _tool("output_hashes").hashes(str(ROOT)) == first

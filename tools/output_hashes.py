@@ -15,7 +15,17 @@ The suites:
 * ``closedloop``: the stdout, stderr and exit code of ``qlin closedloop``
   with one controller per scheme (mf1 and cf1 on ``optomech_reduced``, mf2
   and cf2 on ``michelson``, direct on the squeezing cavity) and a
-  zero-state mf1 controller.
+  zero-state mf1 controller;
+* ``library``: the bits of library results the CLI does not print, on
+  valid inputs: ``realizability_defect`` of seeded pairs; for every
+  built-in scenario its ``realizability_defect``,
+  its ``quadrature_to_complex`` (or the error text) and, on the first
+  channel's ``.Q``/``.out.P`` pair, ``reduce_pair``, ``markov_parameters``,
+  ``controllability_matrix``, ``observability_matrix`` and both
+  ``kalman_decompose`` kinds; ``complex_to_quadrature`` of
+  ``lambda_memory``'s complex form; ``sample_classical_controller`` at 5
+  seeds per scheme; and ``span_of``, ``kernel``, ``intersect``,
+  ``complement`` and ``principal_angles`` on seeded subspaces.
 
 Usage::
 
@@ -36,6 +46,8 @@ import json
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -124,11 +136,75 @@ def closedloop_runs(qlin, workdir: str) -> list:
     return runs
 
 
+LIBRARY_SEEDS = range(5)
+
+
+def _bits(x):
+    """``x`` as JSON that holds every bit of its arrays and floats: an array
+    is its dtype, shape and the hex of its bytes, and a tuple or list the
+    list of its items."""
+    if isinstance(x, np.ndarray):
+        return [str(x.dtype), list(x.shape), np.ascontiguousarray(x).tobytes().hex()]
+    if isinstance(x, (tuple, list)):
+        return [_bits(item) for item in x]
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    return x
+
+
+def _attempt(call):
+    """``call()``, or the type and text of the error it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def library_results(qlin) -> list:
+    sc, st = qlin.scenarios, qlin.structural
+    out = []
+    for name, (builder, defaults) in sorted(sc.SCENARIOS.items()):
+        system = builder(**defaults)
+        model = system.to_state_space()
+        label = system.channels[0].label
+        port, output = f"{label}.Q", f"{label}.out.P"
+        kalman = [st.kalman_decompose(model, p, kind) for p, kind in
+                  ((port, "controllable"), (output, "observable"))]
+        out.append([name, qlin.realizability_defect(system.A, system.C),
+                    _attempt(lambda: qlin.quadrature_to_complex(system)),
+                    st.reduce_pair(model.A, model.b(port), model.c(output)),
+                    qlin.markov_parameters(model, port, output),
+                    qlin.controllability_matrix(model, port),
+                    qlin.observability_matrix(model, output),
+                    [[k.T, k.block_structure, k.transformed.A, k.transformed.B, k.transformed.C,
+                      k.transformed.D] for k in kalman]])
+    memory = qlin.complex_to_quadrature(*qlin.quadrature_to_complex(sc.lambda_memory()))
+    out.append(["complex_to_quadrature", memory.G, memory.C])
+    for scheme, plant in (("mf1", sc.optomech_reduced()), ("mf2", sc.michelson())):
+        for seed in LIBRARY_SEEDS:
+            ctrl = qlin.nogo.sample_classical_controller(
+                np.random.default_rng(seed), plant, scheme, range(0, 2 * plant.n + 3))
+            out.append([scheme, seed, ctrl.A_K, ctrl.B_K, ctrl.C_K, ctrl.C_K1, ctrl.C_K2])
+    rng = np.random.default_rng(20240811)
+    # the scenarios are realizable, with a defect of 0: seeded pairs that are not
+    out.append([qlin.realizability_defect(rng.normal(size=(2 * n, 2 * n)),
+                                          rng.normal(size=(2 * m, 2 * n)))
+                for n, m in ((1, 1), (2, 1), (3, 2), (4, 3))])
+    for n, da, db in ((3, 1, 2), (4, 2, 3), (6, 3, 4), (8, 5, 5)):
+        a, b = st.span_of(rng.normal(size=(n, da))), st.span_of(rng.normal(size=(n, db)))
+        null = st.kernel(rng.normal(size=(n - db, n)))
+        out.append([n, a.basis, b.basis, null.basis, st.intersect(a, b).basis,
+                    st.intersect(b, null).basis, st.complement(a).basis,
+                    st.principal_angles(a, b), st.principal_angles(a, null)])
+    return _bits(out)
+
+
 def hashes(tree: str) -> dict:
     """The digest of each suite, with ``qlin`` imported from ``tree/src``."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     import qlin
     import qlin.cli
+    import qlin.nogo
 
     src = os.path.join(os.path.abspath(tree), "src", "qlin")
     if os.path.dirname(os.path.abspath(qlin.__file__)) != src:
@@ -137,7 +213,8 @@ def hashes(tree: str) -> dict:
         return {"nogo": _digest(nogo_reports(qlin)),
                 "analyze": _digest(analyze_runs(qlin, workdir)),
                 "spectrum": _digest(spectrum_run(qlin, workdir)),
-                "closedloop": _digest(closedloop_runs(qlin, workdir))}
+                "closedloop": _digest(closedloop_runs(qlin, workdir)),
+                "library": _digest(library_results(qlin))}
 
 
 def main(argv=None) -> int:
