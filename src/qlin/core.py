@@ -105,12 +105,30 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
+def _as_array(name: str, arr) -> np.ndarray:
+    """``arr`` as a float array, the first step of :func:`_as_matrix`: input
+    that is not numeric (a ragged list, a string) is a ``ValidationError``
+    naming ``name``, not numpy's bare ``ValueError``."""
+    try:
+        return np.asarray(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not a numeric matrix: {exc}") from None
+
+
 def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] = None,
                bound: Optional[float] = None) -> np.ndarray:
     """``arr`` as a 2-D float matrix with the given shape and finite entries,
     or, with ``bound``, entries of magnitude at most ``bound`` (one check:
-    NaN fails the comparison)."""
-    out = np.atleast_2d(np.asarray(arr, dtype=float))
+    NaN fails the comparison).  The one reader of every matrix input: one
+    that is not numeric is a ``ValidationError`` naming ``name``
+    (:func:`_as_array`), a 1-D array is one row, and a bare ``[]`` is the
+    empty matrix of the shape ``rows x cols`` (0 where not given) when that
+    shape holds no entries, so a stateless realization reads back from its
+    JSON.  A ``[]`` where the shape holds entries is a ``ShapeError``."""
+    out = _as_array(name, arr)
+    if out.ndim < 2:
+        out = out.reshape(rows or 0, cols or 0) if out.shape == (0,) and not (rows and cols) \
+            else out.reshape(1, -1)
     if out.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
     if rows is not None and out.shape[0] != rows:
@@ -325,7 +343,15 @@ class Ports:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Real LTI realization dx/dt = A x + B u, y = C x + D u with named ports."""
+    """Real LTI realization dx/dt = A x + B u, y = C x + D u with named ports.
+
+    Each matrix is read by the one rule of :func:`_as_matrix`, with the
+    shape the ports fix: ``B`` is ``n x inputs``, ``C`` is ``outputs x n``
+    and ``D`` is ``outputs x inputs``, ``n`` being ``A``'s row count.  So a
+    bare ``[]`` is the empty matrix of that shape wherever it holds no
+    entries: a stateless model's ``A``, ``B`` and ``C`` (as its JSON holds
+    them), or the ``D`` of a model without inputs or outputs; anywhere else
+    it is a ``ShapeError``."""
 
     A: np.ndarray
     B: np.ndarray
@@ -336,13 +362,10 @@ class StateSpaceModel:
 
     def __post_init__(self):
         A = _as_matrix("A", self.A)
-        n = A.shape[0]
-        # an empty 2-D B or C keeps its shape (a stateless model still has
-        # inputs and outputs); only a bare [] stands for no columns or rows
-        B = _as_matrix("B", self.B, rows=n) if np.shape(self.B) != (0,) else np.zeros((n, 0))
-        C = _as_matrix("C", self.C, cols=n) if np.shape(self.C) != (0,) else np.zeros((0, n))
-        D = _as_matrix("D", self.D, rows=C.shape[0], cols=B.shape[1]) \
-            if np.size(self.D) else np.zeros((C.shape[0], B.shape[1]))
+        n, p, m = A.shape[0], self.outputs.total, self.inputs.total
+        B = _as_matrix("B", self.B, rows=n, cols=m)
+        C = _as_matrix("C", self.C, rows=p, cols=n)
+        D = _as_matrix("D", self.D, rows=p, cols=m)
         # frozen copies, then the one shape check of every realization
         model = self._derive(self, A=_frozen(A), B=_frozen(B), C=_frozen(C), D=_frozen(D))
         self.__dict__.update(model.__dict__)
@@ -556,7 +579,7 @@ def realizability_defect(A: np.ndarray, C: np.ndarray) -> float:
     the symmetric part is that G.  A ``G`` that overflows, or an ``A`` or
     ``C`` that is not finite, is a ``ValidationError``.
     """
-    return _asymmetry(_implied_hamiltonian(np.asarray(A, dtype=float), np.asarray(C, dtype=float)))
+    return _asymmetry(_implied_hamiltonian(_as_array("A", A), _as_array("C", C)))
 
 
 @dataclass(frozen=True)
@@ -587,7 +610,7 @@ class QuantumLinearSystem:
     def __post_init__(self):
         G = _hamiltonian("G", self.G)
         n2 = G.shape[0]
-        C = _as_matrix("C", self.C, cols=n2) if np.size(self.C) else np.zeros((0, n2))
+        C = _as_matrix("C", self.C, cols=n2)
         if C.shape[0] % 2:
             raise ShapeError(f"C must have an even row count, got {C.shape[0]}")
         m = C.shape[0] // 2
@@ -599,11 +622,9 @@ class QuantumLinearSystem:
             raise ValidationError("channel labels must be unique")
         force = self.force
         if force is not None:
-            force = np.asarray(force, dtype=float).reshape(-1)
+            force = _as_matrix("force", force).reshape(-1)
             if force.shape[0] != n2:
                 raise ShapeError(f"force must have length {n2}, got {force.shape[0]}")
-            if not _all_finite(force):
-                raise ValidationError("force contains non-finite entries")
             force = _frozen(force)
         labels = tuple(self.mode_labels) if self.mode_labels else tuple(
             f"mode{i + 1}" for i in range(n2 // 2))
@@ -787,8 +808,7 @@ def build_system(G, C, channels=None, force=None, mode_labels=None) -> QuantumLi
     if channels is not None:
         chs = tuple(ch if isinstance(ch, Channel) else Channel(*ch) if isinstance(ch, (tuple, list))
                     else Channel(str(ch)) for ch in channels)
-    return QuantumLinearSystem(np.asarray(G, dtype=float), np.asarray(C, dtype=float),
-                               chs or (), force=force,
+    return QuantumLinearSystem(G, C, chs or (), force=force,
                                mode_labels=tuple(mode_labels) if mode_labels else ())
 
 

@@ -218,7 +218,7 @@ def _probe(A: np.ndarray, vanishes: bool, zero, shown, base: float, norms):
     # every point of a member solves against its right-hand sides: one 3-D
     # stack of right-hand sides, which every numpy reads alike
     rights = np.repeat(np.concatenate([right for _, right in legs], axis=-1), P, axis=0)
-    X = np.linalg.solve(M.reshape(T * P, n, n), rights).reshape(T, P, n, -1)
+    X = np.linalg.solve(M.reshape(T * P, n, n), rights).reshape(T, P, n, rights.shape[-1])
     probed, col = [], 0
     for left, right in legs:
         vals = left[:, None] @ X[..., col:col + right.shape[2]]

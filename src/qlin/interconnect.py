@@ -32,7 +32,9 @@ from .core import (
     ShapeError,
     StateSpaceModel,
     ValidationError,
+    _as_array,
     _as_matrix,
+    _finite_positive,
     _hamiltonian,
     _layout,
     sigma,
@@ -66,12 +68,9 @@ class ClassicalController:
     C_K2: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A_K, dtype=float))
-        if A.size == 0:
-            A = A.reshape(0, 0)
-        A = _as_matrix("A_K", A, cols=len(A))
+        A = _as_matrix("A_K", self.A_K)
         k = A.shape[0]
-        object.__setattr__(self, "A_K", A)
+        object.__setattr__(self, "A_K", _as_matrix("A_K", A, cols=k))
         object.__setattr__(self, "B_K", _as_matrix("B_K", _unflatten("B_K", self.B_K, k, True),
                                                    rows=k))
         for name in ("C_K", "C_K1", "C_K2"):
@@ -89,8 +88,8 @@ def _unflatten(name: str, val, k: int, state_rows: bool) -> np.ndarray:
     """A controller matrix, with a flat one read as ``k`` rows
     (``state_rows``, as ``B_K``) or as rows of ``k`` columns (the gains); a
     flat one that does not fill them is a ``ValidationError`` naming
-    ``name``."""
-    val = np.asarray(val, dtype=float)
+    ``name``.  It converts as :func:`core._as_matrix` does."""
+    val = _as_array(name, val)
     if val.ndim != 1:
         return val
     width, rest = divmod(val.size, k) if k else (0, val.size)
@@ -137,9 +136,10 @@ def _check_scattering(S: np.ndarray) -> np.ndarray:
     Sm = sigma(m)
     # an overflow makes a defect inf or NaN, which fails the "<=" test
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.max(np.abs(S.T @ S - np.eye(2 * m))) <= 1e-12 * max(1, 2 * m):
+        # an empty S has no defect (a maximum starting at 0)
+        if not np.abs(S.T @ S - np.eye(2 * m)).max(initial=0.0) <= 1e-12 * max(1, 2 * m):
             raise ValidationError("scattering matrix is not orthogonal")
-        if not np.max(np.abs(S @ Sm @ S.T - Sm)) <= 1e-12 * max(1, 2 * m):
+        if not np.abs(S @ Sm @ S.T - Sm).max(initial=0.0) <= 1e-12 * max(1, 2 * m):
             raise ValidationError("scattering matrix is not symplectic")
     return S
 
@@ -394,11 +394,11 @@ def cf_type2(plant: QuantumLinearSystem, qctrl: QuantumController) -> QuantumLin
 
 
 def _check_rates(kappa: float, tau: float) -> None:
-    """The rates of direct feedback: ``kappa`` positive, ``tau`` nonnegative."""
-    if kappa <= 0:
-        raise ValidationError("kappa must be positive")
-    if tau < 0:
-        raise ValidationError("tau must be nonnegative")
+    """The rates of direct feedback: ``kappa`` finite and positive, ``tau``
+    0 or finite and positive (``core._finite_positive``, naming each)."""
+    _finite_positive(kappa, "kappa")
+    if tau != 0:
+        _finite_positive(tau, "tau, when not 0,")
 
 
 def direct_mf(kappa: float, tau: float) -> StateSpaceModel:

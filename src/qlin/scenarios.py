@@ -14,6 +14,7 @@ from .core import (
     Channel,
     QuantumLinearSystem,
     ValidationError,
+    _finite_positive,
     build_system,
     complex_to_quadrature,
 )
@@ -47,8 +48,8 @@ class MichelsonParams:
     L: float = 1.0
 
     def __post_init__(self):
-        if min(self.m, self.omega, self.lam, self.L) <= 0:
-            raise ValidationError("Michelson parameters must be strictly positive")
+        for name in ("m", "omega", "lam", "L"):
+            _finite_positive(getattr(self, name), name)
 
 
 def two_port_cavity(kappa1: float = 1.0, kappa2: float = 1.0) -> QuantumLinearSystem:

@@ -1,7 +1,11 @@
 """File formats: system descriptions, controllers, realizations, reports.
 
 All files are UTF-8 JSON.  Matrices are row-major arrays of arrays of
-finite doubles; non-finite entries are rejected on load.
+finite doubles, read on load by the one rule of ``core._as_matrix``: a
+non-numeric or ragged matrix is a ``ValidationError`` naming the field,
+non-finite entries are rejected, and a bare ``[]`` is the empty matrix of
+the shape the rest of the file fixes (a stateless realization's ``A``,
+``B`` and ``C``; a zero-mode system's ``G``).
 """
 
 from __future__ import annotations
@@ -11,11 +15,13 @@ from typing import Any
 import numpy as np
 
 from .core import (
+    HALF_MAX,
     Channel,
     Ports,
     QuantumLinearSystem,
     StateSpaceModel,
     ValidationError,
+    _as_matrix,
     _selector_angle,
     build_system,
 )
@@ -40,16 +46,6 @@ def parse_number(what: str, value: Any, kind=float):
         raise ValidationError(f"{what} expects a number, got {value!r}") from None
 
 
-def _matrix(obj: Any, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field {name!r} is not a numeric matrix: {exc}") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"field {name!r} contains NaN or Inf")
-    return arr
-
-
 def _list_field(d: dict, name: str) -> list:
     """An optional list field; absent or null reads as empty."""
     value = d.get(name)
@@ -67,10 +63,10 @@ def _selectors(d: dict, name: str):
     return value
 
 
-def _required_matrix(d: dict, name: str) -> np.ndarray:
+def _required(d: dict, name: str):
     if name not in d:
         raise ValidationError(f"controller description missing field {name!r}")
-    return _matrix(d[name], name)
+    return d[name]
 
 
 def system_to_dict(sys: QuantumLinearSystem) -> dict:
@@ -91,23 +87,17 @@ def system_from_dict(d: dict) -> QuantumLinearSystem:
         raise ValidationError("system description must be a JSON object")
     try:
         modes = parse_number("field 'modes'", d["modes"], int)
-        G = _matrix(d["G"], "G")
-        C = _matrix(d["C"], "C")
+        G = _as_matrix("G", d["G"], 2 * modes, 2 * modes, HALF_MAX)
+        C = d["C"]
     except KeyError as exc:
         raise ValidationError(f"system description missing field {exc}") from None
-    if G.shape != (2 * modes, 2 * modes):
-        raise ValidationError(
-            f"G has shape {G.shape}, expected {(2 * modes, 2 * modes)} for modes={modes}")
     entries = _list_field(d, "channels")
     if not all(isinstance(ch, dict) and "label" in ch for ch in entries):
         raise ValidationError("every channel entry needs a 'label' field")
     channels = [Channel(str(ch["label"]), str(ch.get("role", "environment")))
                 for ch in entries]
-    force = None
-    if d.get("force") is not None:
-        force = _matrix(d["force"], "force").reshape(-1)
     labels = tuple(str(s) for s in _list_field(d, "mode_labels"))
-    return build_system(G, C, channels=channels, force=force, mode_labels=labels)
+    return build_system(G, C, channels=channels, force=d.get("force"), mode_labels=labels)
 
 
 def _ports_to_list(ports: Ports) -> list[dict]:
@@ -132,9 +122,7 @@ def model_from_dict(d: dict) -> StateSpaceModel:
                                 parse_number("port 'width'", e["width"], int))
                                for e in d[key])
             for key in ("input_ports", "output_ports"))
-        return StateSpaceModel(
-            _matrix(d["A"], "A"), _matrix(d["B"], "B"),
-            _matrix(d["C"], "C"), _matrix(d["D"], "D"), inputs, outputs)
+        return StateSpaceModel(d["A"], d["B"], d["C"], d["D"], inputs, outputs)
     except KeyError as exc:
         raise ValidationError(f"realization missing field {exc}") from None
 
@@ -154,19 +142,15 @@ def controller_from_dict(d: dict):
     scheme = str(d["scheme"])
     opts: dict[str, Any] = {}
     if scheme in _GAINS:
-        ctrl = ClassicalController(
-            _matrix(d.get("A_K", []), "A_K"), _matrix(d.get("B_K", []), "B_K"),
-            **{name: _matrix(d[name], name) for name in _GAINS[scheme] if name in d})
+        ctrl = ClassicalController(d.get("A_K", []), d.get("B_K", []),
+                                   **{name: d[name] for name in _GAINS[scheme] if name in d})
         fields = ("measure",) if scheme == "mf1" else ("measure_feedback", "measure_evaluation")
         opts["selectors"] = [_selectors(d, name) for name in fields]
     elif scheme == "cf1":
-        ctrl = QuantumController(_required_matrix(d, "G_K"),
-                                 C1=_required_matrix(d, "C1"),
-                                 C2=_required_matrix(d, "C2"))
+        ctrl = QuantumController(_required(d, "G_K"), C1=_required(d, "C1"),
+                                 C2=_required(d, "C2"))
     elif scheme == "cf2":
-        ctrl = QuantumController(_required_matrix(d, "G_K"),
-                                 C_K=_required_matrix(d, "C_K"),
-                                 S=_matrix(d["S"], "S") if "S" in d else None)
+        ctrl = QuantumController(_required(d, "G_K"), C_K=_required(d, "C_K"), S=d.get("S"))
     elif scheme == "direct":
         ctrl = None
         opts["tau"] = parse_number("field 'tau'", d.get("tau", 0.0))

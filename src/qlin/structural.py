@@ -46,7 +46,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ORTHO_TOL, ShapeError, StateSpaceModel, ValidationError, _as_matrix, _frobenius
+from .core import (ORTHO_TOL, ShapeError, StateSpaceModel, ValidationError, _as_array,
+                   _as_matrix, _frobenius)
 
 __all__ = [
     "Subspace",
@@ -177,7 +178,7 @@ def _coordinates(n: int, k: int) -> Subspace:
 def _columns(name: str, vectors) -> np.ndarray:
     """``vectors`` as a finite 2-D float matrix of columns, a 1-D array being
     one column (``core._as_matrix``: ``ShapeError`` or ``ValidationError``)."""
-    M = np.asarray(vectors, dtype=float)
+    M = _as_array(name, vectors)
     return _as_matrix(name, M.reshape(-1, 1) if M.ndim == 1 else M)
 
 

@@ -8,6 +8,7 @@ from qlin import (
     ClassicalController,
     MeasurementSplit,
     Ports,
+    QuantumController,
     ShapeError,
     StateSpaceModel,
     ValidationError,
@@ -601,6 +602,91 @@ def test_system_json_rejects_nonfinite():
     d = {"modes": 1, "G": [[0.0, 0.0], [0.0, float("inf")]], "C": []}
     with pytest.raises(ValidationError):
         system_from_dict(d)
+
+
+def test_a_stateless_realization_round_trips_through_json():
+    # A = [] was read as 1 x 0 (one state), and the (0, 1) B had no shape
+    # left in JSON: model_from_dict raised ShapeError
+    from qlin.interconnect import direct_mf_controller
+    from qlin.serialize import model_from_dict, model_to_dict
+
+    ctl = direct_mf_controller(1.7, 0.0)
+    doc = model_to_dict(ctl)
+    assert (doc["A"], doc["B"], doc["C"]) == ([], [], [[]])
+    back = model_from_dict(doc)
+    for name in "ABCD":
+        assert getattr(back, name).shape == getattr(ctl, name).shape
+        assert getattr(back, name).tobytes() == getattr(ctl, name).tobytes()
+    assert (back.inputs.entries(), back.outputs.entries()) == (ctl.inputs.entries(),
+                                                               ctl.outputs.entries())
+
+
+def test_a_zero_mode_system_round_trips_through_json():
+    # its 2 x 0 C was read as 0 x 0, so its one channel had no rows
+    sys = build_system(np.zeros((0, 0)), np.zeros((2, 0)), channels=[("W", "feedback")])
+    assert (sys.n, sys.m) == (0, 1)
+    back = system_from_dict(system_to_dict(sys))
+    assert (back.G.shape, back.C.shape, back.channels) == ((0, 0), (2, 0), sys.channels)
+
+
+def test_a_bare_empty_list_is_the_empty_matrix_of_the_shape_its_caller_fixes():
+    from qlin.structural import controllable_subspace, range_space, reduce_pair
+
+    model = StateSpaceModel([], [], [], [[2.0]], Ports([("y", 1)]), Ports([("u", 1)]))
+    assert (model.A.shape, model.B.shape, model.C.shape, model.D.tolist()) == (
+        (0, 0), (0, 1), (1, 0), [[2.0]])
+    # with no shape fixed, [] has no rows and no columns
+    assert range_space([]).ambient_dim == 0
+    assert controllable_subspace([], []).dim == 0
+    assert [M.shape for M in reduce_pair([], [], [])] == [(0, 0)] * 3
+    assert build_system([], []).n == 0 and QuantumController([]).dim == 0
+    # where the shape holds entries, an empty matrix is a ShapeError, not
+    # a zero matrix put in its place
+    with pytest.raises(ShapeError, match="^D must have 1 columns, got 0"):
+        StateSpaceModel(-np.eye(1), [[1.0]], [[1.0]], [], Ports([("u", 1)]), Ports([("y", 1)]))
+    with pytest.raises(ShapeError, match="^C must have 2 columns, got 0"):
+        build_system(np.eye(2), np.zeros((0, 0)))
+
+
+def test_the_empty_split_is_the_split_of_a_zero_channel_system():
+    # M1 and M2 are read by the one rule: at m = 0 a bare [] is the 0 x 0
+    # selector, which meets the split identities vacuously, so it is
+    # accepted; homodyne_split still asks for a channel
+    split = MeasurementSplit(0, [], [])
+    assert split.M1.shape == split.M2.shape == (0, 0)
+    model = build_system(np.eye(2), np.zeros((0, 2))).to_state_space(split)
+    assert (model.B.shape, model.C.shape, model.D.shape) == ((2, 0), (0, 2), (0, 0))
+    with pytest.raises(ShapeError):
+        homodyne_split(0, "Q")
+
+
+#: Valid arguments of each public constructor (and function) that reads a
+#: matrix.
+_VALID = {
+    build_system: {"G": np.eye(2), "C": np.zeros((0, 2)), "force": [0.0, 1.0]},
+    realizability_defect: {"A": np.zeros((2, 2)), "C": np.zeros((0, 2))},
+    MeasurementSplit: {"m": 1, "M1": [[1.0, 0.0]], "M2": [[0.0, 1.0]]},
+    StateSpaceModel: {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
+                      "inputs": Ports([("u", 1)]), "outputs": Ports([("y", 1)])},
+    ClassicalController: {"A_K": [[-1.0]], "B_K": [[1.0]], "C_K": [[1.0]], "C_K1": [[1.0]],
+                          "C_K2": [[1.0]]},
+    QuantumController: {"G_K": np.eye(2), "C1": np.eye(2), "C2": np.eye(2),
+                        "C_K": np.eye(2), "S": [[0.0, 1.0], [-1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], "abc", {"x": 1.0}],
+                         ids=["ragged", "string", "object"])
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, valid in _VALID.items() for field in valid
+    if field not in ("m", "inputs", "outputs")], ids=lambda x: getattr(x, "__name__", x))
+def test_a_field_that_is_not_a_numeric_matrix_is_a_validation_error_naming_it(kind, field,
+                                                                                bad):
+    # a ragged list leaked numpy's bare ValueError from build_system,
+    # StateSpaceModel, MeasurementSplit and both controllers
+    kind(**_VALID[kind])
+    with pytest.raises(ValidationError, match=f"^{field} is not a numeric matrix"):
+        kind(**{**_VALID[kind], field: bad})
 
 
 def _sigma_from_scratch(n):

@@ -65,6 +65,17 @@ def test_bae_overlap_is_the_controllable_and_observable_part():
     assert v.dims["overlap"] == 1
 
 
+def test_bae_of_a_static_gain():
+    # a stateless model raised numpy's ValueError in the probe's reshape;
+    # u = sqrt(2) y sees y through the feedthrough alone
+    from qlin.interconnect import direct_mf_controller
+
+    v = check_bae(direct_mf_controller(2.0, 0.0), "y", "u")
+    assert (v.achieved, v.method_agreement, v.residual) == (False, True, np.sqrt(2.0))
+    zero = StateSpaceModel([], [], [], [[0.0]], Ports([("y", 1)]), Ports([("u", 1)]))
+    assert check_bae(zero, "y", "u").achieved and check_bae(zero, "y", "u").method_agreement
+
+
 def test_bae_trivial_for_uncoupled_plant():
     sys = build_system(np.diag([1.0, 1.0]), np.zeros((2, 2)))
     model = split_model(sys)

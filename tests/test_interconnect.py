@@ -459,6 +459,26 @@ def test_direct_mf_rejects_negative_tau():
         direct_mf(1.0, -0.1)
 
 
+@pytest.mark.parametrize("kappa, tau, name", [
+    (float("nan"), 0.0, "kappa"), (float("inf"), 0.0, "kappa"), (0.0, 1.0, "kappa"),
+    (1.0, float("nan"), "tau"), (1.0, float("inf"), "tau"), (1.0, -0.1, "tau")])
+def test_direct_feedback_names_the_rate_it_refuses(kappa, tau, name):
+    # a NaN kappa passed "kappa <= 0" and failed later, naming B; an
+    # infinite tau built a loop
+    for build in (direct_mf, direct_mf_controller):
+        with pytest.raises(ValidationError, match=f"^{name}"):
+            build(kappa, tau)
+
+
+def test_an_empty_scattering_matrix_is_refused_by_the_loop_it_does_not_fit():
+    # [] is the 0 x 0 scattering matrix, orthogonal and symplectic with no
+    # defect at all (its check took the maximum of an empty array)
+    ctrl = QuantumController(np.eye(2), C_K=np.eye(2), S=[])
+    assert ctrl.S.shape == (0, 0)
+    with pytest.raises(ShapeError, match="^S must have 2 rows, got 0"):
+        cf_type2(sc.michelson(), ctrl)
+
+
 def _one_loop(plant, scheme, A_K, B_K, gains, *splits):
     """(A, B, C, D) of one measurement-feedback loop, built as one loop is:
     the open loop by ``np.hstack``/``np.vstack`` of its blocks, then the

@@ -106,6 +106,15 @@ def test_michelson_rejects_bad_params():
         sc.MichelsonParams(m=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("name", ["m", "omega", "lam", "L"])
+def test_michelson_names_the_parameter_it_refuses(name, value):
+    # a NaN or infinite one passed "min(...) <= 0" and failed later as
+    # "G contains non-finite entries"
+    with pytest.raises(ValidationError, match=f"^{name} must be a finite positive number"):
+        sc.MichelsonParams(**{name: value})
+
+
 def test_atomic_ensemble():
     mu = 1.7
     sys = sc.atomic_ensemble_linear(mu)

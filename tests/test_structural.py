@@ -228,6 +228,9 @@ _PAIR = (np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]))
      "C contains non-finite"),
     # numpy's matmul ValueError
     (lambda: reduce_pair(*_PAIR, np.ones((1, 3))), ShapeError, "C must have 2 columns, got 3"),
+    # numpy's bare ValueError
+    (lambda: span_of([[1.0], [1.0, 2.0]]), ValidationError, "vectors is not a numeric matrix"),
+    (lambda: kernel("abc"), ValidationError, "matrix is not a numeric matrix"),
 ])
 def test_subspace_algebra_rejects_non_finite_and_mis_shaped_input(call, error, message):
     with pytest.raises(error, match=message):
