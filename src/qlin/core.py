@@ -105,27 +105,29 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _as_array(name: str, arr) -> np.ndarray:
-    """``arr`` as a float array, the first step of :func:`_as_matrix`: input
-    that is not numeric (a ragged list, a string) is a ``ValidationError``
-    naming ``name``, not numpy's bare ``ValueError``."""
+def _as_array(name: str, arr, dtype: type = float) -> np.ndarray:
+    """``arr`` as an array of ``dtype`` (float or complex), the first step of
+    :func:`_as_matrix` and the one reader of every array a public function
+    takes: input that is not numeric (a ragged list, a string) is a
+    ``ValidationError`` naming ``name``, not numpy's bare ``ValueError``."""
     try:
-        return np.asarray(arr, dtype=float)
+        return np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not a numeric matrix: {exc}") from None
 
 
 def _as_matrix(name: str, arr, rows: Optional[int] = None, cols: Optional[int] = None,
-               bound: Optional[float] = None) -> np.ndarray:
-    """``arr`` as a 2-D float matrix with the given shape and finite entries,
-    or, with ``bound``, entries of magnitude at most ``bound`` (one check:
-    NaN fails the comparison).  The one reader of every matrix input: one
-    that is not numeric is a ``ValidationError`` naming ``name``
-    (:func:`_as_array`), a 1-D array is one row, and a bare ``[]`` is the
-    empty matrix of the shape ``rows x cols`` (0 where not given) when that
-    shape holds no entries, so a stateless realization reads back from its
-    JSON.  A ``[]`` where the shape holds entries is a ``ShapeError``."""
-    out = _as_array(name, arr)
+               bound: Optional[float] = None, dtype: type = float) -> np.ndarray:
+    """``arr`` as a 2-D matrix of ``dtype`` (float or complex) with the
+    given shape and finite entries, or, with ``bound``, entries of magnitude
+    at most ``bound`` (one check: NaN fails the comparison).  The one reader
+    of every matrix input: one that is not numeric is a ``ValidationError``
+    naming ``name`` (:func:`_as_array`), a 1-D array is one row, and a bare
+    ``[]`` is the empty matrix of the shape ``rows x cols`` (0 where not
+    given) when that shape holds no entries, so a stateless realization
+    reads back from its JSON.  A ``[]`` where the shape holds entries is a
+    ``ShapeError``."""
+    out = _as_array(name, arr, dtype)
     if out.ndim < 2:
         out = out.reshape(rows or 0, cols or 0) if out.shape == (0,) and not (rows and cols) \
             else out.reshape(1, -1)
@@ -149,6 +151,12 @@ def _finite_positive(value, what: str) -> float:
     if not 0 < value <= _FLOAT_MAX:
         raise ValidationError(f"{what} must be a finite positive number, got {value!r}")
     return float(value)
+
+
+def _finite_nonnegative(value, what: str) -> None:
+    """The twin of :func:`_finite_positive` where 0 is allowed."""
+    if not 0 <= value <= _FLOAT_MAX:
+        raise ValidationError(f"{what} must be nonnegative and finite, got {value!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -596,7 +604,8 @@ class QuantumLinearSystem:
     channels : tuple of Channel
         Labels and role tags for the m channels.
     force : ndarray or None
-        Optional 2n drive direction for the classical force input.
+        Optional 2n drive direction for the classical force input, read as
+        one row of 2n entries (a column is a ``ShapeError``).
     mode_labels : tuple of str
         Names for the (q_i, p_i) pairs.
     """
@@ -622,10 +631,7 @@ class QuantumLinearSystem:
             raise ValidationError("channel labels must be unique")
         force = self.force
         if force is not None:
-            force = _as_matrix("force", force).reshape(-1)
-            if force.shape[0] != n2:
-                raise ShapeError(f"force must have length {n2}, got {force.shape[0]}")
-            force = _frozen(force)
+            force = _frozen(_as_matrix("force", force, rows=1, cols=n2)[0])
         labels = tuple(self.mode_labels) if self.mode_labels else tuple(
             f"mode{i + 1}" for i in range(n2 // 2))
         if len(labels) != n2 // 2:
@@ -845,7 +851,9 @@ def complex_to_quadrature(complex_drift, complex_couplings,
     The complex dynamics ``da/dt = F a + (noise)`` with couplings
     ``L_j = l_j . a`` maps to the quadrature system through the block
     substitution ``F_ij -> [[Re, -Im], [Im, Re]]``; channel rows become
-    ``[Re(l), -Im(l)]`` and ``[Im(l), Re(l)]`` per mode.
+    ``[Re(l), -Im(l)]`` and ``[Im(l), Re(l)]`` per mode.  Both are read as
+    complex matrices (:func:`_as_matrix`): the drift square, the couplings
+    one row ``l_j`` of ``n`` entries per channel (a bare vector is one row).
 
     Raises
     ------
@@ -853,16 +861,11 @@ def complex_to_quadrature(complex_drift, complex_couplings,
         If the converted drift is not physically realizable, i.e. no
         symmetric G reproduces it with the converted coupling.
     """
-    F = np.atleast_2d(np.asarray(complex_drift, dtype=complex))
+    F = _as_matrix("complex_drift", complex_drift, dtype=complex)
     if F.shape[0] != F.shape[1]:
-        raise ShapeError(f"complex drift must be square, got {F.shape}")
-    n = F.shape[0]
-    couplings = [np.asarray(l, dtype=complex).reshape(-1) for l in complex_couplings]
-    for l in couplings:
-        if l.shape[0] != n:
-            raise ShapeError(f"coupling vector must have length {n}, got {l.shape[0]}")
+        raise ShapeError(f"complex_drift must be square, got {F.shape}")
     A = _realify(F)
-    C = _realify(np.array(couplings, dtype=complex).reshape(len(couplings), n))
+    C = _realify(_as_matrix("complex_couplings", complex_couplings, cols=len(F), dtype=complex))
     G = _implied_hamiltonian(A, C)
     if not (defect := _asymmetry(G)) <= 1e-10:
         raise ValidationError(

@@ -6,6 +6,7 @@ reference matrices entry for entry in the interleaved quadrature ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,7 @@ from .core import (
     Channel,
     QuantumLinearSystem,
     ValidationError,
+    _finite_nonnegative,
     _finite_positive,
     build_system,
     complex_to_quadrature,
@@ -57,8 +59,8 @@ def two_port_cavity(kappa1: float = 1.0, kappa2: float = 1.0) -> QuantumLinearSy
 
     Drift is -(kappa1 + kappa2) I; each mirror couples as sqrt(2 kappa) I.
     """
-    if kappa1 < 0 or kappa2 < 0:
-        raise ValidationError("mirror rates must be nonnegative")
+    _finite_nonnegative(kappa1, "mirror rates")
+    _finite_nonnegative(kappa2, "mirror rates")
     C = np.vstack([np.sqrt(2 * kappa1) * np.eye(2), np.sqrt(2 * kappa2) * np.eye(2)])
     return build_system(np.zeros((2, 2)), C,
                         channels=[Channel("W1", "feedback"), Channel("W2", "evaluation")],
@@ -71,8 +73,9 @@ def optomech_reduced(m: float = 1.0, omega: float = 1.0, lam: float = 1.0) -> Qu
     The probe only reads position, so P_out is the informative quadrature;
     the unknown force drives the momentum through port "F".
     """
-    if m <= 0 or omega < 0 or lam < 0:
-        raise ValidationError("need m > 0 and nonnegative omega, lam")
+    _finite_positive(m, "m")
+    _finite_nonnegative(omega, "omega")
+    _finite_nonnegative(lam, "lam")
     G = np.diag([m * omega ** 2, 1.0 / m])
     C = np.sqrt(lam) * np.array([[0.0, 0.0], [1.0, 0.0]])
     return build_system(G, C, channels=[Channel("W", "feedback")],
@@ -87,8 +90,10 @@ def optomech_full(m: float = 1.0, omega: float = 1.0, kappa: float = 1.0,
     rate; adiabatic elimination at gamma >> all rates reduces this to
     :func:`optomech_reduced` with lam = 2 kappa^2 / gamma.
     """
-    if m <= 0 or gamma < 0:
-        raise ValidationError("need m > 0 and gamma >= 0")
+    _finite_positive(m, "m")
+    _finite_nonnegative(gamma, "gamma")
+    if not (math.isfinite(omega) and math.isfinite(kappa)):
+        raise ValidationError(f"omega and kappa must be finite, got {omega!r} and {kappa!r}")
     G = np.array([
         [m * omega ** 2, 0.0, -kappa, 0.0],
         [0.0, 1.0 / m, 0.0, 0.0],
@@ -133,8 +138,7 @@ def michelson(p: MichelsonParams = MichelsonParams()) -> QuantumLinearSystem:
 def atomic_ensemble_linear(mu: float = 1.0) -> QuantumLinearSystem:
     """Linearized probed spin ensemble: p is driven by nothing and read out
     through the amplitude quadrature (y = sqrt(mu) p + Q)."""
-    if mu < 0:
-        raise ValidationError("mu must be nonnegative")
+    _finite_nonnegative(mu, "mu")
     C = np.array([[0.0, np.sqrt(mu)], [0.0, 0.0]])
     return build_system(np.zeros((2, 2)), C, channels=[Channel("W", "feedback")],
                         mode_labels=("spin",))
@@ -149,8 +153,9 @@ def lambda_memory(kappa: float = 1.0, delta: float = 0.5, g: float = 1.0,
     drive must be off (``omega_rabi = 0``); the spin-wave pair then
     decouples from the field entirely.
     """
-    if kappa < 0:
-        raise ValidationError("kappa must be nonnegative")
+    _finite_nonnegative(kappa, "kappa")
+    if not (math.isfinite(delta) and math.isfinite(g)):
+        raise ValidationError(f"delta and g must be finite, got {delta!r} and {g!r}")
     if omega_rabi != 0.0:
         raise ValidationError(
             "only the storage stage (omega_rabi = 0) is representable; the "
@@ -175,11 +180,16 @@ def tsang_caves_controller(m: float = 1.0, omega: float = 1.0, kappa: float = 1.
     two fields and the Hamiltonian is a detuning at the mechanical
     frequency; ``g = kappa / sqrt(m omega)`` is the evasion point.  Signs
     are fixed so that the closed loop reproduces the reference realization
-    (momentum rows carry +g).
+    (momentum rows carry +g).  Every parameter must be finite, and
+    ``m omega`` (when ``g`` is derived) and ``gamma`` positive.
     """
     if g is None:
-        g = kappa / np.sqrt(m * omega)
-    C1 = (g / np.sqrt(2 * gamma)) * np.array([[0.0, 0.0], [-1.0, 0.0]])
+        g = kappa / math.sqrt(_finite_positive(m * omega, "m omega"))
+    coupling = g / math.sqrt(2 * _finite_positive(gamma, "gamma"))
+    if not (math.isfinite(kappa) and math.isfinite(omega) and math.isfinite(coupling)):
+        raise ValidationError("kappa, omega and g / sqrt(2 gamma) must be finite, got "
+                              f"{kappa!r}, {omega!r} and {coupling!r}")
+    C1 = coupling * np.array([[0.0, 0.0], [-1.0, 0.0]])
     return QuantumController(G_K=np.diag([-omega, -omega]), C1=C1, C2=-C1)
 
 

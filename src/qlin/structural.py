@@ -125,10 +125,7 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = _columns("basis", self.basis)
-        if basis.shape[0] != self.ambient_dim:
-            raise ShapeError(
-                f"basis rows {basis.shape[0]} do not match ambient dim {self.ambient_dim}")
+        basis = _columns("basis", self.basis, rows=self.ambient_dim)
         if basis.shape[1] > self.ambient_dim:
             raise ShapeError("basis has more columns than the ambient dimension")
         object.__setattr__(self, "basis", self._stack(self.ambient_dim, basis[None])[0].basis)
@@ -155,7 +152,7 @@ class Subspace:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto the subspace."""
-        return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))
+        return self.basis @ (self.basis.T @ _as_array("v", v))
 
 
 @lru_cache(maxsize=None)
@@ -175,11 +172,12 @@ def _coordinates(n: int, k: int) -> Subspace:
     return Subspace(n, np.eye(n, k))
 
 
-def _columns(name: str, vectors) -> np.ndarray:
-    """``vectors`` as a finite 2-D float matrix of columns, a 1-D array being
-    one column (``core._as_matrix``: ``ShapeError`` or ``ValidationError``)."""
+def _columns(name: str, vectors, rows: Optional[int] = None) -> np.ndarray:
+    """``vectors`` as a finite 2-D float matrix of columns (``rows`` of
+    them, where given), a 1-D array being one column (``core._as_matrix``:
+    ``ShapeError`` or ``ValidationError``)."""
     M = _as_array(name, vectors)
-    return _as_matrix(name, M.reshape(-1, 1) if M.ndim == 1 else M)
+    return _as_matrix(name, M.reshape(-1, 1) if M.ndim == 1 else M, rows=rows)
 
 
 def _check_orthonormal(ambient_dim: int, bases: np.ndarray) -> None:
@@ -218,8 +216,22 @@ def kernel(mat, rtol: Optional[float] = None) -> Subspace:
     return Subspace(M.shape[1], Vt[_ranks(s, M.shape, rtol):].T)
 
 
+def _ambient(*named) -> int:
+    """The ambient dimension of the subspaces given as ``(name, subspace)``
+    pairs: a ``ValidationError`` names the first argument that is not a
+    ``Subspace``, and a ``ShapeError`` the first ambient dimension that
+    differs from the first pair's."""
+    for name, s in named:
+        if not isinstance(s, Subspace):
+            raise ValidationError(f"{name} must be a Subspace, got {type(s).__name__}")
+        if s.ambient_dim != named[0][1].ambient_dim:
+            raise ShapeError(f"ambient mismatch: {s.ambient_dim} vs {named[0][1].ambient_dim}")
+    return named[0][1].ambient_dim
+
+
 def complement(s: Subspace) -> Subspace:
     """Orthogonal complement within the ambient space."""
+    _ambient(("s", s))
     if s.dim == 0:
         return Subspace(s.ambient_dim, np.eye(s.ambient_dim))
     U, _, _ = np.linalg.svd(s.basis, full_matrices=True)
@@ -238,9 +250,7 @@ def _intersects(subs: Sequence[Subspace], b: Subspace,
     kernel dimension then one stacked span SVD; each member has the bits it
     has alone (the stacked SVDs make the one-pair LAPACK call per member, and
     each product keeps its one-pair layout)."""
-    n = b.ambient_dim
-    if (bad := next((a.ambient_dim for a in subs if a.ambient_dim != n), None)) is not None:
-        raise ShapeError(f"ambient mismatch: {bad} vs {n}")
+    n = _ambient(*(("a", a) for a in subs), ("b", b))
     out = [Subspace(n, np.zeros((n, 0)))] * len(subs)
     for d, members in _groups(a.dim if b.dim else 0 for a in subs).items():
         if d == 0:
@@ -268,8 +278,7 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     Small angles are computed from the sine (projection residual) rather
     than the cosine, which bottoms out near sqrt(eps).
     """
-    if a.ambient_dim != b.ambient_dim:
-        raise ShapeError("ambient mismatch")
+    _ambient(("a", a), ("b", b))
     k = min(a.dim, b.dim)
     if k == 0:
         return np.zeros(0)
@@ -526,7 +535,7 @@ def kalman_decompose(model: StateSpaceModel, port: Union[str, Sequence[str]],
     elif kind == "observable":
         primary = controllable_subspace(model.A.T, model.c(port).T, rtol)
     else:
-        raise ValueError(f"kind must be 'controllable' or 'observable', got {kind!r}")
+        raise ValidationError(f"kind must be 'controllable' or 'observable', got {kind!r}")
     T = np.hstack([primary.basis, complement(primary).basis])
     r = primary.dim
     return KalmanDecomposition(kind, T, ((0, r), (r, model.nstates)), model.similar(T))
@@ -552,9 +561,8 @@ def classical_subsystem(candidate: Subspace, form: np.ndarray,
     ``form`` is the 2n x 2n commutation matrix of the quantum block; the
     test is ``v_i^T Sigma v_j = 0`` for every basis pair.
     """
-    form = np.asarray(form, dtype=float)
-    if candidate.ambient_dim != form.shape[0]:
-        raise ShapeError("candidate ambient dim does not match the commutation form")
+    n = _ambient(("candidate", candidate))
+    form = _as_matrix("form", form, rows=n, cols=n)
     if candidate.dim == 0:
         return True
     comm = candidate.basis.T @ form @ candidate.basis

@@ -40,7 +40,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ShapeError, StateSpaceModel, ValidationError, _all_finite, _finite_positive
+from .core import (ShapeError, StateSpaceModel, ValidationError, _all_finite, _as_array,
+                   _finite_positive)
 from .structural import _eye, reduce_pair
 
 __all__ = [
@@ -124,7 +125,6 @@ def _solve_response(A, B, C, D, points, reduced: bool = False) -> np.ndarray:
     ``SingularityError``: only a pole of the signal path itself raises.  The
     points are finite: each public entry checks them first (:func:`_finite`).
     """
-    points = np.asarray(points).reshape(-1)
     out = np.empty((points.size,) + D.shape, dtype=complex)
     n, p = B.shape
     if n == 0 or p == 0 or C.shape[0] == 0:
@@ -207,7 +207,9 @@ def evaluate(tf: TransferFunction, s: complex) -> np.ndarray:
         If (sI - A) restricted to the signal path has condition number
         above 1e12; the message names the offending eigenvalue.
     """
-    points = _finite(np.array([s]))
+    points = _finite("s", s, complex).reshape(-1)
+    if points.size != 1:
+        raise ShapeError(f"s must be one complex point, got {points.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = _response(tf.realization, tf.output_port, tf.input_port, points)
     return _checked(out, "response", "s", points)[0]
@@ -222,7 +224,7 @@ def frequency_response(tf: TransferFunction, omegas: Sequence[float]) -> np.ndar
     one of :func:`evaluate`, with the exact SVD kept for points that the
     Frobenius-norm bound cannot clear.
     """
-    om = _finite(np.asarray(omegas, dtype=float).reshape(-1))
+    om = _finite("omegas", omegas).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _response(tf.realization, tf.output_port, tf.input_port, 1j * om)
     return _checked(out, "response", "omega", om)
@@ -240,11 +242,14 @@ def _checked(values: np.ndarray, what: str, name: str, at: np.ndarray) -> np.nda
                           f"({flat[k, j].item()!r}): the response is too large to evaluate")
 
 
-def _finite(points: np.ndarray) -> np.ndarray:
-    """The 1-D ``points``, or a ``ValidationError`` if one is NaN or
-    infinite; checked before any arithmetic on them, so none warns first
-    (one point takes a scalar check)."""
-    if not (cmath.isfinite(points[0]) if points.size == 1 else np.isfinite(points).all()):
+def _finite(name: str, values, dtype: type = float) -> np.ndarray:
+    """``values`` read as an array of ``dtype`` (``core._as_array``: input
+    that is not numeric is a ``ValidationError`` naming ``name``), or a
+    ``ValidationError`` if a point is NaN or infinite; checked before any
+    arithmetic on them, so none warns first (one point takes a scalar
+    check)."""
+    points = _as_array(name, values, dtype)
+    if not (cmath.isfinite(points.item()) if points.size == 1 else _all_finite(points)):
         raise ValidationError(f"points must be finite, got {points[~np.isfinite(points)][0]}")
     return points
 
@@ -287,8 +292,8 @@ class SpectrumCurve:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float).reshape(-1)
-        values = np.asarray(self.values, dtype=float).reshape(-1)
+        omegas = _as_array("omegas", self.omegas).reshape(-1)
+        values = _as_array("values", self.values).reshape(-1)
         if omegas.shape != values.shape:
             raise ShapeError("omegas and values must have equal length")
         if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
@@ -335,8 +340,8 @@ def noise_power(model: StateSpaceModel, signal_output: PortArg,
         raise ShapeError("signal_output must be a scalar output port")
     var = _column_variances(model, variances, exclude)
     # evaluate the full row response once, then weight column-wise
-    om = np.asarray(omega, dtype=float)
-    points = 1j * _finite(om.reshape(-1))
+    om = _finite("omega", omega)
+    points = 1j * om.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         row = _response(model, signal_output, None, points)
         power = np.add.reduce(np.abs(row[:, 0]) ** 2 * var, axis=-1)
@@ -351,7 +356,7 @@ def sql_curve(m: float, L: float, omegas: Sequence[float]) -> SpectrumCurve:
     _finite_positive(L, "path length L")
     # in Python floats, so that an overflow reads inf (and is rejected) silently
     scale = _finite_positive(2.0 * m * (L * L), "2 m L^2")
-    om = np.asarray(omegas, dtype=float)
+    om = _as_array("omegas", omegas)
     if np.any(om == 0):
         raise ValidationError("the SQL diverges at Omega = 0")
     with np.errstate(over="ignore", divide="ignore"):

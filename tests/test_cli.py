@@ -259,10 +259,13 @@ def test_closedloop_user_errors_exit_2(tmp_path, capsys):
     # one feedback and two evaluation channels
     three = system_to_dict(build_system(np.eye(2), np.vstack([np.eye(2)] * 3), channels=[
         ("F1", "feedback"), ("E1", "evaluation"), ("E2", "evaluation")]))
+    # a one-mode, one-port cavity with coupling I but no squeezing Hamiltonian
+    lossy = system_to_dict(build_system(np.zeros((2, 2)), np.eye(2)))
     cf2 = {"scheme": "cf2", "G_K": [[0.5, 0.0], [0.0, 0.5]], "C_K": [[1.0, 0.0], [0.0, 1.0]]}
     for i, (plant, ctrl, message) in enumerate((
             (optomech, {"A_K": [], "B_K": [], "C_K": [[], []]}, "needs a 'scheme' field"),
             (michelson, {"scheme": "direct", "tau": 0.0}, "expects a single-mode, single-port"),
+            (lossy, {"scheme": "direct", "tau": 0.0}, "expects the squeezing-cavity Hamiltonian"),
             (michelson, dict(cf2, S=[[1, 0], [0, -1]]), "scattering matrix is not symplectic"),
             (three, dict(cf2, S=[[1, 0], [0, 1]]), "partitions must have equal widths"),
             (optomech, {"scheme": "cf1", "G_K": [[1.0, 0.2], [0.2, 0.5]],
@@ -577,6 +580,11 @@ def test_model_json_roundtrip():
         doc = model_to_dict(model)
         doc["input_ports"][0][field] = "abc"
         with pytest.raises(ValidationError, match=field):
+            model_from_dict(doc)
+    for field in ("A", "output_ports"):
+        doc = model_to_dict(model)
+        del doc[field]
+        with pytest.raises(ValidationError, match=f"^realization missing field '{field}'"):
             model_from_dict(doc)
 
 

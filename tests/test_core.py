@@ -27,6 +27,8 @@ from qlin import scenarios as sc
 from qlin.core import HALF_MAX
 from qlin.interconnect import mf_type2_open_loop
 from qlin.serialize import system_from_dict, system_to_dict
+from qlin.structural import Subspace, classical_subsystem
+from qlin.xfer import SpectrumCurve, evaluate, frequency_response, noise_power, sql_curve
 
 
 def test_public_names_are_pinned():
@@ -61,6 +63,8 @@ def test_sigma_identities():
         assert np.array_equal(S, -S.T)
         assert np.array_equal(S @ S.T, np.eye(2 * n))
         assert np.array_equal(S @ S, -np.eye(2 * n))
+    with pytest.raises(ShapeError, match="mode count must be nonnegative, got -1"):
+        sigma(-1)
 
 
 def test_sigma_and_drift_are_cached_read_only():
@@ -108,6 +112,11 @@ def test_build_system_rejects_bad_input():
         build_system(np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(ValidationError):
         build_system(np.full((2, 2), np.nan), np.zeros((2, 2)))
+    # the force is one row of 2n entries, read by the one matrix reader
+    with pytest.raises(ShapeError, match="^force must have 2 columns, got 3"):
+        build_system(np.eye(2), np.zeros((0, 2)), force=[0.0, 1.0, 0.0])
+    with pytest.raises(ShapeError, match="^force must have 1 rows, got 2"):
+        build_system(np.eye(2), np.zeros((0, 2)), force=[[0.0], [1.0]])
 
 
 def test_realizability_of_random_systems():
@@ -221,6 +230,23 @@ def test_complex_to_quadrature_single_mode():
     sys = complex_to_quadrature([[-kappa]], [[np.sqrt(2 * kappa)]])
     assert np.allclose(sys.A, -kappa * np.eye(2))
     assert np.allclose(sys.C, np.sqrt(2 * kappa) * np.eye(2))
+
+
+def test_complex_to_quadrature_reads_complex_matrices():
+    # the couplings are one row per channel: a bare vector is one row (each
+    # of its entries was read as a coupling of its own), and a drift that
+    # is not square, or a row of the wrong length, is a ShapeError
+    kappa = 0.8
+    want = complex_to_quadrature([[-kappa]], [[np.sqrt(2 * kappa)]])
+    one = complex_to_quadrature([-kappa], [np.sqrt(2 * kappa)])
+    assert np.array_equal(one.C, want.C) and np.array_equal(one.A, want.A)
+    assert complex_to_quadrature([[-1.0, 0.0], [0.0, 0.0]], [np.sqrt(2.0), 0.0]).m == 1
+    with pytest.raises(ShapeError, match=r"^complex_drift must be square, got \(1, 2\)"):
+        complex_to_quadrature([[-1.0, 0.0]], [])
+    with pytest.raises(ShapeError, match="^complex_couplings must have 1 columns, got 2"):
+        complex_to_quadrature([[-kappa]], [np.sqrt(2 * kappa), 0.0])
+    with pytest.raises(ValidationError, match="^complex_drift contains non-finite entries"):
+        complex_to_quadrature([[complex(np.nan, 1.0)]], [])
 
 
 def test_complex_to_quadrature_zero():
@@ -347,6 +373,16 @@ def test_state_space_ports_split():
     # Wout reconstructs the raw field: D = [M1^T, M2^T]
     assert np.allclose(model.d("Wout", "Q"), split.M1.T)
     assert np.allclose(model.d("Wout", "P"), split.M2.T)
+
+
+def test_ports_and_splits_refuse_what_does_not_fit():
+    with pytest.raises(ShapeError, match="port 'X' has negative width"):
+        Ports([("X", -1)])
+    with pytest.raises(ShapeError, match="sub-port 'W.Q' range out of bounds"):
+        Ports([("W", 2)]).alias("W.Q", 1, 2)
+    sys = random_system(np.random.default_rng(5), 2, 2)
+    with pytest.raises(ShapeError, match="split has 1 channels, system has 2"):
+        sys.to_state_space(homodyne_split(1, "P"))
 
 
 def test_port_lookups_by_name_and_by_list_agree():
@@ -660,8 +696,10 @@ def test_the_empty_split_is_the_split_of_a_zero_channel_system():
         homodyne_split(0, "Q")
 
 
+_TF = normalized_gw_signal(sc.michelson().to_state_space(), "W2.out.P", 1.0, 1.0)
+
 #: Valid arguments of each public constructor (and function) that reads a
-#: matrix.
+#: matrix, or points, a grid, a complex description or a form.
 _VALID = {
     build_system: {"G": np.eye(2), "C": np.zeros((0, 2)), "force": [0.0, 1.0]},
     realizability_defect: {"A": np.zeros((2, 2)), "C": np.zeros((0, 2))},
@@ -672,18 +710,28 @@ _VALID = {
                           "C_K2": [[1.0]]},
     QuantumController: {"G_K": np.eye(2), "C1": np.eye(2), "C2": np.eye(2),
                         "C_K": np.eye(2), "S": [[0.0, 1.0], [-1.0, 0.0]]},
+    evaluate: {"tf": _TF, "s": 1j},
+    frequency_response: {"tf": _TF, "omegas": [1.0, 2.0]},
+    noise_power: {"model": _TF.realization, "signal_output": "gw", "omega": [1.0, 2.0]},
+    sql_curve: {"m": 1.0, "L": 1.0, "omegas": [1.0, 2.0]},
+    SpectrumCurve: {"omegas": [1.0, 2.0], "values": [1.0, 0.5]},
+    complex_to_quadrature: {"complex_drift": [[-0.5]], "complex_couplings": [[1.0]]},
+    classical_subsystem: {"candidate": Subspace(2, np.eye(2)), "form": np.zeros((2, 2))},
 }
+#: The arguments in ``_VALID`` that are not arrays.
+_NOT_ARRAYS = ("m", "L", "inputs", "outputs", "tf", "model", "signal_output", "candidate")
 
 
 @pytest.mark.parametrize("bad", [[[1.0], [1.0, 2.0]], "abc", {"x": 1.0}],
                          ids=["ragged", "string", "object"])
 @pytest.mark.parametrize("kind, field", [
     (kind, field) for kind, valid in _VALID.items() for field in valid
-    if field not in ("m", "inputs", "outputs")], ids=lambda x: getattr(x, "__name__", x))
+    if field not in _NOT_ARRAYS], ids=lambda x: getattr(x, "__name__", x))
 def test_a_field_that_is_not_a_numeric_matrix_is_a_validation_error_naming_it(kind, field,
                                                                                 bad):
     # a ragged list leaked numpy's bare ValueError from build_system,
-    # StateSpaceModel, MeasurementSplit and both controllers
+    # StateSpaceModel, MeasurementSplit, both controllers and the seven
+    # readers of points, grids, complex descriptions and forms
     kind(**_VALID[kind])
     with pytest.raises(ValidationError, match=f"^{field} is not a numeric matrix"):
         kind(**{**_VALID[kind], field: bad})

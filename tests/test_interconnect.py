@@ -142,6 +142,18 @@ def test_mf2_requires_role_partition():
                  homodyne_split(1, "P"))
 
 
+def test_loops_refuse_what_their_scheme_lacks():
+    plant = sc.michelson()
+    with pytest.raises(ShapeError, match="measurement splits do not match the channel partition"):
+        mf_type2_open_loop(plant, homodyne_split(2, "Q"), homodyne_split(1, "P"))
+    with pytest.raises(ValidationError, match="unknown scheme 'cf1'; expected 'mf1' or 'mf2'"):
+        sample_classical_controller(np.random.default_rng(0), plant, "cf1", [1])
+    with pytest.raises(ValidationError, match="type-1 CF controller needs C1 and C2"):
+        cf_type1(sc.optomech_full(), QuantumController(G_K=np.zeros((2, 2)), C1=np.eye(2)))
+    with pytest.raises(ValidationError, match="type-2 CF controller needs C_K"):
+        cf_type2(plant, QuantumController(G_K=np.zeros((2, 2)), C1=np.eye(2), C2=np.eye(2)))
+
+
 def test_mf_port_bookkeeping():
     plant = sc.michelson()
     loop = mf_type2(plant, zero_mf2(plant), homodyne_split(1, "P"),

@@ -115,6 +115,63 @@ def test_michelson_names_the_parameter_it_refuses(name, value):
         sc.MichelsonParams(**{name: value})
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("builder, kwargs, message", [
+    # NaN passed "kappa1 < 0", "m <= 0", "mu < 0" and "kappa < 0", and
+    # failed later as "G contains non-finite entries"
+    (sc.two_port_cavity, {"kappa1": _NAN}, "mirror rates must be nonnegative and finite, got nan"),
+    (sc.two_port_cavity, {"kappa2": _INF}, "mirror rates must be nonnegative and finite, got inf"),
+    (sc.two_port_cavity, {"kappa1": -1.0},
+     "mirror rates must be nonnegative and finite, got -1.0"),
+    (sc.optomech_reduced, {"m": _NAN}, "m must be a finite positive number, got nan"),
+    (sc.optomech_reduced, {"m": 0.0}, "m must be a finite positive number, got 0.0"),
+    (sc.optomech_reduced, {"omega": _INF}, "omega must be nonnegative and finite, got inf"),
+    (sc.optomech_reduced, {"lam": -1.0}, "lam must be nonnegative and finite, got -1.0"),
+    (sc.optomech_full, {"m": _INF}, "m must be a finite positive number, got inf"),
+    (sc.optomech_full, {"gamma": -1.0}, "gamma must be nonnegative and finite, got -1.0"),
+    # omega and kappa, of either sign, were not checked at all
+    (sc.optomech_full, {"omega": _NAN}, "omega and kappa must be finite, got nan and 1.0"),
+    (sc.optomech_full, {"kappa": -_INF}, "omega and kappa must be finite, got 1.0 and -inf"),
+    (sc.atomic_ensemble_linear, {"mu": _NAN}, "mu must be nonnegative and finite, got nan"),
+    (sc.atomic_ensemble_linear, {"mu": -1.0}, "mu must be nonnegative and finite, got -1.0"),
+    (sc.lambda_memory, {"kappa": _NAN}, "kappa must be nonnegative and finite, got nan"),
+    (sc.lambda_memory, {"kappa": -1.0}, "kappa must be nonnegative and finite, got -1.0"),
+    (sc.lambda_memory, {"delta": _INF}, "delta and g must be finite, got inf and 1.0"),
+    (sc.lambda_memory, {"g": _NAN}, "delta and g must be finite, got 0.5 and nan"),
+    # numpy's RuntimeWarning "invalid value encountered in sqrt"
+    (sc.tsang_caves_controller, {"m": -1.0}, "m omega must be a finite positive number, got -1.0"),
+    (sc.tsang_caves_controller, {"omega": _NAN},
+     "m omega must be a finite positive number, got nan"),
+    (sc.tsang_caves_controller, {"gamma": 0.0}, "gamma must be a finite positive number, got 0.0"),
+    (sc.tsang_caves_controller, {"kappa": _INF},
+     "kappa, omega and g / sqrt.2 gamma. must be finite, got inf, 1.0 and inf"),
+    (sc.tsang_caves_controller, {"g": _NAN}, "must be finite, got 1.0, 1.0 and nan"),
+    (sc.tsang_caves_controller, {"g": 1e300, "gamma": 1e-300},
+     "must be finite, got 1.0, 1.0 and inf"),
+], ids=lambda x: x.__name__ if callable(x) else None)
+def test_scenario_builders_name_the_parameter_they_refuse(builder, kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        builder(**kwargs)
+
+
+def test_scenario_builders_keep_the_values_they_accepted():
+    # zero rates, and the signs the physics leaves free
+    assert sc.two_port_cavity(0.0, 0.0).m == 2
+    assert sc.optomech_reduced(omega=0.0, lam=0.0).n == 1
+    assert np.array_equal(sc.optomech_full(omega=-1.0, kappa=-1.0, gamma=0.0).G,
+                          sc.optomech_full(omega=1.0, kappa=-1.0, gamma=0.0).G)
+    assert sc.atomic_ensemble_linear(0.0).n == 1
+    assert sc.lambda_memory(0.0, -0.5, -1.0).n == 3
+    # g = kappa / sqrt(m omega) = 1 for m = omega = -1, as before
+    assert np.array_equal(sc.tsang_caves_controller(-1.0, -1.0).C1,
+                          sc.tsang_caves_controller(1.0, 1.0).C1)
+    assert np.array_equal(sc.tsang_caves_controller(m=-1.0, g=1.0).C1,
+                          sc.tsang_caves_controller().C1)
+
+
 def test_atomic_ensemble():
     mu = 1.7
     sys = sc.atomic_ensemble_linear(mu)

@@ -231,6 +231,28 @@ _PAIR = (np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]))
     # numpy's bare ValueError
     (lambda: span_of([[1.0], [1.0, 2.0]]), ValidationError, "vectors is not a numeric matrix"),
     (lambda: kernel("abc"), ValidationError, "matrix is not a numeric matrix"),
+    # AttributeError: 'list' object has no attribute 'ambient_dim' (or 'dim')
+    (lambda: principal_angles([[1.0], [1.0, 2.0]], [[1.0], [1.0, 2.0]]), ValidationError,
+     "^a must be a Subspace, got list"),
+    (lambda: intersect([[1.0]], [[1.0]]), ValidationError, "^a must be a Subspace, got list"),
+    (lambda: intersect(Subspace(1, [[1.0]]), [[1.0]]), ValidationError,
+     "^b must be a Subspace, got list"),
+    (lambda: complement([[1.0]]), ValidationError, "^s must be a Subspace, got list"),
+    (lambda: classical_subsystem([[1.0], [0.0]], sigma(1)), ValidationError,
+     "^candidate must be a Subspace, got list"),
+    (lambda: principal_angles(Subspace(2, np.eye(2)), Subspace(3, np.eye(3))), ShapeError,
+     "^ambient mismatch: 3 vs 2"),
+    (lambda: Subspace(2, np.ones((3, 1)) / np.sqrt(3)), ShapeError,
+     "^basis must have 2 rows, got 3"),
+    (lambda: Subspace(1, [[1.0, 0.0]]), ShapeError,
+     "^basis has more columns than the ambient dimension"),
+    (lambda: classical_subsystem(Subspace(2, np.eye(2)), sigma(2)), ShapeError,
+     "^form must have 2 rows, got 4"),
+    (lambda: classical_subsystem(Subspace(2, np.eye(2)), np.eye(2, 3)), ShapeError,
+     "^form must have 2 columns, got 3"),
+    # a bare ValueError
+    (lambda: kalman_decompose(sc.two_port_cavity().to_state_space(), "W1", "both"),
+     ValidationError, "^kind must be 'controllable' or 'observable', got 'both'"),
 ])
 def test_subspace_algebra_rejects_non_finite_and_mis_shaped_input(call, error, message):
     with pytest.raises(error, match=message):
@@ -332,6 +354,8 @@ def test_classical_subsystem():
     for _ in range(5):
         v = span_of(rng.normal(size=(6, 1)))
         assert classical_subsystem(v, sigma(3))
+    # the empty candidate is trivially classical
+    assert classical_subsystem(Subspace(6, np.zeros((6, 0))), sigma(3))
 
 
 def test_principal_angles_against_scipy():

@@ -139,6 +139,44 @@ def test_compare_reads_bounds_from_the_parent_tree(tmp_path, monkeypatch, capsys
         "ops_per_s": "within", "peak_rss_mb": "worse"}
     assert (out["wins"], out["median_ratio"]) == (0, 1.0)  # the ops_per_s keys stay
 
+TINY_MODULE = '''def f(x):
+    if x < 0:
+        raise ValueError("negative")
+    if x > 10:
+        raise ValueError(
+            "too big")
+    return x
+'''
+
+TINY_TEST = '''import pytest
+
+from qlin.mod import f
+
+
+def test_f():
+    assert f(1) == 1
+    with pytest.raises(ValueError):
+        f(-1)
+'''
+
+
+def test_raise_coverage_lists_the_raise_no_test_executes(tmp_path):
+    package = tmp_path / "src" / "qlin"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(TINY_MODULE)
+    (tmp_path / "test_tiny.py").write_text(TINY_TEST)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "raise_coverage.py")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path / "src")},
+        capture_output=True, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    # the second raise, over two lines, is listed by its first; the first ran
+    assert lines[-2:] == [f"{os.path.join('src', 'qlin', 'mod.py')}:5: raise ValueError(",
+                          "1 of 2 raise statements never executed (pytest exit code 0)"]
+    assert "1 passed" in proc.stdout
+
+
 def test_output_hashes_are_sha256_digests_that_repeat():
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_hashes.py"), str(ROOT)],
                           capture_output=True, text=True, check=True)

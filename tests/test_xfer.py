@@ -5,6 +5,7 @@ from conftest import random_system
 from qlin import (
     Channel,
     Ports,
+    ShapeError,
     SingularityError,
     SpectrumCurve,
     StateSpaceModel,
@@ -454,6 +455,17 @@ def test_non_finite_inputs_are_rejected():
             normalized_gw_signal(model, "W2.out.P", lam, L)
 
 
+def test_evaluate_takes_one_point():
+    # it answered for the first of several points: [[-1.0001]], the value
+    # at 1j, for [1j, 2j] on the default Michelson "gw" signal
+    p = sc.MichelsonParams()
+    tf = normalized_gw_signal(sc.michelson(p).to_state_space(), "W2.out.P", p.lam, p.L)
+    assert evaluate(tf, [1j]) == evaluate(tf, 1j)
+    for s in ([1j, 2j], []):
+        with pytest.raises(ShapeError, match="^s must be one complex point"):
+            evaluate(tf, s)
+
+
 def test_normalized_gw_gain_near_unity():
     p = sc.MichelsonParams()
     model = sc.michelson(p).to_state_space()
@@ -509,6 +521,11 @@ def test_spectrum_curve_validation():
         SpectrumCurve(np.array([1.0, 0.5]), np.array([1.0, 1.0]))
     with pytest.raises(ValidationError):
         SpectrumCurve(np.array([0.5, 1.0]), np.array([-1.0, 1.0]))
+    with pytest.raises(ShapeError, match="omegas and values must have equal length"):
+        SpectrumCurve([0.5, 1.0], [1.0])
+    curve = SpectrumCurve([0.5, 1.0], [1.0, 1.0])
+    with pytest.raises(ShapeError, match="SQL grid does not match the spectrum grid"):
+        spectrum_csv(curve, sql_curve(1.0, 1.0, [0.5, 2.0]))
 
 
 def test_spectrum_csv_format():
