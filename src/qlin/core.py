@@ -153,10 +153,25 @@ def _finite_positive(value, what: str) -> float:
     return float(value)
 
 
-def _finite_nonnegative(value, what: str) -> None:
+def _finite_nonnegative(value, what: str) -> float:
     """The twin of :func:`_finite_positive` where 0 is allowed."""
     if not 0 <= value <= _FLOAT_MAX:
         raise ValidationError(f"{what} must be nonnegative and finite, got {value!r}")
+    return float(value)
+
+
+def _count(value, what: str, least: int = 0, error: type = ValidationError) -> int:
+    """``value`` as an int, the one reader of a count: a ``ValidationError``
+    naming ``what`` unless it is an integer (by ``operator.index``, so a
+    float, a string or ``None`` is not one), and an ``error`` naming it
+    unless it is at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise error(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -549,8 +564,7 @@ def homodyne_split(m: int, measured) -> MeasurementSplit:
     MeasurementSplit
         Satisfies all seven selector identities by construction.
     """
-    if m < 1:
-        raise ShapeError("channel count must be >= 1")
+    m = _count(m, "channel count m", 1, ShapeError)
     if isinstance(measured, np.ndarray):
         measured = measured.tolist()
     if not isinstance(measured, (list, tuple)):
@@ -755,36 +769,37 @@ def _layout(kind: str, labels: tuple[str, ...], force: bool,
     The third item is ``None`` for the last two, whose feedthrough depends
     on the split.  A duplicate port name raises ``ValidationError`` on
     every call, as registering it does.
+
+    Each registry is written as its ``(name, start, width)`` table in
+    registration order (:meth:`Ports.from_entries`).
     """
-    def quadratures(ports, name, start):
-        ports.alias(name + ".Q", start, 1)
-        ports.alias(name + ".P", start + 1, 1)
+    def quadratures(names, start, whole=False):
+        # the sub-ports ".Q" and ".P" of two-wide channel ports laid side by
+        # side from `start`, each after its whole port when `whole`
+        table = []
+        for i, name in zip(range(start, start + 2 * len(names), 2), names):
+            table += [(name, i, 2)] * whole + [(name + ".Q", i, 1), (name + ".P", i + 1, 1)]
+        return table
 
     m, D = len(labels), None
+    fields = [label + ".out" for label in labels]
     if kind == "raw":
-        inputs, outputs = Ports(), Ports()
-        for j, label in enumerate(labels):
-            for ports, name in ((inputs, label), (outputs, label + ".out")):
-                ports.append(name, 2)
-                quadratures(ports, name, 2 * j)
+        inputs, outputs = quadratures(labels, 0, True), quadratures(fields, 0, True)
         D = np.eye(2 * m, 2 * m + force)
         D.setflags(write=False)
+    elif kind == "split":
+        inputs = [("Q", 0, m), ("P", m, m)]
+        outputs = [("y", 0, m), ("ybar", m, m), ("Wout", 2 * m, 2 * m),
+                   *quadratures(fields, 2 * m)]
     else:
-        if kind == "split":
-            inputs = Ports([("Q", m), ("P", m)])
-            outputs = Ports([("y", m), ("ybar", m), ("Wout", 2 * m)])
-            fields = 2 * m  # where the field outputs start
-        else:
-            m1, m2 = feedback, m - feedback
-            inputs = Ports([("W1", 2 * m1), ("Q2", m2), ("P2", m2)])
-            for j, label in enumerate(labels[:m1]):
-                quadratures(inputs, label, 2 * j)
-            outputs = Ports([("y", m1), ("z", m2), ("W1out", 2 * m1), ("W2out", 2 * m2)])
-            fields = m
-        for j, label in enumerate(labels):
-            quadratures(outputs, label + ".out", fields + 2 * j)
-    if force:
-        inputs.append("F", 1)
+        m1, m2 = feedback, m - feedback
+        inputs = [("W1", 0, 2 * m1), ("Q2", 2 * m1, m2), ("P2", 2 * m1 + m2, m2),
+                  *quadratures(labels[:m1], 0)]
+        outputs = [("y", 0, m1), ("z", m1, m2), ("W1out", m, 2 * m1),
+                   ("W2out", m + 2 * m1, 2 * m2), *quadratures(fields, m)]
+    # the force port follows the 2m noise inputs of every kind
+    inputs = Ports.from_entries(inputs + [("F", 2 * m, 1)] * force)
+    outputs = Ports.from_entries(outputs)
     inputs._held = outputs._held = True
     return inputs, outputs, D
 
@@ -826,8 +841,7 @@ def augment_with_vacuum(sys: QuantumLinearSystem, extra_channels: int) -> Quantu
     quadratures through a width-2m split on the joint field.
     ``extra_channels = 0`` returns the system unchanged.
     """
-    if extra_channels < 0:
-        raise ShapeError("extra_channels must be >= 0")
+    extra_channels = _count(extra_channels, "extra_channels", error=ShapeError)
     if extra_channels == 0:
         return sys
     existing = {ch.label for ch in sys.channels}
@@ -880,24 +894,22 @@ def quadrature_to_complex(sys: QuantumLinearSystem, tol: float = 1e-10):
 
     Returns ``(F, couplings)``.  Fails if the drift or coupling does not
     commute with the complex structure (i.e. the dynamics mixes ``a`` and
-    ``a*``), which is the case e.g. for squeezing Hamiltonians.
+    ``a*``), which is the case e.g. for squeezing Hamiltonians.  ``tol``
+    must be a finite nonnegative number (``ValidationError`` otherwise).
     """
-    A = sys.A
-    re1, im1 = A[0::2, 0::2], A[1::2, 0::2]
-    re2, im2 = A[1::2, 1::2], -A[0::2, 1::2]
+    _finite_nonnegative(tol, "tol")
+    A, C = sys.A, sys.C
+    F = A[0::2, 0::2] + 1j * A[1::2, 0::2]
+    L = C[0::2, 0::2] + 1j * C[1::2, 0::2]
+    # what the realified forms miss lies in the P columns: the drift's two
+    # blocks there, and each coupling row's entries there
+    dA, dC = (A - _realify(F))[:, 1::2], (C - _realify(L))[:, 1::2]
     scale = max(_frobenius(A[None])[0], 1.0)
-    if not _frobenius(np.array([re1 - re2, im1 - im2])).max() <= tol * scale:
+    if not _frobenius(np.array([dA[0::2], dA[1::2]])).max() <= tol * scale:
         raise ValidationError("drift is not complex-linear; no annihilation-operator form")
-    F = re1 + 1j * im1
-    couplings = []
-    cscale = max(_frobenius(sys.C[None])[0], 1.0)
-    for j in range(sys.m):
-        rq = sys.C[2 * j]
-        rp = sys.C[2 * j + 1]
-        l = rq[0::2] + 1j * rp[0::2]
-        # the two defects as a stack of one-row matrices
-        if not _frobenius(np.array([[rq[1::2] + l.imag], [rp[1::2] - l.real]])).max() \
-                <= tol * cscale:
-            raise ValidationError(f"channel {j} coupling is not complex-linear")
-        couplings.append(l)
-    return F, couplings
+    # per channel, the larger defect of its two rows
+    worst = _frobenius(dC[:, None]).reshape(-1, 2).max(axis=1)
+    bad = np.flatnonzero(~(worst <= tol * max(_frobenius(C[None])[0], 1.0)))
+    if bad.size:
+        raise ValidationError(f"channel {bad[0]} coupling is not complex-linear")
+    return F, list(L)

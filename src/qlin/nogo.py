@@ -37,7 +37,6 @@ the conjugate evaluation noise ``P2`` together.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -49,6 +48,7 @@ from .core import (
     StateSpaceModel,
     ValidationError,
     _check_splits,
+    _count,
     _realify,
     homodyne_split,
 )
@@ -146,16 +146,16 @@ def random_split(rng: np.random.Generator, m: int) -> MeasurementSplit:
 
 def _dim_range(dims) -> tuple[int, ...]:
     """``controller_dim_range`` as a tuple of ints; anything but a nonempty
-    sequence of nonnegative integers is a ``ValidationError`` naming it."""
+    sequence of nonnegative integers (each read by ``core._count``) is a
+    ``ValidationError`` naming it."""
     try:
-        dims = tuple(operator.index(d) for d in dims)
+        counts = tuple(dims)
     except TypeError:
+        counts = ()
+    if not counts:
         raise ValidationError(
-            f"controller_dim_range must be a sequence of integers, got {dims!r}") from None
-    if not dims or min(dims) < 0:
-        raise ValidationError(
-            f"controller_dim_range must be nonempty and nonnegative, got {list(dims)}")
-    return dims
+            f"controller_dim_range must be a nonempty sequence of integers, got {dims!r}")
+    return tuple(_count(d, "controller_dim_range entry") for d in counts)
 
 
 def sample_classical_controller(rng: np.random.Generator, plant: QuantumLinearSystem,
@@ -245,8 +245,7 @@ def verify_nogo(plant: QuantumLinearSystem, goal: str, scheme: str,
     scheme = scheme.lower()
     if (scheme, goal) not in THEOREM_INDEX:
         raise ValidationError(f"no theorem covers scheme={scheme!r}, goal={goal!r}")
-    if trials < 0 or seed < 0:
-        raise ValidationError(f"trials and seed must be nonnegative, got {trials} and {seed}")
+    trials, seed = _count(trials, "trials"), _count(seed, "seed")
     controller_dim_range = _dim_range(range(0, 2 * plant.n + 3) if controller_dim_range is None
                                       else controller_dim_range)
 

@@ -54,6 +54,16 @@ class MichelsonParams:
             _finite_positive(getattr(self, name), name)
 
 
+def _square(x: float, what: str) -> float:
+    """``x ** 2``, Python's power, as the reference matrices compute it (it
+    is not always ``x * x`` to the bit); a ``ValidationError`` naming
+    ``what`` where it leaves the float range, instead of ``OverflowError``."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise ValidationError(f"{what} ** 2 leaves the float range, got {what} = {x!r}") from None
+
+
 def two_port_cavity(kappa1: float = 1.0, kappa2: float = 1.0) -> QuantumLinearSystem:
     """Empty optical cavity with two input-output mirrors.
 
@@ -61,7 +71,8 @@ def two_port_cavity(kappa1: float = 1.0, kappa2: float = 1.0) -> QuantumLinearSy
     """
     _finite_nonnegative(kappa1, "mirror rates")
     _finite_nonnegative(kappa2, "mirror rates")
-    C = np.vstack([np.sqrt(2 * kappa1) * np.eye(2), np.sqrt(2 * kappa2) * np.eye(2)])
+    C = np.vstack([np.sqrt(_finite_nonnegative(2 * kappa1, "2 kappa1")) * np.eye(2),
+                   np.sqrt(_finite_nonnegative(2 * kappa2, "2 kappa2")) * np.eye(2)])
     return build_system(np.zeros((2, 2)), C,
                         channels=[Channel("W1", "feedback"), Channel("W2", "evaluation")],
                         mode_labels=("cavity",))
@@ -76,7 +87,7 @@ def optomech_reduced(m: float = 1.0, omega: float = 1.0, lam: float = 1.0) -> Qu
     _finite_positive(m, "m")
     _finite_nonnegative(omega, "omega")
     _finite_nonnegative(lam, "lam")
-    G = np.diag([m * omega ** 2, 1.0 / m])
+    G = np.diag([m * _square(omega, "omega"), 1.0 / m])
     C = np.sqrt(lam) * np.array([[0.0, 0.0], [1.0, 0.0]])
     return build_system(G, C, channels=[Channel("W", "feedback")],
                         force=[0.0, 1.0], mode_labels=("osc",))
@@ -95,13 +106,13 @@ def optomech_full(m: float = 1.0, omega: float = 1.0, kappa: float = 1.0,
     if not (math.isfinite(omega) and math.isfinite(kappa)):
         raise ValidationError(f"omega and kappa must be finite, got {omega!r} and {kappa!r}")
     G = np.array([
-        [m * omega ** 2, 0.0, -kappa, 0.0],
+        [m * _square(omega, "omega"), 0.0, -kappa, 0.0],
         [0.0, 1.0 / m, 0.0, 0.0],
         [-kappa, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0],
     ])
-    C = np.sqrt(2 * gamma) * np.array([[0.0, 0.0, 1.0, 0.0],
-                                       [0.0, 0.0, 0.0, 1.0]])
+    C = np.sqrt(_finite_nonnegative(2 * gamma, "2 gamma")) * np.array([[0.0, 0.0, 1.0, 0.0],
+                                                                      [0.0, 0.0, 0.0, 1.0]])
     return build_system(G, C, channels=[Channel("W", "feedback")],
                         force=[0.0, 1.0, 0.0, 0.0], mode_labels=("osc", "cavity"))
 
@@ -128,9 +139,9 @@ def michelson(p: MichelsonParams = MichelsonParams()) -> QuantumLinearSystem:
     Channel W1 is the bright (feedback) port, W2 the dark (evaluation)
     port; the force appears only in the differential mode.
     """
-    m, w, lam = p.m, p.omega, p.lam
-    G = np.diag([m * w ** 2, 1.0 / m, m * w ** 2, 1.0 / m])
-    C = np.sqrt(lam) * _MICHELSON_ARMS
+    mw2 = p.m * _square(p.omega, "omega")
+    G = np.diag([mw2, 1.0 / p.m, mw2, 1.0 / p.m])
+    C = np.sqrt(p.lam) * _MICHELSON_ARMS
     return build_system(G, C, channels=_MICHELSON_CHANNELS, force=_MICHELSON_FORCE,
                         mode_labels=_MICHELSON_MODES)
 
@@ -205,11 +216,18 @@ def michelson_cf_params(p: MichelsonParams) -> tuple[float, float]:
 
     ``epsilon`` solves the interference condition between the two Markov
     constraints; ``alpha = -lam / (m epsilon)`` is the (negative) detuning.
-    For omega -> 0 they approach +-sqrt(lam/m).
+    For omega -> 0 they approach +-sqrt(lam/m).  Parameters for which either
+    leaves the float range are a ``ValidationError``.
     """
     m, w, lam = p.m, p.omega, p.lam
-    eps = np.sqrt(2.0) * lam / (m * np.sqrt(w ** 2 + np.sqrt(w ** 4 + 4 * lam ** 2 / m ** 2)))
-    alpha = -lam / (m * eps)
+    try:  # Python's powers raise OverflowError, numpy's arithmetic here FloatingPointError
+        with np.errstate(all="raise", under="ignore"):
+            root = np.sqrt(w ** 4 + 4 * lam ** 2 / m ** 2)
+            eps = np.sqrt(2.0) * lam / (m * np.sqrt(w ** 2 + root))
+            alpha = -lam / (m * eps)
+    except ArithmeticError:
+        raise ValidationError("m, omega and lam give no finite controller, got "
+                              f"{m!r}, {w!r} and {lam!r}") from None
     return float(eps), float(alpha)
 
 

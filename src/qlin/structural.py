@@ -47,7 +47,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import (ORTHO_TOL, ShapeError, StateSpaceModel, ValidationError, _as_array,
-                   _as_matrix, _frobenius)
+                   _as_matrix, _count, _finite_nonnegative, _frobenius)
 
 __all__ = [
     "Subspace",
@@ -117,6 +117,14 @@ def _ranks(s: np.ndarray, shape, rtol: Optional[float] = None) -> np.ndarray:
     return (s > (max(shape) * _EPS if rtol is None else rtol) * s[..., :1]).sum(-1)
 
 
+def _rtol(rtol: Optional[float]) -> None:
+    """Refuse an ``rtol`` that is given but is not a finite nonnegative
+    number, with a ``ValidationError`` naming it: checked at the public
+    entries, not in the rules above, which the verdicts call per group."""
+    if rtol is not None:
+        _finite_nonnegative(rtol, "rtol")
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Linear subspace represented by an orthonormal column basis."""
@@ -151,8 +159,13 @@ class Subspace:
         return self.basis.shape[1]
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of v onto the subspace."""
-        return self.basis @ (self.basis.T @ _as_array("v", v))
+        """Orthogonal projection of v onto the subspace, of v's shape: a
+        vector of ``ambient_dim`` entries, or a matrix of such columns
+        (``ShapeError`` or ``ValidationError`` otherwise, from
+        :func:`_columns`)."""
+        v = _as_array("v", v)
+        columns = _columns("v", v, rows=self.ambient_dim)
+        return (self.basis @ (self.basis.T @ columns)).reshape(v.shape)
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +206,7 @@ def _check_orthonormal(ambient_dim: int, bases: np.ndarray) -> None:
 def span_of(vectors, ambient_dim: Optional[int] = None, rtol: Optional[float] = None) -> Subspace:
     """Orthonormalized span of the given (column) vectors, which must be
     finite."""
+    _rtol(rtol)
     M = _columns("vectors", vectors)
     if ambient_dim is None:
         ambient_dim = M.shape[0]
@@ -209,6 +223,7 @@ def range_space(mat, rtol: Optional[float] = None) -> Subspace:
 
 def kernel(mat, rtol: Optional[float] = None) -> Subspace:
     """Null space of a finite matrix."""
+    _rtol(rtol)
     M = _as_matrix("matrix", mat)
     if M.shape[0] == 0 or M.size == 0:
         return Subspace(M.shape[1], np.eye(M.shape[1]))
@@ -240,6 +255,7 @@ def complement(s: Subspace) -> Subspace:
 
 def intersect(a: Subspace, b: Subspace, rtol: Optional[float] = None) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
+    _rtol(rtol)
     return _intersects([a], b, rtol)[0]
 
 
@@ -336,6 +352,7 @@ def controllable_subspace(A: np.ndarray, B: np.ndarray,
     (``ShapeError`` or ``ValidationError`` otherwise); a float array is read
     as it is, without a copy.
     """
+    _rtol(rtol)
     A = _as_matrix("A", A)
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
@@ -548,8 +565,7 @@ def markov_parameters(model: StateSpaceModel, input_port, output_port,
     By Cayley-Hamilton the default ``count = N`` terms decide whether the
     whole sequence vanishes; more terms are only useful for display.
     """
-    if count is None:
-        count = model.nstates
+    count = model.nstates if count is None else _count(count, "count")
     B = model.b(input_port)
     return [row @ B for row in _krylov_rows(model.c(output_port), model.A, count)]
 
@@ -559,8 +575,10 @@ def classical_subsystem(candidate: Subspace, form: np.ndarray,
     """True iff all variables v_i^T x spanned by the candidate commute.
 
     ``form`` is the 2n x 2n commutation matrix of the quantum block; the
-    test is ``v_i^T Sigma v_j = 0`` for every basis pair.
+    test is ``v_i^T Sigma v_j = 0`` for every basis pair, within ``tol``, a
+    finite nonnegative number (``ValidationError`` otherwise).
     """
+    _finite_nonnegative(tol, "tol")
     n = _ambient(("candidate", candidate))
     form = _as_matrix("form", form, rows=n, cols=n)
     if candidate.dim == 0:

@@ -41,7 +41,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .core import (ShapeError, StateSpaceModel, ValidationError, _all_finite, _as_array,
-                   _finite_positive)
+                   _as_matrix, _finite_nonnegative, _finite_positive)
 from .structural import _eye, reduce_pair
 
 __all__ = [
@@ -285,15 +285,17 @@ def _response(model: StateSpaceModel, output: PortArg, port: Optional[PortArg],
 
 @dataclass(frozen=True)
 class SpectrumCurve:
-    """Noise power sampled on an increasing frequency grid."""
+    """Noise power sampled on an increasing frequency grid: both arrays are
+    read flat by ``core._as_matrix``, so a non-finite entry is a
+    ``ValidationError``."""
 
     omegas: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        omegas = _as_array("omegas", self.omegas).reshape(-1)
-        values = _as_array("values", self.values).reshape(-1)
+        omegas = _as_matrix("omegas", self.omegas).reshape(-1)
+        values = _as_matrix("values", self.values).reshape(-1)
         if omegas.shape != values.shape:
             raise ShapeError("omegas and values must have equal length")
         if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
@@ -310,9 +312,7 @@ def _column_variances(model: StateSpaceModel,
     var = np.full(model.B.shape[1], VACUUM_VARIANCE)
     if variances:
         for port, v in variances.items():
-            if not 0 <= v < np.inf:
-                raise ValidationError(
-                    f"variance of {port!r} must be finite and nonnegative, got {v!r}")
+            _finite_nonnegative(v, f"variance of {port!r}")
             var[model.inputs._select(port)] = v
     for port in exclude:
         if port in model.inputs:

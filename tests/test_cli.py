@@ -67,7 +67,11 @@ def test_scenario_unknown_name(capsys):
             ("two_port_cavity", "kappa1", "--param expects k=v, got 'kappa1'"),
             ("two_port_cavity", "nope=1", "has no parameter 'nope'; valid: kappa1, kappa2"),
             ("two_port_cavity", "kappa1=-1", "mirror rates must be nonnegative"),
-            ("lambda_memory", "omega_rabi=1", "only the storage stage")):
+            ("lambda_memory", "omega_rabi=1", "only the storage stage"),
+            # an OverflowError traceback and exit code 1
+            ("optomech_reduced", "omega=1e200", "omega ** 2 leaves the float range"),
+            ("michelson", "omega=1e160", "omega ** 2 leaves the float range"),
+            ("michelson_cf_loop", "lam=1e200", "m, omega and lam give no finite controller")):
         code, out, err = run_cli(capsys, "scenario", name, "--param", param)
         assert (code, out) == (2, ""), param
         assert err.startswith("qlin: error: ") and message in err, err

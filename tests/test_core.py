@@ -298,6 +298,42 @@ def test_conversions_reject_huge_non_complex_linear_drifts():
         quadrature_to_complex(squeezer)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_quadrature_to_complex_refuses_a_tolerance_that_is_no_bound(tol):
+    # NaN failed every comparison, so every system was "not complex-linear"
+    with pytest.raises(ValidationError, match="^tol must be nonnegative and finite"):
+        quadrature_to_complex(sc.lambda_memory(), tol)
+
+
+def test_quadrature_to_complex_names_the_first_channel_that_mixes():
+    # a passive mode: F = -i h - |l|^2 / 2 over its three channels
+    F = np.array([[-2.625 + 0.5j]])
+    system = complex_to_quadrature(F, [[1.0], [0.5j], [2.0]])
+    got_F, couplings = quadrature_to_complex(system)
+    assert np.array_equal(got_F, F) and len(couplings) == 3
+    C = system.C.copy()
+    C[2, 1] = C[4, 1] = 1e-6  # the P entry of the Q rows of channels 1 and 2
+    with pytest.raises(ValidationError, match="^channel 1 coupling is not complex-linear"):
+        quadrature_to_complex(build_system(system.G, C), tol=1e-12)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: augment_with_vacuum(sc.optomech_reduced(), 1.5), ValidationError,
+     "^extra_channels must be an integer, got 1.5"),
+    (lambda: augment_with_vacuum(sc.optomech_reduced(), -1), ShapeError,
+     "^extra_channels must be at least 0, got -1"),
+    (lambda: homodyne_split(1.5, "Q"), ValidationError,
+     "^channel count m must be an integer, got 1.5"),
+    (lambda: homodyne_split("1", "Q"), ValidationError,
+     "^channel count m must be an integer, got '1'"),
+    (lambda: homodyne_split(0, "Q"), ShapeError, "^channel count m must be at least 1, got 0"),
+])
+def test_counts_name_the_argument_they_refuse(call, error, message):
+    # the first, third and fourth raised bare TypeErrors
+    with pytest.raises(error, match=message):
+        call()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call", [
     lambda: realizability_defect(np.eye(2), np.full((2, 2), 1e200)),

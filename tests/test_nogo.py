@@ -507,6 +507,19 @@ def test_bae_no_go_counts_one_reduced_pair_and_one_probe_per_loop(monkeypatch):
                          "transfer_zero_equivalence": 1 + 40}, scheme
 
 
+@pytest.mark.parametrize("counts, message", [
+    # bare TypeErrors, or a float count of trials
+    ({"trials": 2.5}, "^trials must be an integer, got 2.5"),
+    ({"seed": 1.5}, "^seed must be an integer, got 1.5"),
+    ({"trials": "3"}, "^trials must be an integer, got '3'"),
+    ({"trials": -1}, "^trials must be at least 0, got -1"),
+    ({"seed": -1}, "^seed must be at least 0, got -1"),
+])
+def test_verify_nogo_names_the_count_it_refuses(counts, message):
+    with pytest.raises(ValidationError, match=message):
+        verify_nogo(sc.optomech_reduced(), "qnd", "mf1", **{"trials": 2, "seed": 0, **counts})
+
+
 @pytest.mark.parametrize("dims", [[-1], [], [2.5], [1, None], 3, "12"])
 def test_verify_nogo_rejects_a_bad_controller_dim_range(dims, monkeypatch):
     import qlin.nogo as nogo

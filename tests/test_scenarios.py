@@ -157,6 +157,45 @@ def test_scenario_builders_name_the_parameter_they_refuse(builder, kwargs, messa
         builder(**kwargs)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("builder, kwargs, message", [
+    # RuntimeWarning "invalid value encountered in multiply": sqrt(2 rate) is inf
+    (sc.two_port_cavity, {"kappa1": 1e308}, "^2 kappa1 must be nonnegative and finite, got inf"),
+    (sc.optomech_full, {"gamma": 1e308}, "^2 gamma must be nonnegative and finite, got inf"),
+    # OverflowError from Python's omega ** 2, of either sign where it may be
+    (sc.optomech_reduced, {"omega": 1e200}, r"^omega \*\* 2 leaves the float range"),
+    (sc.optomech_full, {"omega": -1e200}, r"^omega \*\* 2 leaves the float range"),
+    (lambda **kw: sc.michelson(sc.MichelsonParams(**kw)), {"omega": 1e160},
+     r"^omega \*\* 2 leaves the float range, got omega = 1e\+160"),
+    # OverflowError from lam ** 2, or numpy's RuntimeWarning
+    (lambda **kw: sc.michelson_cf_loop(sc.MichelsonParams(**kw)), {"lam": 1e200},
+     "^m, omega and lam give no finite controller, got 1.0, 0.01 and 1e.200"),
+    (lambda **kw: sc.michelson_cf_loop(sc.MichelsonParams(**kw)), {"lam": 1.7e308},
+     "^m, omega and lam give no finite controller"),
+    (lambda **kw: sc.michelson_cf_params(sc.MichelsonParams(**kw)), {"m": 1e-200},
+     "^m, omega and lam give no finite controller"),
+])
+def test_scenario_parameters_that_overflow_are_refused(builder, kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        builder(**kwargs)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(sc.SCENARIOS))
+def test_every_scenario_parameter_at_the_top_of_the_float_range(name):
+    # each builds a finite system or refuses the value; nothing else is
+    # raised (OverflowError) and nothing warns.  Some values build: a huge
+    # probe strength is a valid system, and michelson ignores L.
+    builder, defaults = sc.SCENARIOS[name]
+    for param in defaults:
+        for value in (1e308, 1.7e308, -1e308, -1.7e308):
+            try:
+                system = builder(**{**defaults, param: value})
+            except ValidationError:
+                continue
+            assert np.all(np.isfinite(system.A)) and np.all(np.isfinite(system.B)), (param, value)
+
+
 def test_scenario_builders_keep_the_values_they_accepted():
     # zero rates, and the signs the physics leaves free
     assert sc.two_port_cavity(0.0, 0.0).m == 2

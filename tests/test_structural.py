@@ -22,7 +22,7 @@ from qlin import (
     sigma,
     span_of,
 )
-from qlin.structural import reduce_pair
+from qlin.structural import controllable_subspace, reduce_pair
 from qlin import scenarios as sc
 
 
@@ -253,10 +253,57 @@ _PAIR = (np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]))
     # a bare ValueError
     (lambda: kalman_decompose(sc.two_port_cavity().to_state_space(), "W1", "both"),
      ValidationError, "^kind must be 'controllable' or 'observable', got 'both'"),
+    # a 3-dimensional kernel of the identity
+    (lambda: kernel(np.eye(3), rtol=np.nan), ValidationError,
+     "^rtol must be nonnegative and finite, got nan"),
+    # dimension 0, where the pair reaches all 3 states
+    (lambda: controllable_subspace(np.diag([1.0, 2.0, 3.0]), np.ones((3, 1)), rtol=np.nan),
+     ValidationError, "^rtol must be nonnegative and finite, got nan"),
+    (lambda: controllable_subspace(*_PAIR, rtol=np.inf), ValidationError,
+     "^rtol must be nonnegative and finite, got inf"),
+    # dimension 0
+    (lambda: intersect(Subspace(2, np.eye(2)), Subspace(2, np.eye(2)), rtol=np.nan),
+     ValidationError, "^rtol must be nonnegative and finite, got nan"),
+    (lambda: kalman_decompose(sc.two_port_cavity().to_state_space(), "W1", rtol=np.nan),
+     ValidationError, "^rtol must be nonnegative and finite, got nan"),
+    # counted the exact zero singular values
+    (lambda: span_of(np.eye(2), rtol=-1), ValidationError,
+     "^rtol must be nonnegative and finite, got -1"),
+    (lambda: range_space(np.eye(2), rtol=np.inf), ValidationError,
+     "^rtol must be nonnegative and finite, got inf"),
+    # said that one quadrature does not commute with itself
+    (lambda: classical_subsystem(span_of([[1.0], [0.0]]), sigma(1), tol=np.nan), ValidationError,
+     "^tol must be nonnegative and finite, got nan"),
+    (lambda: classical_subsystem(span_of([[1.0], [0.0]]), sigma(1), tol=-1), ValidationError,
+     "^tol must be nonnegative and finite, got -1"),
+    # numpy's bare matmul ValueError
+    (lambda: Subspace(2, np.eye(2)).project([1.0, 2.0, 3.0]), ShapeError,
+     "^v must have 2 rows, got 3"),
+    (lambda: Subspace(2, np.eye(2)).project([np.nan, 1.0]), ValidationError,
+     "^v contains non-finite"),
+    # bare TypeErrors, and count=-1 gave []
+    (lambda: markov_parameters(sc.optomech_reduced().to_state_space(), "W", "W.out", count=1.5),
+     ValidationError, "^count must be an integer, got 1.5"),
+    (lambda: markov_parameters(sc.optomech_reduced().to_state_space(), "W", "W.out", count=-1),
+     ValidationError, "^count must be at least 0, got -1"),
 ])
 def test_subspace_algebra_rejects_non_finite_and_mis_shaped_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_tolerances_at_their_bounds_are_accepted():
+    # zero is a tolerance; only NaN, inf and negative ones are refused
+    assert kernel(np.eye(3), rtol=0.0).dim == 0
+    assert span_of(np.eye(2), rtol=0).dim == 2
+    assert controllable_subspace(np.diag([1.0, 2.0, 3.0]), np.ones((3, 1)), rtol=0.0).dim == 3
+    assert classical_subsystem(span_of([[1.0], [0.0]]), sigma(1), tol=0.0)
+
+
+def test_project_keeps_the_shape_of_its_argument():
+    line = Subspace(2, [[1.0], [0.0]])
+    assert np.array_equal(line.project([3.0, 4.0]), [3.0, 0.0])
+    assert np.array_equal(line.project(np.ones((2, 3))), [[1.0] * 3, [0.0] * 3])
 
 
 def test_reduce_pair_reads_nested_lists_as_arrays():

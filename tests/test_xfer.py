@@ -523,6 +523,11 @@ def test_spectrum_curve_validation():
         SpectrumCurve(np.array([0.5, 1.0]), np.array([-1.0, 1.0]))
     with pytest.raises(ShapeError, match="omegas and values must have equal length"):
         SpectrumCurve([0.5, 1.0], [1.0])
+    # accepted, and spectrum_csv then wrote "inf" and "nan" rows
+    with pytest.raises(ValidationError, match="^omegas contains non-finite entries"):
+        SpectrumCurve([1.0, np.inf], [1.0, 1.0])
+    with pytest.raises(ValidationError, match="^values contains non-finite entries"):
+        SpectrumCurve([1.0, 2.0], [np.nan, 1.0])
     curve = SpectrumCurve([0.5, 1.0], [1.0, 1.0])
     with pytest.raises(ShapeError, match="SQL grid does not match the spectrum grid"):
         spectrum_csv(curve, sql_curve(1.0, 1.0, [0.5, 2.0]))
@@ -548,9 +553,13 @@ def test_spectrum_csv_matches_the_row_renderer():
             f"{w:.17g},{v:.17g},{ref:.17g}"
             for w, v, ref in zip(curve.omegas.tolist(), curve.values.tolist(), refs)]) + "\n"
 
+    # a curve is finite (SpectrumCurve refuses NaN and inf), so the special
+    # values are the signed zero, the extremes of the float range and, in the
+    # S_sql column of a curve without an SQL, NaN
     rng = np.random.default_rng(44)
-    omegas = np.concatenate(([-0.0, 5e-324], np.sort(rng.uniform(1e-3, 1e3, 50)), [1e308, np.inf]))
-    special = [np.nan, np.inf, -0.0, 5e-324, 1e308]
+    omegas = np.concatenate(([-0.0, 5e-324], np.sort(rng.uniform(1e-3, 1e3, 50)),
+                             [1e308, np.finfo(float).max]))
+    special = [np.finfo(float).max, np.finfo(float).tiny, -0.0, 5e-324, 1e308]
     values = np.concatenate((special, rng.exponential(size=omegas.size - 5)))
     refs = np.concatenate((rng.exponential(size=omegas.size - 5), special[::-1]))
     for curve, sql in ((SpectrumCurve(omegas, values), SpectrumCurve(omegas, refs)),

@@ -24,8 +24,15 @@ The suites:
   ``controllability_matrix``, ``observability_matrix`` and both
   ``kalman_decompose`` kinds; ``complex_to_quadrature`` of
   ``lambda_memory``'s complex form; ``sample_classical_controller`` at 5
-  seeds per scheme; and ``span_of``, ``kernel``, ``intersect``,
-  ``complement`` and ``principal_angles`` on seeded subspaces.
+  seeds per scheme; ``span_of``, ``kernel``, ``intersect``,
+  ``complement`` and ``principal_angles`` on seeded subspaces;
+  ``quadrature_to_complex`` (or the error text) of seeded complex-linear
+  systems (1-3 modes, 0-3 channels), each also with one drift entry and
+  then one coupling row perturbed by 0.5 and 2 times its tolerance; the
+  ``entries()`` of the input and output registries (and the feedthrough)
+  of every ``core._layout`` kind, for 1-4 channels, with and without a
+  force and, for ``"mf2"``, at every feedback count; and ``noise_power``
+  with a variance map on a grid.
 
 Usage::
 
@@ -196,7 +203,44 @@ def library_results(qlin) -> list:
         out.append([n, a.basis, b.basis, null.basis, st.intersect(a, b).basis,
                     st.intersect(b, null).basis, st.complement(a).basis,
                     st.principal_angles(a, b), st.principal_angles(a, null)])
+    out.extend(_complex_forms(qlin, rng))
+    for m in range(1, 5):
+        labels = tuple(f"W{j + 1}" for j in range(m))
+        for kind, feedback in [("raw", 0), ("split", 0)] + [("mf2", k) for k in range(m + 1)]:
+            for force in (False, True):
+                inputs, outputs, D = qlin.core._layout(kind, labels, force, feedback)
+                out.append([kind, m, force, feedback, inputs.entries(), outputs.entries(), D])
+    model = sc.michelson().to_state_space()
+    out.append(qlin.noise_power(model, "W2.out.P", {"W1": 0.7, "W2.Q": 2.5, "F": 3.0},
+                                omega=np.geomspace(1e-3, 10.0, 7), exclude=()))
     return _bits(out)
+
+
+def _complex_forms(qlin, rng) -> list:
+    """``quadrature_to_complex`` (or its error) of seeded passive
+    complex-linear systems ``F = -iH - L^H L / 2``, and of each with one
+    drift entry (through ``G``) or one coupling row's P entry moved by 0.5
+    and 2 times the tolerance the check scales to that matrix."""
+    tol, out = 1e-10, []
+    for n in (1, 2, 3):
+        for m in range(4):
+            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            L = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+            F = -0.5j * (H + H.conj().T) - 0.5 * L.conj().T @ L
+            system = qlin.complex_to_quadrature(F, L)
+            out.append([n, m, _attempt(lambda: qlin.quadrature_to_complex(system, tol))])
+            for k in (0.5, 2.0):
+                G = system.G.copy()
+                G[0, 0] += k * tol * max(np.linalg.norm(system.A), 1.0)
+                cases = [(G, system.C)]
+                if m:
+                    C = system.C.copy()
+                    C[2 * (m - 1), 1] += k * tol * max(np.linalg.norm(system.C), 1.0)
+                    cases.append((system.G, C))
+                for G, C in cases:
+                    moved = qlin.build_system(G, C)
+                    out.append([n, m, k, _attempt(lambda: qlin.quadrature_to_complex(moved, tol))])
+    return out
 
 
 def hashes(tree: str) -> dict:
